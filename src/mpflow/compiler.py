@@ -23,13 +23,12 @@ from .coupling import (
     Layer,
     MPNet,
     SHEAR,
-    layer_forward,
     lower_layer,
     net_forward,
     shear_layer,
     upper_layer,
 )
-from .dynamics import VectorField, field_from_params, rk4_flow, splitting_step
+from .dynamics import VectorField, field_from_params, rk4_flow
 from .errors import ConfigError, NumericError, UnsupportedError
 from .mlp import ACTIVATION_LIPSCHITZ
 from .pair_decomposition import (
@@ -41,9 +40,6 @@ from .pair_decomposition import (
 )
 from .shifts import FixedShift, MlpShift, fixed_shift, register_fixed_family
 from .verify import as_box, sample_points
-
-_EQUIV_TOL = 1e-12
-
 
 def _embed(u, j):
     return np.insert(u, j, 0.0)
@@ -153,8 +149,8 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
 
     Per step k the layers advance coordinates pair by pair in ascending d at
     frozen time tau + k*h, h = T/n_steps; the resulting net has
-    n_steps * 2 * (D-1) layers. The stack is checked against the explicit
-    splitting composition at n_check sampled points.
+    n_steps * 2 * (D-1) layers. The stack's output must be finite at n_check
+    sampled points; a non-finite one raises NumericError naming the point.
     """
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
@@ -174,22 +170,17 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
         for pair in decomposition.pairs:
             layers.extend(shear_pair(pair, tau_k, h))
     net = MPNet(field.dim, tuple(layers))
-    _check_against_splitting(net, sample_box, field, n_check)
+    _check_finite(net, sample_box, field, n_check)
     return CompiledFlow(net, field, float(tau), float(T), int(n_steps), h, decomposition)
 
 
-def _check_against_splitting(net: MPNet, sample_box, field, n_check):
+def _check_finite(net: MPNet, sample_box, field, n_check):
     if n_check < 1:
         return
     pts = sample_points(sample_box, n_check, 0xC0DE, exclude=field.singular)
-    subflows = [lambda x, layer=layer: layer_forward(layer, x) for layer in net.layers]
     for p in pts:
-        via_net = net_forward(net, p)
-        if not np.all(np.isfinite(via_net)):
+        if not np.all(np.isfinite(net_forward(net, p))):
             raise NumericError(f"compiled net produced non-finite output at {p.tolist()}")
-        via_split = splitting_step(subflows, p)
-        if float(np.max(np.abs(via_net - via_split))) > _EQUIV_TOL:
-            raise NumericError("compiled net disagrees with its splitting composition")
 
 
 def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:

@@ -10,6 +10,11 @@ inverse is the same subtraction in closed form.
 
 Layers and nets are immutable after construction; forward, inverse, and
 backward are pure functions and safe for concurrent callers.
+
+Training runs each layer's forward once. `net_forward_collect` keeps, per
+layer, the layer's input and the shift's cache: the MLP activations produced
+by the forward that computed the output (None for a FixedShift).
+`layer_backward_batch` consumes that pair and never recomputes the forward.
 """
 
 from __future__ import annotations
@@ -104,21 +109,36 @@ def layer_inverse(layer: Layer, xh) -> np.ndarray:
     return out
 
 
-def layer_apply_batch(layer: Layer, x, inverse=False) -> np.ndarray:
+def _columns(layer):
+    """(read, written) 0-based columns: the shift reads x[:, read] and its
+    output is added to x[:, written]."""
+    k = layer.s - 1
+    if layer.kind == UPPER:
+        return slice(k, layer.dim), slice(0, k)
+    if layer.kind == LOWER:
+        return slice(0, k), slice(k, layer.dim)
+    j = layer.i - 1
+    return np.delete(np.arange(layer.dim), j), slice(j, j + 1)
+
+
+def _layer_apply_cached(layer: Layer, x, sign=1.0):
+    """The batched layer forward; returns (output, shift cache)."""
     x = np.asarray(x, float)
     if x.ndim != 2 or x.shape[1] != layer.dim:
         raise ConfigError(f"expected (n, {layer.dim}) batch, got {x.shape}")
-    out = x.copy()
-    sign = -1.0 if inverse else 1.0
-    k = layer.s - 1
-    if layer.kind == UPPER:
-        out[:, :k] += sign * layer.shift.apply_batch(x[:, k:])
-    elif layer.kind == LOWER:
-        out[:, k:] += sign * layer.shift.apply_batch(x[:, :k])
+    read, written = _columns(layer)
+    u = x[:, read]
+    if isinstance(layer.shift, MlpShift):
+        shifted, cache = forward_cached(layer.shift.mlp, u)
     else:
-        j = layer.i - 1
-        out[:, j] += sign * layer.shift.apply_batch(_drop(x, j))[:, 0]
-    return out
+        shifted, cache = layer.shift.apply_batch(u), None
+    out = x.copy()
+    out[:, written] += sign * shifted
+    return out, cache
+
+
+def layer_apply_batch(layer: Layer, x, inverse=False) -> np.ndarray:
+    return _layer_apply_cached(layer, x, -1.0 if inverse else 1.0)[0]
 
 
 def _check_point(dim, x):
@@ -167,34 +187,18 @@ def net_apply_batch(net: MPNet, x, inverse=False) -> np.ndarray:
     return x
 
 
-def _active_block(layer):
-    """(read slice, written slice) in 0-based coordinates, for upper/lower."""
-    k = layer.s - 1
-    if layer.kind == UPPER:
-        return slice(k, layer.dim), slice(0, k)
-    return slice(0, k), slice(k, layer.dim)
-
-
-def layer_backward_batch(layer: Layer, x, upstream):
+def layer_backward_batch(layer: Layer, x, cache, upstream):
     """Chain rule through one layer for a batch of points.
 
+    x is the layer's input and cache the shift cache its forward returned.
     Returns (shift parameter grads summed over the batch, gradient wrt x).
     FixedShift layers have no parameters; ones without an analytic Jacobian
     cannot propagate gradients and raise UnsupportedError.
     """
-    x = np.asarray(x, float)
     g = np.asarray(upstream, float)
-    dx = g.copy()
-    if layer.kind == SHEAR:
-        j = layer.i - 1
-        u = _drop(x, j)
-        g_out = g[:, j : j + 1]
-    else:
-        read, written = _active_block(layer)
-        u = x[:, read]
-        g_out = g[:, written]
+    read, written = _columns(layer)
+    g_out = g[:, written]
     if isinstance(layer.shift, MlpShift):
-        _, cache = forward_cached(layer.shift.mlp, u)
         grads, du = backward_batch(layer.shift.mlp, cache, g_out)
     elif isinstance(layer.shift, FixedShift):
         if layer.shift._jac is None:
@@ -203,33 +207,32 @@ def layer_backward_batch(layer: Layer, x, upstream):
                 "gradients through it are not supported"
             )
         grads = []
+        u = np.asarray(x, float)[:, read]
         du = np.stack([g_out[n] @ layer.shift.jacobian(u[n]) for n in range(u.shape[0])])
     else:
         raise ConfigError(f"unknown shift type {type(layer.shift)!r}")
-    if layer.kind == SHEAR:
-        j = layer.i - 1
-        dx[:, :j] += du[:, :j]
-        dx[:, j + 1 :] += du[:, j:]
-    else:
-        dx[:, read] += du
+    dx = g.copy()
+    dx[:, read] += du
     return grads, dx
 
 
 def net_forward_collect(net: MPNet, x):
-    """Batched forward keeping each layer's input; returns (output, inputs)."""
+    """Batched forward; returns (output, per-layer (input, shift cache) pairs)."""
     x = np.asarray(x, float)
-    inputs = []
+    collected = []
     for layer in net.layers:
-        inputs.append(x)
-        x = layer_apply_batch(layer, x)
-    return x, inputs
+        out, cache = _layer_apply_cached(layer, x)
+        collected.append((x, cache))
+        x = out
+    return x, collected
 
 
-def net_backward_collected(net: MPNet, inputs, upstream):
+def net_backward_collected(net: MPNet, collected, upstream):
     g = np.asarray(upstream, float)
     per_layer = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
-        per_layer[idx], g = layer_backward_batch(net.layers[idx], inputs[idx], g)
+        x, cache = collected[idx]
+        per_layer[idx], g = layer_backward_batch(net.layers[idx], x, cache, g)
     return per_layer, g
 
 
@@ -238,8 +241,8 @@ def net_backward_batch(net: MPNet, x, upstream):
 
     Returns (per-layer parameter-grad lists, gradient wrt the input batch).
     """
-    _, inputs = net_forward_collect(net, x)
-    return net_backward_collected(net, inputs, upstream)
+    _, collected = net_forward_collect(net, x)
+    return net_backward_collected(net, collected, upstream)
 
 
 def net_backward(net: MPNet, x, upstream):

@@ -4,6 +4,11 @@ Everything is float64. An `Mlp` is immutable after construction; forward and
 backward are pure functions, so instances are safe to share across threads.
 Parameters travel as flat lists of arrays ordered [W1, b1, W2, b2, ...],
 the same order `mlp_backward` and `adam_step` use.
+
+`forward_cached` is the one forward loop. Its cache holds activations only:
+the input of every dense layer, produced by the same forward that computed the
+output. `backward_batch` reads the activation derivatives off those values, so
+a backward pass never repeats the forward.
 """
 
 from __future__ import annotations
@@ -22,12 +27,10 @@ ACTIVATION_LIPSCHITZ = {"sigmoid": 0.25, "tanh": 1.0, "relu": 1.0}
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp never overflows: e is exp(-|z|) in (0, 1], and each branch is the
+    # usual stable form for its sign of z
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _act(name, z):
@@ -38,13 +41,14 @@ def _act(name, z):
     return np.maximum(z, 0.0)
 
 
-def _act_grad(name, z, a):
-    # a is the already-computed activation value at z
+def _act_grad(name, a):
+    # derivative at z from the activation a = act(z) alone; for relu,
+    # (a > 0) has the same bits as (z > 0)
     if name == "sigmoid":
         return a * (1.0 - a)
     if name == "tanh":
         return 1.0 - a * a
-    return (z > 0.0).astype(float)
+    return (a > 0.0).astype(float)
 
 
 @dataclass(frozen=True)
@@ -108,17 +112,28 @@ def mlp_with_params(mlp: Mlp, params) -> Mlp:
     return replace(mlp, weights=tuple(weights), biases=tuple(biases))
 
 
-def forward_batch(mlp: Mlp, x: np.ndarray) -> np.ndarray:
-    """Apply the network to rows of x, shape (n, d_in) -> (n, d_out)."""
+def forward_cached(mlp: Mlp, x: np.ndarray):
+    """Batched forward (n, d_in) -> (n, d_out), returning (output, cache).
+
+    The cache is the list of each dense layer's input: x, then every hidden
+    activation. `backward_batch` needs nothing else.
+    """
     a = np.asarray(x, float)
     if a.ndim != 2 or a.shape[1] != mlp.d_in:
         raise ConfigError(f"expected input of shape (n, {mlp.d_in}), got {a.shape}")
+    acts = []
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        acts.append(a)
         a = a @ w.T + b
         if l < last:
             a = _act(mlp.activation, a)
-    return a
+    return a, acts
+
+
+def forward_batch(mlp: Mlp, x: np.ndarray) -> np.ndarray:
+    """Apply the network to rows of x, shape (n, d_in) -> (n, d_out)."""
+    return forward_cached(mlp, x)[0]
 
 
 def mlp_forward(mlp: Mlp, x) -> np.ndarray:
@@ -128,39 +143,24 @@ def mlp_forward(mlp: Mlp, x) -> np.ndarray:
     return forward_batch(mlp, x[None, :])[0]
 
 
-def forward_cached(mlp: Mlp, x: np.ndarray):
-    """Batched forward keeping pre-activations and activations for backward."""
-    a = np.asarray(x, float)
-    if a.ndim != 2 or a.shape[1] != mlp.d_in:
-        raise ConfigError(f"expected input of shape (n, {mlp.d_in}), got {a.shape}")
-    acts = [a]
-    zs = []
-    last = len(mlp.weights) - 1
-    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = acts[-1] @ w.T + b
-        zs.append(z)
-        acts.append(_act(mlp.activation, z) if l < last else z)
-    return acts[-1], (acts, zs)
-
-
 def backward_batch(mlp: Mlp, cache, upstream: np.ndarray):
     """Gradients of sum_i <upstream_i, mlp(x_i)> from a forward_cached pass.
 
     Returns (param_grads in [W1, b1, ...] order summed over the batch,
     input gradient of shape (n, d_in)).
     """
-    acts, zs = cache
     delta = np.asarray(upstream, float)
-    if delta.shape != zs[-1].shape:
-        raise ConfigError(f"upstream shape {delta.shape} != output shape {zs[-1].shape}")
+    out_shape = (len(cache[0]), mlp.d_out)
+    if delta.shape != out_shape:
+        raise ConfigError(f"upstream shape {delta.shape} != output shape {out_shape}")
     n_layers = len(mlp.weights)
     grads = [None] * (2 * n_layers)
     for l in range(n_layers - 1, -1, -1):
-        grads[2 * l] = delta.T @ acts[l]
+        grads[2 * l] = delta.T @ cache[l]
         grads[2 * l + 1] = delta.sum(axis=0)
         delta = delta @ mlp.weights[l]
         if l > 0:
-            delta = delta * _act_grad(mlp.activation, zs[l - 1], acts[l])
+            delta = delta * _act_grad(mlp.activation, cache[l])
     return grads, delta
 
 

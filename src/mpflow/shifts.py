@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .mlp import Mlp, forward_batch, mlp_forward
+from .mlp import Mlp, _sigmoid, mlp_forward
 
 _REGISTRY = {}
 _FAMILIES = {}
@@ -53,9 +53,6 @@ class MlpShift:
 
     def __call__(self, u):
         return mlp_forward(self.mlp, u)
-
-    def apply_batch(self, u):
-        return forward_batch(self.mlp, u)
 
 
 @dataclass(frozen=True)
@@ -121,13 +118,10 @@ def _scaled_sigmoid_factory(params, in_dim, out_dim):
     w = params[2:].copy()
 
     def fn(u):
-        z = w @ u + b
-        sig = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
-        return np.array([a * sig])
+        return np.array([a * _sigmoid(w @ u + b)])
 
     def jac(u):
-        z = w @ u + b
-        sig = 1.0 / (1.0 + np.exp(-z)) if z >= 0 else np.exp(z) / (1.0 + np.exp(z))
+        sig = _sigmoid(w @ u + b)
         return (a * sig * (1.0 - sig)) * w[None, :]
 
     return fn, jac

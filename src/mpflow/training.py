@@ -21,6 +21,7 @@ from .coupling import (
     net_backward_collected,
     net_forward,
     net_forward_collect,
+    net_trainable_params,
     upper_layer,
 )
 from .dynamics import PairDataset, Trajectory
@@ -118,11 +119,7 @@ def train(dataset: PairDataset, config: TrainConfig):
     n = dataset.n_pairs
     spot = x[0]
 
-    params = []
-    for layer in net.layers:
-        if isinstance(layer.shift, MlpShift):
-            for w, b in zip(layer.shift.mlp.weights, layer.shift.mlp.biases):
-                params.extend([w, b])
+    params = net_trainable_params(net)
     if not params:
         raise ConfigError("training net has no trainable shifts")
     state = adam_init(params, lr=config.lr)
@@ -130,7 +127,7 @@ def train(dataset: PairDataset, config: TrainConfig):
     last_good = net
 
     for epoch in range(config.epochs):
-        out, inputs = net_forward_collect(net, x)
+        out, collected = net_forward_collect(net, x)
         residual = out - y
         loss = float(np.mean(np.sum(residual**2, axis=1)))
         if not np.isfinite(loss):
@@ -142,7 +139,7 @@ def train(dataset: PairDataset, config: TrainConfig):
             metrics.loss_curve.append((epoch, loss))
             dev = abs(fd_jacobian_det(lambda p: net_forward(net, p), spot) - 1.0)
             metrics.det_curve.append((epoch, dev))
-        per_layer, _ = net_backward_collected(net, inputs, (2.0 / n) * residual)
+        per_layer, _ = net_backward_collected(net, collected, (2.0 / n) * residual)
         grads = [g for layer_grads in per_layer for g in layer_grads]
         params, state = adam_step(params, grads, state)
         net = _net_with_params(net, params)

@@ -4,6 +4,7 @@ import pytest
 from mpflow.errors import ConfigError, NumericError
 from mpflow.mlp import (
     Mlp,
+    _sigmoid,
     adam_init,
     adam_step,
     forward_batch,
@@ -126,6 +127,29 @@ def test_forward_batch_matches_single():
     batch = forward_batch(mlp, xs)
     for row, x in zip(batch, xs):
         np.testing.assert_allclose(row, mlp_forward(mlp, x), rtol=1e-13, atol=1e-15)
+
+
+def _sigmoid_masked_reference(z):
+    """The earlier masked two-branch sigmoid, kept as the bit-exact reference."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bit_exact_against_masked_form():
+    specials = [0.0, 1e-300, 36.0, 700.0, 745.0, 1e308, np.inf]
+    grid = np.concatenate([
+        specials, [-v for v in specials], [np.nan],
+        np.linspace(-50.0, 50.0, 2001),
+        Xoshiro256(11).uniform_array(1000, -800.0, 800.0),
+    ])
+    assert np.signbit(grid[len(specials)])  # -0.0 is in the grid
+    with np.errstate(over="raise"):  # exp(-|z|) cannot overflow
+        got = _sigmoid(grid)
+    assert np.array_equal(got, _sigmoid_masked_reference(grid), equal_nan=True)
 
 
 # --- backward ---------------------------------------------------------------

@@ -145,6 +145,31 @@ def test_train_nonfinite_aborts_with_checkpoint():
     assert np.isfinite(mse_loss(err.value.checkpoint, ds))
 
 
+def test_train_runs_one_mlp_forward_per_layer_epoch(monkeypatch):
+    # every MLP forward looks up mpflow.mlp._act once per hidden layer; each
+    # shift here has one hidden layer, so the count is the number of forwards
+    import mpflow.mlp
+
+    calls = [0]
+    act = mpflow.mlp._act
+
+    def counting_act(name, z):
+        calls[0] += 1
+        return act(name, z)
+
+    monkeypatch.setattr(mpflow.mlp, "_act", counting_act)
+    ds, _ = teacher_student_dataset(seed=5, n_points=16)
+    n_layers, epochs = 3, 20
+
+    def forwards(e):
+        calls[0] = 0
+        train(ds, TrainConfig(n_layers=n_layers, width=4, epochs=e, seed=0,
+                              log_stride=10 * epochs))
+        return calls[0]
+
+    assert forwards(2 * epochs) - forwards(epochs) == n_layers * epochs
+
+
 # --- rollout --------------------------------------------------------------------
 
 
