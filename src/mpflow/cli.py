@@ -375,9 +375,11 @@ def cmd_verify(config, out_dir, seed):
              "lp_samples": (int, 2000), "lp_tol": (float, None)},
         )
         field = _field_from_config(ref["field"], "config.reference.field")
-        flow = lambda x: rk4_flow(field, ref["tau"], ref["T"], ref["h_ref"], x)
-        val = lp_error(lambda x: net_forward(net, x), flow, box, ref["p"],
-                       ref["lp_samples"], used_seed)
+        # the model side stays per point: a batched net differs from
+        # net_forward in the last bits (matrix products against vector ones)
+        model = lambda xs: np.stack([net_forward(net, x) for x in xs])
+        flow = lambda xs: rk4_flow(field, ref["tau"], ref["T"], ref["h_ref"], xs)
+        val = lp_error(model, flow, box, ref["p"], ref["lp_samples"], used_seed)
         if not np.isfinite(val):
             raise NumericError("lp_error produced non-finite values")
         entry = {"value": val, "p": ref["p"]}

@@ -269,7 +269,7 @@ def convergence_study(field: VectorField, tau, T, step_counts, sample_box,
         raise ConfigError("step_counts must be at least two strictly increasing integers")
     decomposition = decompose(field, sample_box, quad_nodes, tol, fd_step)
     pts = sample_points(sample_box, n_samples, seed, exclude=field.singular)
-    refs = np.stack([rk4_flow(field, tau, T, h_ref, p) for p in pts])
+    refs = rk4_flow(field, tau, T, h_ref, pts)
     h_values, errors = [], []
     for n in counts:
         compiled = compile_flow(field, tau, T, n, sample_box,

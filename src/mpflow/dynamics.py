@@ -9,6 +9,12 @@ Registered fields:
   poly        per-component polynomial, params = list of (coefficient,
               multi-index) terms per component
 
+Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
+and compute elementwise, so a (dim, n) array evaluates n points as columns.
+`rk4_flow` uses that: it takes one point (dim,) or a batch (n, dim) and
+integrates the whole batch as one (dim, n) state. `field_eval` and every other
+function here take single points.
+
 All operations are pure; independent trajectories may be generated
 concurrently.
 """
@@ -29,7 +35,7 @@ SINGULAR_RADIUS = 0.05
 class VectorField:
     dim: int
     fid: str
-    func: object  # (t, y) -> ndarray(dim)
+    func: object  # (t, y) -> array shaped like y: (dim,) or (dim, n) columns
     params: tuple = ()  # flat float encoding, see field_from_params
     divergence_free: bool = False
     singular: object = None  # (y) -> bool, or None
@@ -77,7 +83,7 @@ def _poly_terms(components, dim):
 
 def _poly_eval(terms):
     def fn(t, y):
-        out = np.zeros(len(terms))
+        out = np.zeros(y.shape)  # one term list per coordinate: (dim,) or (dim, n)
         for c, comp_terms in enumerate(terms):
             acc = 0.0
             for coef, exps in comp_terms:
@@ -187,29 +193,51 @@ def euler_step(field: VectorField, tau, h, x) -> np.ndarray:
     return x + h * field_eval(field, tau, x)
 
 
-def _rk4_single(field, t, h, y):
-    k1 = field_eval(field, t, y)
-    k2 = field_eval(field, t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = field_eval(field, t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = field_eval(field, t + h, y + h * k3)
+def _rk4_single(func, t, h, y):
+    k1 = func(t, y)
+    k2 = func(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = func(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = func(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
-    """Classic fourth-order Runge-Kutta flow over [tau, tau+T] with substep h_ref."""
+def _rk4_substeps(field: VectorField, tau, T, h_ref, y):
+    """Yield (time, state) after each RK4 substep from y, (dim,) or (dim, n)."""
     if h_ref <= 0:
         raise ConfigError(f"h_ref must be positive, got {h_ref}")
-    x = np.asarray(x, float)
-    if T == 0:
-        return x.copy()
-    n = max(1, round(abs(T) / h_ref))
-    h = T / n
-    y = x
+    n = max(1, round(abs(T) / h_ref)) if T != 0 else 0
+    h = T / n if n else 0.0
     for k in range(n):
-        y = _rk4_single(field, tau + k * h, h, y)
-        if not np.all(np.isfinite(y)):
-            raise NumericError(f"rk4 state became non-finite at substep {k + 1}", step=k + 1)
-    return y
+        y = _rk4_single(field.func, tau + k * h, h, y)
+        if not np.isfinite(y).all():
+            where = ""
+            if y.ndim == 2:
+                where = f" in row {np.flatnonzero(~np.isfinite(y).all(axis=0))[0]}"
+            raise NumericError(f"rk4 state became non-finite at substep {k + 1}{where}", step=k + 1)
+        yield tau + (k + 1) * h, y
+
+
+def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
+    """Classic fourth-order Runge-Kutta flow over [tau, tau+T] with substep h_ref.
+
+    x is one point (dim,) or a batch (n, dim); the batch is integrated as one
+    (dim, n) state and returned as (n, dim). Each row then has exactly the bits
+    of its own single-point run for fields that compute elementwise (lorentz4d,
+    harmonic2d). For linear fields `mat @ Y` is a matrix product where a point
+    takes a matrix-vector product, and for poly fields an array square is exact
+    where a scalar one goes through pow, so rows can differ from single-point
+    runs by an ulp or so.
+    """
+    x = np.asarray(x, float)
+    if x.shape != (field.dim,) and (x.ndim != 2 or x.shape[1] != field.dim):
+        raise ConfigError(
+            f"field {field.fid!r} expects points (dim,) or batches (n, dim) with dim "
+            f"{field.dim}, got {x.shape}"
+        )
+    y = x.T
+    for _, y in _rk4_substeps(field, tau, T, h_ref, y):
+        pass
+    return y.T.copy()
 
 
 @dataclass(frozen=True)
@@ -233,20 +261,14 @@ class Trajectory:
 
 
 def rk4_trajectory(field: VectorField, tau, T, h_ref, x) -> Trajectory:
-    """Like rk4_flow but keeps every substep state."""
-    if h_ref <= 0:
-        raise ConfigError(f"h_ref must be positive, got {h_ref}")
+    """Like rk4_flow for one point, but keeps every substep state."""
     x = np.asarray(x, float)
-    n = max(1, round(abs(T) / h_ref)) if T != 0 else 0
-    h = T / n if n else 0.0
+    if x.shape != (field.dim,):
+        raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {x.shape}")
     times = [tau]
     states = [x.copy()]
-    y = x
-    for k in range(n):
-        y = _rk4_single(field, tau + k * h, h, y)
-        if not np.all(np.isfinite(y)):
-            raise NumericError(f"rk4 state became non-finite at substep {k + 1}", step=k + 1)
-        times.append(tau + (k + 1) * h)
+    for t, y in _rk4_substeps(field, tau, T, h_ref, x):
+        times.append(t)
         states.append(y.copy())
     return Trajectory(np.array(times), np.array(states))
 

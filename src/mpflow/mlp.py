@@ -1,9 +1,15 @@
 """Dense feed-forward networks with exact reverse-mode gradients and Adam.
 
-Everything is float64. An `Mlp` is immutable after construction; forward and
-backward are pure functions, so instances are safe to share across threads.
-Parameters travel as flat lists of arrays ordered [W1, b1, W2, b2, ...],
-the same order `mlp_backward` and `adam_step` use.
+Everything is float64. Forward and backward are pure functions. Parameters
+travel as lists of arrays ordered [W1, b1, W2, b2, ...], the same order
+`mlp_backward` and `adam_step` use. An `Mlp` never rebinds its arrays, and
+outside training nobody writes into them, so instances are safe to share
+across threads.
+
+During training every trainable parameter lives in one flat float64 vector:
+each training `Mlp` holds reshaped views into it (bound once through
+`mlp_with_params`), and Adam updates the vector in place. Those nets change
+with every step until `train` returns; the net it returns is no longer written.
 
 `forward_cached` is the one forward loop. Its cache holds activations only:
 the input of every dense layer, produced by the same forward that computed the
@@ -27,10 +33,10 @@ ACTIVATION_LIPSCHITZ = {"sigmoid": 0.25, "tanh": 1.0, "relu": 1.0}
 
 
 def _sigmoid(z):
-    # exp never overflows: e is exp(-|z|) in (0, 1], and each branch is the
-    # usual stable form for its sign of z
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # exp never overflows: both exponents are <= 0. For z >= 0 this is
+    # 1/(1+exp(-z)), for z < 0 it is exp(z)/(1+exp(z)), the usual stable form
+    # for each sign, without a select
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def _act(name, z):
@@ -98,7 +104,10 @@ def mlp_params(mlp: Mlp) -> list:
 
 
 def mlp_with_params(mlp: Mlp, params) -> Mlp:
-    """New Mlp with the same shape carrying the given parameter list."""
+    """New Mlp with the same shape carrying the given parameter list.
+
+    float64 arrays are used as given, not copied: views stay views.
+    """
     n = len(mlp.weights)
     if len(params) != 2 * n:
         raise ConfigError(f"expected {2 * n} parameter arrays, got {len(params)}")

@@ -25,8 +25,8 @@ from .coupling import (
     upper_layer,
 )
 from .dynamics import PairDataset, Trajectory
-from .errors import ConfigError, TrainingError
-from .mlp import adam_init, adam_step, mlp_init, mlp_with_params
+from .errors import ConfigError, NumericError, TrainingError
+from .mlp import adam_init, adam_step, mlp_init, mlp_params, mlp_with_params
 from .rng import Xoshiro256
 from .shifts import MlpShift
 from .verify import fd_jacobian_det
@@ -91,25 +91,53 @@ def mse_loss(net: MPNet, dataset: PairDataset) -> float:
     return float(np.mean(np.sum((out - dataset.y) ** 2, axis=1)))
 
 
-def _net_with_params(net: MPNet, flat_params) -> MPNet:
-    layers = []
-    pos = 0
-    for layer in net.layers:
+def _flat_layout(net: MPNet):
+    """Where each MlpShift parameter sits in the flat training vector.
+
+    One (layer index, name, slice, shape) per array, in the order of
+    net_trainable_params; names run W1, b1, W2, b2, ... within each MLP.
+    """
+    layout, pos = [], 0
+    for idx, layer in enumerate(net.layers):
         if isinstance(layer.shift, MlpShift):
-            n = 2 * len(layer.shift.mlp.weights)
-            mlp = mlp_with_params(layer.shift.mlp, flat_params[pos : pos + n])
-            pos += n
-            layers.append(replace(layer, shift=MlpShift(mlp)))
-        else:
-            layers.append(layer)
+            for k, p in enumerate(mlp_params(layer.shift.mlp)):
+                name = f"{'Wb'[k % 2]}{k // 2 + 1}"
+                layout.append((idx, name, slice(pos, pos + p.size), p.shape))
+                pos += p.size
+    return layout
+
+
+def _bind(net: MPNet, flat, layout) -> MPNet:
+    """The net with every MlpShift holding reshaped views into flat."""
+    views = {}
+    for idx, _, span, shape in layout:
+        views.setdefault(idx, []).append(flat[span].reshape(shape))
+    layers = list(net.layers)
+    for idx, params in views.items():
+        mlp = mlp_with_params(layers[idx].shift.mlp, params)
+        layers[idx] = replace(layers[idx], shift=MlpShift(mlp))
     return MPNet(net.dim, tuple(layers))
+
+
+def _gradient_error(grad, layout, step) -> NumericError:
+    """Name the layer, parameter and entry of the first non-finite gradient."""
+    k = int(np.flatnonzero(~np.isfinite(grad))[0])
+    for idx, name, span, shape in layout:  # spans are consecutive and cover grad
+        if k < span.stop:
+            break
+    entry = [int(i) for i in np.unravel_index(k - span.start, shape)]
+    return NumericError(
+        f"non-finite gradient in layer {idx} parameter {name}{entry} at step {step}", step=step
+    )
 
 
 def train(dataset: PairDataset, config: TrainConfig):
     """Full-batch Adam on the MSE loss; returns (trained net, metrics).
 
-    A non-finite loss aborts with TrainingError carrying the epoch index and
-    the last finite checkpoint.
+    Every trainable weight lives in one flat vector that the training net's
+    MLPs view and Adam updates in place. A non-finite loss aborts with
+    TrainingError carrying the epoch index and the last finite checkpoint; a
+    non-finite gradient raises NumericError naming its layer and parameter.
     """
     if dataset.n_pairs == 0:
         raise ConfigError("dataset is empty")
@@ -119,12 +147,14 @@ def train(dataset: PairDataset, config: TrainConfig):
     n = dataset.n_pairs
     spot = x[0]
 
-    params = net_trainable_params(net)
-    if not params:
+    layout = _flat_layout(net)
+    if not layout:
         raise ConfigError("training net has no trainable shifts")
-    state = adam_init(params, lr=config.lr)
+    flat = np.concatenate([p.ravel() for p in net_trainable_params(net)])
+    net = _bind(net, flat, layout)
+    before = flat.copy()  # the parameters of the last net with a finite loss
+    state = adam_init([flat], lr=config.lr)
     metrics = TrainMetrics()
-    last_good = net
 
     for epoch in range(config.epochs):
         out, collected = net_forward_collect(net, x)
@@ -132,17 +162,22 @@ def train(dataset: PairDataset, config: TrainConfig):
         loss = float(np.mean(np.sum(residual**2, axis=1)))
         if not np.isfinite(loss):
             raise TrainingError(
-                f"loss became non-finite at epoch {epoch}", epoch=epoch, checkpoint=last_good
+                f"loss became non-finite at epoch {epoch}",
+                epoch=epoch,
+                checkpoint=_bind(net, before, layout),
             )
-        last_good = net
         if epoch % config.log_stride == 0:
             metrics.loss_curve.append((epoch, loss))
             dev = abs(fd_jacobian_det(lambda p: net_forward(net, p), spot) - 1.0)
             metrics.det_curve.append((epoch, dev))
         per_layer, _ = net_backward_collected(net, collected, (2.0 / n) * residual)
-        grads = [g for layer_grads in per_layer for g in layer_grads]
-        params, state = adam_step(params, grads, state)
-        net = _net_with_params(net, params)
+        grad = np.concatenate([g.ravel() for grads in per_layer for g in grads])
+        try:
+            (updated,), state = adam_step([flat], [grad], state)
+        except NumericError as exc:
+            raise _gradient_error(grad, layout, exc.step) from None
+        before[:] = flat
+        flat[:] = updated
 
     final = mse_loss(net, dataset)
     metrics.loss_curve.append((config.epochs, final))

@@ -72,7 +72,9 @@ def fd_jacobian_det(map_fn, x, h_fd=DEFAULT_FD_STEP) -> float:
 def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:
     """Monte Carlo estimate of sum_d (integral_U |a_d - b_d|^p)^(1/p).
 
-    Uniform sampling over the box, volume weighted; deterministic in the seed.
+    Both maps take the whole (n_samples, dim) batch of sample points and
+    return the (n_samples, dim) batch of images. Uniform sampling over the
+    box, volume weighted; deterministic in the seed.
     """
     if not 1.0 <= p < np.inf:
         raise ConfigError(f"p must be in [1, inf), got {p}")
@@ -81,9 +83,9 @@ def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:
     lo, hi = as_box(box)
     volume = float(np.prod(hi - lo))
     pts = sample_points((lo, hi), n_samples, Xoshiro256(seed))
-    diff = np.empty((n_samples, lo.size))
-    for row in range(n_samples):
-        diff[row] = np.asarray(map_a(pts[row]), float) - np.asarray(map_b(pts[row]), float)
+    diff = np.asarray(map_a(pts), float) - np.asarray(map_b(pts), float)
+    if diff.shape != pts.shape:
+        raise ConfigError(f"lp_error maps must return {pts.shape} batches, got {diff.shape}")
     comp_means = np.mean(np.abs(diff) ** p, axis=0) * volume
     return float(np.sum(comp_means ** (1.0 / p)))
 

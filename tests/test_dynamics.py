@@ -20,6 +20,7 @@ from mpflow.dynamics import (
     trajectory_to_csv,
 )
 from mpflow.errors import ConfigError, NumericError
+from mpflow.rng import Xoshiro256
 from mpflow.verify import sample_points
 
 # Independently evaluated benchmark values at y = (0.1, 1, 1.1, 0.5):
@@ -166,6 +167,61 @@ def test_rk4_blowup_raises_with_step():
         with pytest.raises(NumericError) as err:
             rk4_flow(f, 0.0, 1.0, 1e-3, np.array([2.0]))
     assert err.value.step is not None
+
+
+def _batch_and_points(f, box):
+    x = sample_points(box, 37, 11, exclude=f.singular)
+    batch = rk4_flow(f, 0.0, 0.2, 1e-3, x)
+    points = np.stack([rk4_flow(f, 0.0, 0.2, 1e-3, row) for row in x])
+    assert batch.shape == x.shape
+    return batch, points
+
+
+@pytest.mark.parametrize(
+    "fid, box",
+    [
+        ("lorentz4d", (np.array([-0.4, 0.5, 0.6, 0.0]), np.array([0.6, 1.5, 1.6, 1.0]))),
+        ("harmonic2d", (-np.ones(2), np.ones(2))),
+    ],
+)
+def test_rk4_batch_rows_equal_points_bitwise(fid, box):
+    # elementwise fields: one (dim, n) state runs the same arithmetic per row
+    batch, points = _batch_and_points(make_field(fid), box)
+    assert np.array_equal(batch, points)
+
+
+def test_rk4_batch_rows_match_points_within_ulps_linear_and_poly():
+    # linear: mat @ Y is a matrix product where a point takes a matrix-vector
+    # product; poly: an array square is exact where a scalar one uses pow
+    box = (-np.ones(3), np.ones(3))
+    linear = make_field("linear", params=Xoshiro256(3).uniform_array((3, 3), -1, 1))
+    poly = make_field(
+        "poly",
+        params=[
+            [(1.0, (0, 2, 0)), (0.5, (1, 1, 0))],
+            [(-1.0, (2, 0, 0)), (0.3, (0, 0, 3))],
+            [(0.7, (1, 0, 1)), (-0.2, (0, 2, 1))],
+        ],
+        dim=3,
+    )
+    for f in (linear, poly):
+        batch, points = _batch_and_points(f, box)
+        np.testing.assert_array_max_ulp(batch, points, maxulp=4)
+
+
+def test_rk4_batch_blowup_names_row():
+    f = make_field("poly", params=[[(1.0, (2,))]], dim=1)  # dy/dt = y^2
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="in row 0") as err:
+            rk4_flow(f, 0.0, 1.0, 1e-3, np.array([[2.0], [0.1]]))
+    assert err.value.step is not None
+
+
+def test_rk4_rejects_wrong_shapes():
+    f = make_field("harmonic2d")
+    for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ConfigError):
+            rk4_flow(f, 0.0, 1.0, 1e-2, bad)
 
 
 def test_rk4_trajectory_keeps_substeps():

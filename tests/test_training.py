@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from mpflow.coupling import MPNet, net_apply_batch, net_forward, net_inverse, upper_layer
+from dataclasses import replace
+
+from mpflow.coupling import (
+    MPNet,
+    net_apply_batch,
+    net_backward_collected,
+    net_forward,
+    net_forward_collect,
+    net_inverse,
+    net_trainable_params,
+    upper_layer,
+)
 from mpflow.dynamics import PairDataset, make_field
-from mpflow.errors import ConfigError, TrainingError
-from mpflow.mlp import mlp_init, mlp_params
+from mpflow.errors import ConfigError, NumericError, TrainingError
+from mpflow.mlp import adam_init, adam_step, mlp_init, mlp_params, mlp_with_params
 from mpflow.rng import Xoshiro256
 from mpflow.shifts import MlpShift
 from mpflow.training import TrainConfig, build_training_net, mse_loss, rollout, train
@@ -16,6 +27,33 @@ def teacher_student_dataset(seed, n_points=64, width=8):
     teacher = MPNet(2, (upper_layer(2, 2, MlpShift(mlp_init((1, width, 1), "sigmoid", 1000 + seed))),))
     x = sample_points((np.full(2, -1.0), np.full(2, 1.0)), n_points, 42 + seed)
     return PairDataset(x, net_apply_batch(teacher, x), 0.0), teacher
+
+
+def reference_params(ds, cfg, updates):
+    """Parameters after `updates` Adam steps of a loop with per-array Adam and
+    a fresh net each epoch: the reference for train's flat parameter store."""
+    net = build_training_net(ds.dim, cfg)
+    params = net_trainable_params(net)
+    state = adam_init(params, lr=cfg.lr)
+    for _ in range(updates):
+        out, collected = net_forward_collect(net, ds.x)
+        per_layer, _ = net_backward_collected(net, collected, (2.0 / ds.n_pairs) * (out - ds.y))
+        params, state = adam_step(params, [g for grads in per_layer for g in grads], state)
+        layers, pos = [], 0
+        for layer in net.layers:
+            n = 2 * len(layer.shift.mlp.weights)
+            mlp = mlp_with_params(layer.shift.mlp, params[pos : pos + n])
+            layers.append(replace(layer, shift=MlpShift(mlp)))
+            pos += n
+        net = MPNet(net.dim, tuple(layers))
+    return params
+
+
+def assert_params_equal(net, params):
+    got = net_trainable_params(net)
+    assert len(got) == len(params)
+    for a, b in zip(got, params):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 # --- mse_loss -----------------------------------------------------------------
@@ -141,8 +179,57 @@ def test_train_nonfinite_aborts_with_checkpoint():
             train(ds, cfg)
     assert err.value.epoch is not None and err.value.epoch >= 1
     assert isinstance(err.value.checkpoint, MPNet)
-    # the checkpoint is the last net whose loss was still finite
+    # the checkpoint is the last net whose loss was still finite: the net
+    # after epoch - 1 updates, not a view of the vector the failing epoch used
     assert np.isfinite(mse_loss(err.value.checkpoint, ds))
+    with np.errstate(all="ignore"):
+        expected = reference_params(ds, cfg, err.value.epoch - 1)
+    assert_params_equal(err.value.checkpoint, expected)
+
+
+def test_train_flat_store_matches_per_array_reference_bitwise():
+    ds, _ = teacher_student_dataset(seed=7, n_points=32)
+    cfg = TrainConfig(n_layers=2, width=6, epochs=20, seed=4, log_stride=5)
+    net, _ = train(ds, cfg)
+    assert_params_equal(net, reference_params(ds, cfg, cfg.epochs))
+
+
+def test_train_passes_one_flat_array_to_adam(monkeypatch):
+    import mpflow.training
+
+    seen = []
+    step = mpflow.training.adam_step
+
+    def recording(params, grads, state):
+        seen.append((len(params), len(grads), params[0].ndim))
+        return step(params, grads, state)
+
+    monkeypatch.setattr(mpflow.training, "adam_step", recording)
+    ds, _ = teacher_student_dataset(seed=8, n_points=16)
+    train(ds, TrainConfig(n_layers=3, width=4, epochs=5, seed=0, log_stride=5))
+    assert seen == [(1, 1, 1)] * 5
+
+
+def test_train_nonfinite_gradient_names_layer_parameter_and_step(monkeypatch):
+    import mpflow.training
+
+    backward = mpflow.training.net_backward_collected
+    calls = [0]
+
+    def poisoned(net, collected, upstream):
+        per_layer, g = backward(net, collected, upstream)
+        if calls[0] == 3:  # epoch 3, so Adam step 4
+            per_layer[1][1][2] = np.nan  # layer 1, b1 entry 2
+        calls[0] += 1
+        return per_layer, g
+
+    monkeypatch.setattr(mpflow.training, "net_backward_collected", poisoned)
+    ds, _ = teacher_student_dataset(seed=9, n_points=16)
+    with pytest.raises(NumericError) as err:
+        train(ds, TrainConfig(n_layers=3, width=4, epochs=10, seed=0, log_stride=10))
+    assert not isinstance(err.value, TrainingError)
+    assert err.value.step == 4
+    assert "layer 1 parameter b1[2] at step 4" in str(err.value)
 
 
 def test_train_runs_one_mlp_forward_per_layer_epoch(monkeypatch):

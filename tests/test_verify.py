@@ -46,7 +46,7 @@ def test_fd_step_validation():
 
 
 def test_lp_error_self_is_zero():
-    f = lambda x: np.array([x[0] + 1.0, x[1] ** 2])
+    f = lambda x: np.stack([x[:, 0] + 1.0, x[:, 1] ** 2], axis=1)
     box = (np.zeros(2), np.ones(2))
     assert lp_error(f, f, box, p=2, n_samples=100, seed=0) == 0.0
 
@@ -74,7 +74,7 @@ def test_lp_error_volume_weighting():
 
 def test_lp_error_seed_deterministic():
     box = (np.zeros(2), np.ones(2))
-    f = lambda x: np.array([x[0] ** 2, x[1]])
+    f = lambda x: np.stack([x[:, 0] ** 2, x[:, 1]], axis=1)
     g = lambda x: np.zeros(2)
     a = lp_error(f, g, box, p=1, n_samples=500, seed=9)
     b = lp_error(f, g, box, p=1, n_samples=500, seed=9)
@@ -86,7 +86,7 @@ def test_lp_error_seed_deterministic():
 def test_lp_error_mc_standard_error_scaling():
     # doubling n_samples shrinks the spread of estimates by about sqrt(2)
     box = (np.zeros(2), np.ones(2))
-    f = lambda x: np.array([x[0] ** 3, np.sin(3.0 * x[1])])
+    f = lambda x: np.stack([x[:, 0] ** 3, np.sin(3.0 * x[:, 1])], axis=1)
     g = lambda x: np.zeros(2)
     small = np.array([lp_error(f, g, box, p=1, n_samples=400, seed=s) for s in range(60)])
     large = np.array([lp_error(f, g, box, p=1, n_samples=800, seed=1000 + s) for s in range(60)])
