@@ -33,7 +33,7 @@ from .errors import ConfigError, NumericError, ParseError, UnsupportedError, Ver
 from .pair_decomposition import decompose
 from .serialize import dump_json, load_net, save_net
 from .training import TrainConfig, rollout, train
-from .verify import as_box, fd_jacobian_det, lp_error, roundtrip_error, sample_points
+from .verify import as_box, lp_error, max_det_deviation, roundtrip_error, sample_points
 
 ROUNDTRIP_TOL = 1e-11
 DET_TOL = 1e-6
@@ -240,10 +240,7 @@ def cmd_compile(config, out_dir, seed):
     save_net(compiled.net, out_dir / "model.json")
     used_seed = seed if seed is not None else cfg["seed"]
     pts = sample_points(box, cfg["det_points"], used_seed, exclude=field.singular)
-    max_dev = 0.0
-    for p in pts:
-        det = fd_jacobian_det(lambda q: net_forward(compiled.net, q), p)
-        max_dev = max(max_dev, abs(det - 1.0))
+    max_dev, _ = max_det_deviation(compiled.net, pts)
     print(f"compile: field={field.fid} n_steps={cfg['n_steps']} det_dev={max_dev:.3e}")
     return {
         "field": _field_doc(field),
@@ -350,11 +347,7 @@ def cmd_verify(config, out_dir, seed):
         raise NumericError("round-trip produced non-finite values")
     rt_ok = rt < cfg["roundtrip_tol"]
 
-    det_dev, det_worst = 0.0, pts[0]
-    for p in pts:
-        det = fd_jacobian_det(lambda q: net_forward(net, q), p)
-        if abs(det - 1.0) > det_dev:
-            det_dev, det_worst = abs(det - 1.0), p
+    det_dev, det_worst = max_det_deviation(net, pts)
     det_ok = det_dev < cfg["det_tol"]
 
     report = {

@@ -15,6 +15,7 @@ poor approximation of the flow.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .coupling import (
     MPNet,
     SHEAR,
     lower_layer,
+    net_apply_batch,
     net_forward,
     shear_layer,
     upper_layer,
@@ -41,13 +43,15 @@ from .pair_decomposition import (
 from .shifts import FixedShift, MlpShift, fixed_shift, register_fixed_family
 from .verify import as_box, sample_points
 
-def _embed(u, j):
-    return np.insert(u, j, 0.0)
-
 
 def _pair_shift_fn(ufn, j, tau, h):
+    # h * ufn(tau, y), y = u with a zero inserted at coordinate j; a batch
+    # reaches the pair component as columns (D, n)
     def fn(u):
-        return np.array([h * ufn(tau, _embed(u, j))])
+        y = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
+        y[..., :j] = u[..., :j]
+        y[..., j + 1 :] = u[..., j:]
+        return (h * ufn(tau, y.T))[..., None]
 
     return fn
 
@@ -74,23 +78,30 @@ def _pair_shift_factory(fid, params, in_dim, out_dim):
     """Rebuild a pair-field shear shift from its serialized configuration."""
     if out_dim != 1:
         raise ConfigError("pairshift produces a scalar shift (out_dim must be 1)")
-    vals = list(np.asarray(params, float))
-    if len(vals) < 8:
+    params = np.asarray(params, float)
+    if params.size < 8:
         raise ConfigError("pairshift params are truncated")
-    d, comp, tau, h, quad_nodes, fd_step, tol, dim = vals[:8]
-    d, comp, quad_nodes, dim = int(d), int(comp), int(quad_nodes), int(dim)
-    if in_dim != dim - 1:
-        raise ConfigError(f"pairshift expects in_dim {dim - 1}, got {in_dim}")
-    rest = vals[8:]
-    if len(rest) < 2 * dim:
-        raise ConfigError("pairshift params are missing box bounds")
-    lo, hi = rest[:dim], rest[dim : 2 * dim]
-    field = field_from_params(fid, dim, rest[2 * dim :])
-    pairs = build_pairs(field, (lo, hi), quad_nodes, fd_step, tol)
-    pair = pairs[d - 1]
+    d, comp, tau, h = params[:4]
+    d, comp = int(d), int(comp)
+    pair = _rebuilt_pairs(fid, in_dim, params[4:].tobytes())[d - 1]
     ufn = pair.u1 if comp == 0 else pair.u2
     j = (d - 1) + comp
     return _pair_shift_fn(ufn, j, tau, h), None
+
+
+@functools.lru_cache(maxsize=8)
+def _rebuilt_pairs(fid, in_dim, config_bits):
+    """build_pairs for the serialized params after (d, comp, tau, h), which
+    every layer of a compiled net shares, so a load builds once. Keyed on exact
+    bits, so 0.0 and -0.0 differ; the immutable pairs are safe to share."""
+    quad_nodes, fd_step, tol, dim, *rest = np.frombuffer(config_bits).tolist()
+    dim = int(dim)
+    if in_dim != dim - 1:
+        raise ConfigError(f"pairshift expects in_dim {dim - 1}, got {in_dim}")
+    if len(rest) < 2 * dim:
+        raise ConfigError("pairshift params are missing box bounds")
+    field = field_from_params(fid, dim, rest[2 * dim :])
+    return tuple(build_pairs(field, (rest[:dim], rest[dim : 2 * dim]), int(quad_nodes), fd_step, tol))
 
 
 register_fixed_family("pairshift", _pair_shift_factory)
@@ -178,9 +189,9 @@ def _check_finite(net: MPNet, sample_box, field, n_check):
     if n_check < 1:
         return
     pts = sample_points(sample_box, n_check, 0xC0DE, exclude=field.singular)
-    for p in pts:
-        if not np.all(np.isfinite(net_forward(net, p))):
-            raise NumericError(f"compiled net produced non-finite output at {p.tolist()}")
+    bad = ~np.isfinite(net_apply_batch(net, pts)).all(axis=1)
+    if bad.any():
+        raise NumericError(f"compiled net produced non-finite output at {pts[bad.argmax()].tolist()}")
 
 
 def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:

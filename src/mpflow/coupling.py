@@ -11,6 +11,10 @@ inverse is the same subtraction in closed form.
 Layers and nets are immutable after construction; forward, inverse, and
 backward are pure functions and safe for concurrent callers.
 
+`_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
+(dim,) or a batch (n, dim); the single-point functions check their point's
+shape and call it.
+
 Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
 by the forward that computed the output (None for a FixedShift).
@@ -19,6 +23,7 @@ by the forward that computed the output (None for a FixedShift).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,63 +82,49 @@ def _check_shift_dims(shift, in_dim, out_dim, kind):
         )
 
 
-def _drop(x, j):
-    return np.concatenate([x[..., :j], x[..., j + 1 :]], axis=-1)
-
-
 def layer_forward(layer: Layer, x) -> np.ndarray:
-    x = _check_point(layer.dim, x)
-    out = x.copy()
-    k = layer.s - 1
-    if layer.kind == UPPER:
-        out[:k] += layer.shift(x[k:])
-    elif layer.kind == LOWER:
-        out[k:] += layer.shift(x[:k])
-    else:
-        j = layer.i - 1
-        out[j] += layer.shift(_drop(x, j))[0]
-    return out
+    return _layer_apply_cached(layer, _check_point(layer.dim, x))[0]
 
 
 def layer_inverse(layer: Layer, xh) -> np.ndarray:
-    xh = _check_point(layer.dim, xh)
-    out = xh.copy()
-    k = layer.s - 1
-    if layer.kind == UPPER:
-        out[:k] -= layer.shift(xh[k:])
-    elif layer.kind == LOWER:
-        out[k:] -= layer.shift(xh[:k])
-    else:
-        j = layer.i - 1
-        out[j] -= layer.shift(_drop(xh, j))[0]
-    return out
+    return _layer_apply_cached(layer, _check_point(layer.dim, xh), -1.0)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _shear_read(dim, j):
+    # built once per (dim, j); an int array indexes far faster than a list
+    read = np.delete(np.arange(dim), j)
+    read.flags.writeable = False  # shared by every caller
+    return read
 
 
 def _columns(layer):
-    """(read, written) 0-based columns: the shift reads x[:, read] and its
-    output is added to x[:, written]."""
+    """(read, written) 0-based columns: the shift reads x[..., read] and its
+    output is added to x[..., written]."""
     k = layer.s - 1
     if layer.kind == UPPER:
         return slice(k, layer.dim), slice(0, k)
     if layer.kind == LOWER:
         return slice(0, k), slice(k, layer.dim)
     j = layer.i - 1
-    return np.delete(np.arange(layer.dim), j), slice(j, j + 1)
+    return _shear_read(layer.dim, j), slice(j, j + 1)
 
 
 def _layer_apply_cached(layer: Layer, x, sign=1.0):
-    """The batched layer forward; returns (output, shift cache)."""
+    """The one layer kernel: (output shaped like x, shift cache) for a point
+    (dim,) or a batch (n, dim). Adds sign * shift(x[..., read]) to
+    x[..., written]; sign -1 is the closed-form inverse."""
     x = np.asarray(x, float)
-    if x.ndim != 2 or x.shape[1] != layer.dim:
-        raise ConfigError(f"expected (n, {layer.dim}) batch, got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != layer.dim:
+        raise ConfigError(f"expected ({layer.dim},) point or (n, {layer.dim}) batch, got {x.shape}")
     read, written = _columns(layer)
-    u = x[:, read]
+    u = x[..., read]
     if isinstance(layer.shift, MlpShift):
         shifted, cache = forward_cached(layer.shift.mlp, u)
     else:
         shifted, cache = layer.shift.apply_batch(u), None
     out = x.copy()
-    out[:, written] += sign * shifted
+    out[..., written] += sign * shifted
     return out, cache
 
 
@@ -166,20 +157,15 @@ class MPNet:
 
 
 def net_forward(net: MPNet, x) -> np.ndarray:
-    x = _check_point(net.dim, x)
-    for layer in net.layers:
-        x = layer_forward(layer, x)
-    return x
+    return net_apply_batch(net, _check_point(net.dim, x))
 
 
 def net_inverse(net: MPNet, xh) -> np.ndarray:
-    xh = _check_point(net.dim, xh)
-    for layer in reversed(net.layers):
-        xh = layer_inverse(layer, xh)
-    return xh
+    return net_apply_batch(net, _check_point(net.dim, xh), inverse=True)
 
 
 def net_apply_batch(net: MPNet, x, inverse=False) -> np.ndarray:
+    """The net (or its inverse) applied to a batch (n, dim) or a point (dim,)."""
     x = np.asarray(x, float)
     layers = reversed(net.layers) if inverse else net.layers
     for layer in layers:
@@ -201,14 +187,14 @@ def layer_backward_batch(layer: Layer, x, cache, upstream):
     if isinstance(layer.shift, MlpShift):
         grads, du = backward_batch(layer.shift.mlp, cache, g_out)
     elif isinstance(layer.shift, FixedShift):
-        if layer.shift._jac is None:
+        jac = layer.shift.jacobian(np.asarray(x, float)[:, read])
+        if jac is None:
             raise UnsupportedError(
                 f"fixed shift {layer.shift.id!r} has no registered analytic Jacobian; "
                 "gradients through it are not supported"
             )
         grads = []
-        u = np.asarray(x, float)[:, read]
-        du = np.stack([g_out[n] @ layer.shift.jacobian(u[n]) for n in range(u.shape[0])])
+        du = np.einsum("no,noi->ni", g_out, jac)
     else:
         raise ConfigError(f"unknown shift type {type(layer.shift)!r}")
     dx = g.copy()

@@ -122,14 +122,15 @@ def mlp_with_params(mlp: Mlp, params) -> Mlp:
 
 
 def forward_cached(mlp: Mlp, x: np.ndarray):
-    """Batched forward (n, d_in) -> (n, d_out), returning (output, cache).
+    """Forward of a batch (n, d_in) -> (n, d_out) or a point (d_in,) -> (d_out,),
+    returning (output, cache).
 
     The cache is the list of each dense layer's input: x, then every hidden
-    activation. `backward_batch` needs nothing else.
+    activation. `backward_batch` needs nothing else (for a batch's cache).
     """
     a = np.asarray(x, float)
-    if a.ndim != 2 or a.shape[1] != mlp.d_in:
-        raise ConfigError(f"expected input of shape (n, {mlp.d_in}), got {a.shape}")
+    if a.ndim not in (1, 2) or a.shape[-1] != mlp.d_in:
+        raise ConfigError(f"expected input of shape ({mlp.d_in},) or (n, {mlp.d_in}), got {a.shape}")
     acts = []
     last = len(mlp.weights) - 1
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):

@@ -32,12 +32,17 @@ _DETECT_SAMPLES = 32
 
 
 def _zero_component(t, y):
-    return 0.0
+    return np.zeros_like(y[0])
 
 
 @dataclass(frozen=True)
 class PairField:
-    """Field supported on coordinates (d, d+1); u1/u2 are (t, y) -> float."""
+    """Field supported on coordinates (d, d+1).
+
+    u1 and u2 are its two active components, (t, y) -> value, with the
+    contract of `VectorField.func`: y is a point (D,), giving a scalar, or
+    points as columns (D, n), giving (n,).
+    """
 
     dim: int
     d: int  # 1-based index of the first active coordinate
@@ -96,15 +101,14 @@ def _antiderivative(integrand, j, nodes, weights):
 
     def u2(t, y):
         b = y[j]
-        if b == 0.0:
-            return 0.0
         half = 0.5 * b
         acc = 0.0
         for xi, w in zip(nodes, weights):
             yy = y.copy()
             yy[j] = half * (xi + 1.0)
             acc += w * integrand(t, yy)
-        return -half * acc
+        # exactly +0.0 on an empty interval, whatever -half * acc rounds to
+        return np.where(b == 0.0, 0.0, -half * acc)
 
     return u2
 
@@ -136,10 +140,7 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
         field, tuple(lo.tolist()), tuple(hi.tolist()), int(quad_nodes), float(fd_step), float(tol)
     )
 
-    comp = [
-        (lambda t, y, j=j: float(field_eval(field, t, y)[j]))
-        for j in range(dim)
-    ]
+    comp = [(lambda t, y, j=j: field.func(t, y)[j]) for j in range(dim)]
     pairs = []
     for d0 in range(dim - 2):  # pairs 1 .. D-2, 0-based first active coordinate d0
         u1 = comp[d0]

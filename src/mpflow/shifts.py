@@ -4,6 +4,9 @@ A shift is either a trainable `MlpShift` or a `FixedShift` naming an entry in
 the analytic registry by string id plus a flat parameter vector, which keeps
 nets with analytic shifts serializable. Registry entries may provide an
 analytic Jacobian; shifts without one cannot take part in backpropagation.
+
+Fixed shifts, like `mlp.forward_cached` for MLP shifts, take a point (in_dim,)
+or a batch (n, in_dim), so one layer kernel in `coupling` serves both shapes.
 """
 
 from __future__ import annotations
@@ -20,12 +23,18 @@ _FAMILIES = {}
 
 
 def register_fixed_shift(shift_id, factory):
-    """factory(params, in_dim, out_dim) -> (fn, jac_or_None)."""
+    """factory(params, in_dim, out_dim) -> (fn, jac_or_None).
+
+    fn(u) maps a point (in_dim,) or a batch (n, in_dim) to the same leading
+    shape plus (out_dim,); jac(u) returns the leading shape plus (out_dim, in_dim).
+    `FixedShift` raises ConfigError on any other result shape.
+    """
     _REGISTRY[shift_id] = factory
 
 
 def register_fixed_family(prefix, factory):
-    """factory(suffix, params, in_dim, out_dim) -> (fn, jac_or_None) for ids 'prefix:suffix'."""
+    """factory(suffix, params, in_dim, out_dim) -> (fn, jac_or_None) for ids
+    'prefix:suffix'; fn and jac as in `register_fixed_shift`."""
     _FAMILIES[prefix] = factory
 
 
@@ -57,6 +66,10 @@ class MlpShift:
 
 @dataclass(frozen=True)
 class FixedShift:
+    """A registry shift. Calling it, or `apply_batch` (the same method), maps a
+    point (in_dim,) to (out_dim,) and a batch (n, in_dim) to (n, out_dim) with
+    one call of the registered function."""
+
     id: str
     params: np.ndarray
     in_dim: int
@@ -66,20 +79,32 @@ class FixedShift:
 
     def __call__(self, u):
         u = np.asarray(u, float)
-        if u.shape != (self.in_dim,):
-            raise ConfigError(f"shift {self.id!r} expects input of dim {self.in_dim}, got {u.shape}")
-        out = np.asarray(self._fn(u), float).reshape(self.out_dim)
-        return out
+        if u.ndim not in (1, 2) or u.shape[-1] != self.in_dim:
+            raise ConfigError(
+                f"shift {self.id!r} expects ({self.in_dim},) or (n, {self.in_dim}) input, got {u.shape}"
+            )
+        return self._checked(self._fn(u), u.shape[:-1] + (self.out_dim,), "fn")
 
-    def apply_batch(self, u):
-        u = np.asarray(u, float)
-        return np.stack([self(row) for row in u])
+    apply_batch = __call__
 
     def jacobian(self, u):
-        """Analytic (out_dim, in_dim) Jacobian, or None when not registered."""
+        """Analytic Jacobian, the leading shape of u plus (out_dim, in_dim), or
+        None when not registered."""
         if self._jac is None:
             return None
-        return np.asarray(self._jac(np.asarray(u, float)), float).reshape(self.out_dim, self.in_dim)
+        u = np.asarray(u, float)
+        return self._checked(self._jac(u), u.shape[:-1] + (self.out_dim, self.in_dim), "jac")
+
+    def _checked(self, value, shape, what):
+        # exact: a point-only function given a batch must not reshape into place
+        value = np.asarray(value, float)
+        if value.shape != shape:
+            raise ConfigError(
+                f"shift {self.id!r}: registered {what} returned shape {value.shape}, "
+                f"expected {shape}; registry functions map a point (in_dim,) or a "
+                "batch (n, in_dim) to the same leading shape"
+            )
+        return value
 
 
 def fixed_shift(shift_id, params, in_dim, out_dim) -> FixedShift:
@@ -95,8 +120,10 @@ def _constant_factory(params, in_dim, out_dim):
     if params.shape != (out_dim,):
         raise ConfigError(f"'constant' needs {out_dim} params, got {params.shape}")
     value = params.copy()
-    jac = np.zeros((out_dim, in_dim))
-    return (lambda u: value), (lambda u: jac)
+    return (
+        (lambda u: np.broadcast_to(value, u.shape[:-1] + (out_dim,))),
+        (lambda u: np.zeros(u.shape[:-1] + (out_dim, in_dim))),
+    )
 
 
 def _linear_factory(params, in_dim, out_dim):
@@ -105,7 +132,7 @@ def _linear_factory(params, in_dim, out_dim):
             f"'linear' needs {out_dim * in_dim} params (row-major matrix), got {params.size}"
         )
     mat = params.reshape(out_dim, in_dim).copy()
-    return (lambda u: mat @ u), (lambda u: mat)
+    return (lambda u: u @ mat.T), (lambda u: np.broadcast_to(mat, u.shape[:-1] + mat.shape))
 
 
 def _scaled_sigmoid_factory(params, in_dim, out_dim):
@@ -118,11 +145,11 @@ def _scaled_sigmoid_factory(params, in_dim, out_dim):
     w = params[2:].copy()
 
     def fn(u):
-        return np.array([a * _sigmoid(w @ u + b)])
+        return (a * _sigmoid(u @ w + b))[..., None]
 
     def jac(u):
-        sig = _sigmoid(w @ u + b)
-        return (a * sig * (1.0 - sig)) * w[None, :]
+        sig = _sigmoid(u @ w + b)
+        return (a * sig * (1.0 - sig))[..., None, None] * w
 
     return fn, jac
 

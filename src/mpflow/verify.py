@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coupling import MPNet, net_apply_batch
+from .coupling import MPNet, net_apply_batch, net_forward
 from .errors import ConfigError, NumericError
 from .rng import Xoshiro256
 
@@ -67,6 +67,17 @@ def fd_jacobian_det(map_fn, x, h_fd=DEFAULT_FD_STEP) -> float:
     if not np.isfinite(det):
         raise NumericError(f"non-finite determinant at x={np.asarray(x, float).tolist()}")
     return det
+
+
+def max_det_deviation(net: MPNet, points):
+    """(max |det J - 1|, worst point) over the points, J the finite-difference
+    Jacobian of `net_forward` at one point at a time; ties keep the earlier."""
+    dev, worst = 0.0, points[0] if len(points) else None
+    for p in points:
+        d = abs(fd_jacobian_det(lambda q: net_forward(net, q), p) - 1.0)
+        if d > dev:
+            dev, worst = d, p
+    return dev, worst
 
 
 def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:

@@ -8,6 +8,7 @@ from mpflow.coupling import (
     lower_layer,
     net_apply_batch,
     net_backward,
+    net_backward_batch,
     net_forward,
     net_inverse,
     shear_layer,
@@ -21,8 +22,11 @@ from mpflow.verify import roundtrip_error
 
 
 def _square_factory(params, in_dim, out_dim):
-    # componentwise square of the first input, scalar out; test-only shift
-    return (lambda u: np.array([u[0] ** 2])), (lambda u: np.array([[2.0 * u[0]] + [0.0] * (in_dim - 1)]))
+    # square of the first input, scalar out, for a point or a batch; test-only shift
+    def jac(u):
+        return np.concatenate([2.0 * u[..., :1], np.zeros_like(u[..., 1:])], axis=-1)[..., None, :]
+
+    return (lambda u: u[..., :1] ** 2), jac
 
 
 register_fixed_shift("usquared", _square_factory)
@@ -236,8 +240,27 @@ def test_fixed_shift_with_jacobian_backprops():
     np.testing.assert_allclose(dx, [2.0 * 1.5, 1.0], rtol=1e-12)
 
 
+def test_fixed_shift_batch_backward_matches_fd():
+    # several rows through analytic Jacobians of shape (n, out, in)
+    net = MPNet(
+        3,
+        (
+            shear_layer(3, 2, fixed_shift("usquared", [], 2, 1)),
+            upper_layer(3, 2, fixed_shift("usquared", [], 2, 1)),
+            lower_layer(3, 3, fixed_shift("usquared", [], 2, 1)),
+        ),
+    )
+    rng = Xoshiro256(23)
+    x = rng.uniform_array((5, 3), -1, 1)
+    up = rng.uniform_array((5, 3), -1, 1)
+    per_layer, dx = net_backward_batch(net, x, up)
+    assert per_layer == [[], [], []]
+    for row, xi, ui in zip(dx, x, up):
+        np.testing.assert_allclose(row, _fd_net_input_grad(net, xi, ui), rtol=1e-6, atol=1e-9)
+
+
 def test_fixed_shift_without_jacobian_rejected():
-    register_fixed_shift("nojac", lambda params, i, o: ((lambda u: np.zeros(o)), None))
+    register_fixed_shift("nojac", lambda params, i, o: ((lambda u: np.zeros(u.shape[:-1] + (o,))), None))
     layer = upper_layer(3, 2, fixed_shift("nojac", [], 2, 1))
     net = MPNet(3, (layer,))
     with pytest.raises(UnsupportedError):

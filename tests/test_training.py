@@ -313,7 +313,7 @@ def test_rollout_truncates_on_blowup():
     from mpflow.shifts import register_fixed_shift, fixed_shift
 
     register_fixed_shift(
-        "cube", lambda params, i, o: ((lambda u: np.array([u[0] ** 3])), None)
+        "cube", lambda params, i, o: ((lambda u: u[..., :1] ** 3), None)
     )
     net = MPNet(
         2,

@@ -4,7 +4,7 @@ import pytest
 from mpflow.coupling import net_forward
 from mpflow.errors import ConfigError, NumericError
 from mpflow.rng import Xoshiro256
-from mpflow.verify import fd_jacobian_det, lp_error, sample_points
+from mpflow.verify import fd_jacobian_det, lp_error, max_det_deviation, sample_points
 
 from test_coupling import random_net
 
@@ -29,6 +29,15 @@ def test_coupling_nets_unit_det():
             x = rng.uniform_array(dim, -2, 2)
             det = fd_jacobian_det(lambda q: net_forward(net, q), x)
             assert abs(det - 1.0) < 1e-6
+
+
+def test_max_det_deviation_matches_point_loop():
+    net = random_net(3, 6, seed=31)
+    pts = Xoshiro256(32).uniform_array((12, 3), -2, 2)
+    devs = [abs(fd_jacobian_det(lambda q: net_forward(net, q), p) - 1.0) for p in pts]
+    dev, worst = max_det_deviation(net, pts)
+    assert dev == max(devs)
+    assert np.array_equal(worst, pts[int(np.argmax(devs))])
 
 
 def test_det_nonfinite_raises():
