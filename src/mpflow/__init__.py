@@ -52,7 +52,7 @@ from .errors import (
     UnsupportedError,
     VerificationError,
 )
-from .mlp import AdamState, Mlp, adam_init, adam_step, mlp_backward, mlp_forward, mlp_init
+from .mlp import AdamState, Mlp, adam_init, adam_step, mlp_init
 from .pair_decomposition import Decomposition, PairField, decompose, pair_eval, separability_check
 from .rng import Xoshiro256
 from .serialize import deserialize, load_net, save_net, serialize
@@ -103,8 +103,6 @@ __all__ = [
     "lower_layer",
     "lp_error",
     "make_field",
-    "mlp_backward",
-    "mlp_forward",
     "mlp_init",
     "mse_loss",
     "net_backward",

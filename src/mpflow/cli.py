@@ -30,7 +30,7 @@ from .dynamics import (
     trajectory_to_csv,
 )
 from .errors import ConfigError, NumericError, ParseError, UnsupportedError, VerificationError
-from .pair_decomposition import decompose
+from .pair_decomposition import DEFAULT_QUAD_NODES, DEFAULT_TOL, decompose
 from .serialize import dump_json, load_net, save_net
 from .training import TrainConfig, rollout, train
 from .verify import as_box, lp_error, max_det_deviation, roundtrip_error, sample_points
@@ -73,6 +73,12 @@ def _coerce(val, typ, where):
     if not isinstance(val, typ) or (typ is not bool and isinstance(val, bool)):
         _fail(f"{where} must be of type {typ.__name__}")
     return val
+
+
+def _at_least_one(cfg, where, *keys):
+    for key in keys:
+        if cfg[key] < 1:
+            _fail(f"{where}.{key} must be >= 1, got {cfg[key]}")
 
 
 def _vector(val, where):
@@ -123,8 +129,7 @@ def cmd_gen_data(config, out_dir, seed):
     )
     field = _field_from_config(cfg["field"])
     x0 = _vector(cfg["x0"], "config.x0")
-    if cfg["n_pairs"] < 1:
-        _fail(f"config.n_pairs must be >= 1, got {cfg['n_pairs']}")
+    _at_least_one(cfg, "config", "n_pairs")
     traj = generate_trajectory(field, x0, cfg["h_data"], cfg["n_pairs"] + 1, cfg["h_ref"])
     ds = dataset_from_trajectory(traj, cfg["h_data"])
     _write(out_dir / "trajectory.csv", trajectory_to_csv(traj))
@@ -225,12 +230,13 @@ def cmd_compile(config, out_dir, seed):
         {"field": dict, "T": float, "n_steps": int, "box": dict},
         {
             "tau": (float, 0.0),
-            "quad_nodes": (int, 32),
-            "tol": (float, 1e-6),
+            "quad_nodes": (int, DEFAULT_QUAD_NODES),
+            "tol": (float, DEFAULT_TOL),
             "det_points": (int, 20),
             "seed": (int, 0),
         },
     )
+    _at_least_one(cfg, "config", "quad_nodes", "det_points")
     field = _field_from_config(cfg["field"])
     box = _box_from_config(cfg["box"])
     compiled = compile_flow(
@@ -259,8 +265,10 @@ def cmd_decompose(config, out_dir, seed):
         config,
         "config",
         {"field": dict, "box": dict},
-        {"quad_nodes": (int, 32), "tol": (float, 1e-6), "n_samples": (int, 200), "seed": (int, 0)},
+        {"quad_nodes": (int, DEFAULT_QUAD_NODES), "tol": (float, DEFAULT_TOL),
+         "n_samples": (int, 200), "seed": (int, 0)},
     )
+    _at_least_one(cfg, "config", "quad_nodes", "n_samples")
     field = _field_from_config(cfg["field"])
     box = _box_from_config(cfg["box"])
     deco = decompose(field, box, quad_nodes=cfg["quad_nodes"], tol=cfg["tol"],
@@ -288,12 +296,13 @@ def cmd_convergence(config, out_dir, seed):
         {
             "tau": (float, 0.0),
             "n_samples": (int, 50),
-            "quad_nodes": (int, 32),
-            "tol": (float, 1e-6),
+            "quad_nodes": (int, DEFAULT_QUAD_NODES),
+            "tol": (float, DEFAULT_TOL),
             "h_ref": (float, 1e-3),
             "seed": (int, 0),
         },
     )
+    _at_least_one(cfg, "config", "n_samples", "quad_nodes")
     field = _field_from_config(cfg["field"])
     box = _box_from_config(cfg["box"])
     counts = [_coerce(v, int, "config.step_counts[]") for v in cfg["step_counts"]]
@@ -331,6 +340,7 @@ def cmd_verify(config, out_dir, seed):
             "seed": (int, 0),
         },
     )
+    _at_least_one(cfg, "config", "n_points")
     model_path = Path(cfg["model"])
     if not model_path.exists():
         _fail(f"model file not found: {model_path}")
@@ -367,6 +377,7 @@ def cmd_verify(config, out_dir, seed):
             {"tau": (float, 0.0), "h_ref": (float, 1e-3), "p": (float, 2.0),
              "lp_samples": (int, 2000), "lp_tol": (float, None)},
         )
+        _at_least_one(ref, "config.reference", "lp_samples")
         field = _field_from_config(ref["field"], "config.reference.field")
         # the model side stays per point: a batched net differs from
         # net_forward in the last bits (matrix products against vector ones)

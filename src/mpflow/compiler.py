@@ -30,10 +30,12 @@ from .coupling import (
     shear_layer,
     upper_layer,
 )
-from .dynamics import VectorField, field_from_params, rk4_flow
+from .dynamics import DEFAULT_FD_STEP, VectorField, field_from_params, rk4_flow
 from .errors import ConfigError, NumericError, UnsupportedError
 from .mlp import ACTIVATION_LIPSCHITZ
 from .pair_decomposition import (
+    DEFAULT_QUAD_NODES,
+    DEFAULT_TOL,
     Decomposition,
     DecompositionConfig,
     PairField,
@@ -154,7 +156,7 @@ class CompiledFlow:
 
 
 def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
-                 quad_nodes=32, tol=1e-6, fd_step=1e-5,
+                 quad_nodes=DEFAULT_QUAD_NODES, tol=DEFAULT_TOL, fd_step=DEFAULT_FD_STEP,
                  decomposition=None, n_check=8) -> CompiledFlow:
     """Compile the time-T flow of a divergence-free field into a shear stack.
 
@@ -268,8 +270,8 @@ class ConvergenceReport:
 
 
 def convergence_study(field: VectorField, tau, T, step_counts, sample_box,
-                      n_samples=50, quad_nodes=32, tol=1e-6, fd_step=1e-5,
-                      h_ref=1e-3, seed=0xC0DE) -> ConvergenceReport:
+                      n_samples=50, quad_nodes=DEFAULT_QUAD_NODES, tol=DEFAULT_TOL,
+                      fd_step=DEFAULT_FD_STEP, h_ref=1e-3, seed=0xC0DE) -> ConvergenceReport:
     """Sup-norm error of the compiled flow against RK4 across step counts.
 
     Fits the slope of log2(error) versus log2(h) by least squares; an exact

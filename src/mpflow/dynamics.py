@@ -12,8 +12,9 @@ Registered fields:
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
 `rk4_flow` uses that: it takes one point (dim,) or a batch (n, dim) and
-integrates the whole batch as one (dim, n) state. `field_eval` and every other
-function here take single points.
+integrates the whole batch as one (dim, n) state. `partial_divergence_fd`
+takes a point or columns (dim, ...) and sends every shifted copy through one
+field call. `field_eval` and every other function here take single points.
 
 All operations are pure; independent trajectories may be generated
 concurrently.
@@ -29,6 +30,7 @@ from .errors import ConfigError, NumericError
 from .serialize import fmt17
 
 SINGULAR_RADIUS = 0.05
+DEFAULT_FD_STEP = 1e-5  # central-difference step of every finite-difference check
 
 
 @dataclass(frozen=True)
@@ -171,19 +173,33 @@ def field_eval(field: VectorField, t, y) -> np.ndarray:
     return np.asarray(field.func(t, y), float)
 
 
-def divergence_fd(field: VectorField, t, y, h_fd=1e-5) -> float:
-    """Central-difference estimate of sum_d df_d/dy_d at (t, y)."""
+def partial_divergence_fd(field: VectorField, t, y, k, h_fd=DEFAULT_FD_STEP):
+    """Central-difference estimate of sum_{d<k} df_d/dy_d at (t, y).
+
+    y is a point (dim,), giving a 0-d array, or columns (dim, ...), giving the
+    trailing shape. The 2k shifted copies of every column go through one
+    `field.func` call as 2-d columns; the k quotients are summed in order from
+    0.0, so a column has the bits of the same point on its own.
+    """
     if h_fd <= 0:
         raise ConfigError(f"h_fd must be positive, got {h_fd}")
     y = np.asarray(y, float)
-    total = 0.0
-    for d in range(field.dim):
-        step = np.zeros(field.dim)
-        step[d] = h_fd
-        total += (field_eval(field, t, y + step)[d] - field_eval(field, t, y - step)[d]) / (
-            2.0 * h_fd
-        )
-    return float(total)
+    if y.ndim == 0 or y.shape[0] != field.dim:
+        raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {y.shape}")
+    shifted = np.repeat(y.reshape(field.dim, 1, -1), 2 * k, axis=1)  # (dim, 2k, N)
+    j = np.arange(k)
+    shifted[j, j] += h_fd
+    shifted[j, k + j] -= h_fd
+    out = np.asarray(field.func(t, shifted.reshape(field.dim, -1)), float).reshape(shifted.shape)
+    return sum((out[j, j] - out[j, k + j]) / (2.0 * h_fd)).reshape(y.shape[1:])
+
+
+def divergence_fd(field: VectorField, t, y, h_fd=DEFAULT_FD_STEP) -> float:
+    """Central-difference estimate of sum_d df_d/dy_d at one point (t, y)."""
+    y = np.asarray(y, float)
+    if y.shape != (field.dim,):
+        raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {y.shape}")
+    return float(partial_divergence_fd(field, t, y, field.dim, h_fd))
 
 
 def euler_step(field: VectorField, tau, h, x) -> np.ndarray:

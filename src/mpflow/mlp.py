@@ -2,7 +2,7 @@
 
 Everything is float64. Forward and backward are pure functions. Parameters
 travel as lists of arrays ordered [W1, b1, W2, b2, ...], the same order
-`mlp_backward` and `adam_step` use. An `Mlp` never rebinds its arrays, and
+`backward_batch` and `adam_step` use. An `Mlp` never rebinds its arrays, and
 outside training nobody writes into them, so instances are safe to share
 across threads.
 
@@ -146,13 +146,6 @@ def forward_batch(mlp: Mlp, x: np.ndarray) -> np.ndarray:
     return forward_cached(mlp, x)[0]
 
 
-def mlp_forward(mlp: Mlp, x) -> np.ndarray:
-    x = np.asarray(x, float)
-    if x.shape != (mlp.d_in,):
-        raise ConfigError(f"expected input of shape ({mlp.d_in},), got {x.shape}")
-    return forward_batch(mlp, x[None, :])[0]
-
-
 def backward_batch(mlp: Mlp, cache, upstream: np.ndarray):
     """Gradients of sum_i <upstream_i, mlp(x_i)> from a forward_cached pass.
 
@@ -172,19 +165,6 @@ def backward_batch(mlp: Mlp, cache, upstream: np.ndarray):
         if l > 0:
             delta = delta * _act_grad(mlp.activation, cache[l])
     return grads, delta
-
-
-def mlp_backward(mlp: Mlp, x, upstream):
-    """Exact reverse-mode gradients of <upstream, mlp_forward(x)>."""
-    x = np.asarray(x, float)
-    upstream = np.asarray(upstream, float)
-    if x.shape != (mlp.d_in,):
-        raise ConfigError(f"expected input of shape ({mlp.d_in},), got {x.shape}")
-    if upstream.shape != (mlp.d_out,):
-        raise ConfigError(f"expected upstream of shape ({mlp.d_out},), got {upstream.shape}")
-    _, cache = forward_cached(mlp, x[None, :])
-    grads, dx = backward_batch(mlp, cache, upstream[None, :])
-    return grads, dx[0]
 
 
 def lipschitz_bound(mlp: Mlp) -> float:

@@ -1,34 +1,39 @@
 """Split a divergence-free field into D-1 two-coordinate Hamiltonian pieces.
 
 Pair d is supported on coordinates (d, d+1) only and satisfies
-d(u_d)/dy_d + d(u_{d+1})/dy_{d+1} = 0. The construction is recursive: strip
-pair d's first component straight off the running remainder and obtain the
-second as the antiderivative -int_0^{y_{d+1}} d(remainder_d)/dy_d ds,
-evaluated by Gauss-Legendre quadrature with finite-difference partials; the
-last pair is whatever remainder is left on coordinates (D-1, D). When the
-integrand is detected to vanish identically (sampled below tolerance), the
-second component is pinned to exact zero, which keeps simple benchmark
-fields fully closed-form.
+d(u_d)/dy_d + d(u_{d+1})/dy_{d+1} = 0. Every pair comes straight from the
+field (Feng & Shang's splitting): with P_d = sum_{k<=d} df_k/dy_k the partial
+divergence, pair d's second component is u2_d = -int_0^{y_{d+1}} P_d ds
+(y_{d+1} replaced by s), evaluated by Gauss-Legendre quadrature of the
+central-difference P_d; its first component is u1_d = f_d - u2_{d-1}, and the
+last pair's second component is f_D. A component at a point costs at most
+two field calls, whatever D. When P_d is detected to vanish identically (sampled
+below tolerance), u2_d is pinned to exact zero, which keeps every separable
+pair, and so every compilable field, fully closed-form.
 
+Pair components, like field functions, take a point (D,) or columns (D, n).
 Construction is single-threaded; the resulting pair fields are immutable and
 safe to evaluate concurrently.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import VectorField, divergence_fd, field_eval
+# field_eval is unused here but stays bound: perfbench's harness self-test
+# wraps it as pair_decomposition.field_eval
+from .dynamics import DEFAULT_FD_STEP, VectorField, field_eval, partial_divergence_fd  # noqa: F401
 from .errors import ConfigError, DecompositionError
 from .verify import as_box, sample_points
 
 DEFAULT_QUAD_NODES = 32
-DEFAULT_FD_STEP = 1e-5
 DEFAULT_TOL = 1e-6
 _DETECT_SEED = 0x7A1D5EED
 _DETECT_SAMPLES = 32
+_QUAD_BLOCK = 4096  # values of y per integrand call in a quadrature
 
 
 def _zero_component(t, y):
@@ -97,18 +102,25 @@ def _fd_partial(fn, j, h):
 
 
 def _antiderivative(integrand, j, nodes, weights):
-    """-int_0^{y[j]} integrand(t, y with coord j replaced by s) ds."""
+    """-int_0^{y[j]} integrand(t, y with coord j replaced by s) ds.
+
+    All nodes of a block of columns go through one integrand call; the block
+    holds _QUAD_BLOCK values of y, which bounds the temporaries at any n.
+    """
 
     def u2(t, y):
-        b = y[j]
-        half = 0.5 * b
-        acc = 0.0
-        for xi, w in zip(nodes, weights):
-            yy = y.copy()
-            yy[j] = half * (xi + 1.0)
-            acc += w * integrand(t, yy)
-        # exactly +0.0 on an empty interval, whatever -half * acc rounds to
-        return np.where(b == 0.0, 0.0, -half * acc)
+        cols = y.reshape(y.shape[0], -1)
+        out = np.empty(cols.shape[1])
+        step = max(1, _QUAD_BLOCK // (nodes.size * cols.shape[0]))
+        for start in range(0, out.size, step):
+            c = cols[:, start : start + step]
+            half = 0.5 * c[j]
+            yy = np.repeat(c[:, None], nodes.size, axis=1)  # (D, Q, columns)
+            yy[j] = np.multiply.outer(nodes + 1.0, half)
+            acc = sum(w * v for w, v in zip(weights, integrand(t, yy)))  # node by node from 0.0
+            # exactly +0.0 on an empty interval, whatever -half * acc rounds to
+            out[start : start + step] = np.where(c[j] == 0.0, 0.0, -half * acc)
+        return out.reshape(y.shape[1:])
 
     return u2
 
@@ -118,15 +130,18 @@ def _subtract(fn_a, fn_b):
 
 
 def _integrand_vanishes(integrand, detect_pts, tol):
-    return max(abs(integrand(0.0, p)) for p in detect_pts) < tol
+    return np.max(np.abs(integrand(0.0, detect_pts.T))) < tol
 
 
 def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
                 fd_step=DEFAULT_FD_STEP, tol=DEFAULT_TOL):
     """Construct the D-1 pair fields without running the residual diagnostic.
 
-    Fully deterministic in (field, sample_box, quad_nodes, fd_step, tol), so
-    pairs can be reconstructed bit for bit from a serialized configuration.
+    Pair d (0-based d0 = d-1) takes u1 = f_d - u2_{d-1}, or f_d itself when
+    u2_{d-1} is pinned to zero, and u2 from the partial divergence P_d of the
+    field, or f_D for the last pair. Fully deterministic in (field,
+    sample_box, quad_nodes, fd_step, tol), so pairs can be reconstructed bit
+    for bit from a serialized configuration.
     """
     dim = field.dim
     if dim < 2:
@@ -141,17 +156,18 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
     )
 
     comp = [(lambda t, y, j=j: field.func(t, y)[j]) for j in range(dim)]
-    pairs = []
-    for d0 in range(dim - 2):  # pairs 1 .. D-2, 0-based first active coordinate d0
-        u1 = comp[d0]
-        integrand = _fd_partial(u1, d0, fd_step)
-        if _integrand_vanishes(integrand, detect_pts, tol):
-            u2 = _zero_component
+    pairs, u2 = [], _zero_component
+    for d0 in range(dim - 1):  # 0-based first active coordinate
+        u1 = comp[d0] if u2 is _zero_component else _subtract(comp[d0], u2)
+        if d0 == dim - 2:
+            u2 = comp[dim - 1]
         else:
-            u2 = _antiderivative(integrand, d0 + 1, nodes, weights)
-            comp[d0 + 1] = _subtract(comp[d0 + 1], u2)
+            integrand = functools.partial(partial_divergence_fd, field, k=d0 + 1, h_fd=fd_step)
+            if _integrand_vanishes(integrand, detect_pts, tol):
+                u2 = _zero_component
+            else:
+                u2 = _antiderivative(integrand, d0 + 1, nodes, weights)
         pairs.append(PairField(dim, d0 + 1, u1, u2, provenance=config))
-    pairs.append(PairField(dim, dim - 1, comp[dim - 2], comp[dim - 1], provenance=config))
     return pairs
 
 
@@ -163,16 +179,11 @@ def separability_check(pair: PairField, sample_box, n_samples=100, tol=DEFAULT_T
     this is exactly the separability criterion.
     """
     exclude = pair.provenance.field.singular if pair.provenance is not None else None
-    pts = sample_points(sample_box, n_samples, seed, exclude=exclude)
+    cols = sample_points(sample_box, n_samples, seed, exclude=exclude).T
     d0 = pair.d - 1
-    du1 = _fd_partial(pair.u1, d0, fd_step)
-    du2 = _fd_partial(pair.u2, d0 + 1, fd_step)
-    worst = 0.0
-    for p in pts:
-        worst = max(worst, abs(du1(0.0, p)), abs(du2(0.0, p)))
-        if worst >= tol:
-            return "no"
-    return "yes"
+    du1 = _fd_partial(pair.u1, d0, fd_step)(0.0, cols)
+    du2 = _fd_partial(pair.u2, d0 + 1, fd_step)(0.0, cols)
+    return "yes" if max(np.max(np.abs(du1)), np.max(np.abs(du2))) < tol else "no"
 
 
 def pair_divergence_fd(pair: PairField, t, y, h_fd=DEFAULT_FD_STEP) -> float:
@@ -195,35 +206,32 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
     """
     lo, hi = as_box(sample_box)
     div_pts = sample_points((lo, hi), n_divergence, _DETECT_SEED + 1, exclude=field.singular)
-    worst_div, worst_pt = 0.0, div_pts[0]
-    for p in div_pts:
-        dv = abs(divergence_fd(field, t, p, fd_step))
-        if dv > worst_div:
-            worst_div, worst_pt = dv, p
-    if worst_div >= tol:
+    div = np.abs(partial_divergence_fd(field, t, div_pts.T, field.dim, fd_step))
+    worst = int(np.argmax(div))  # the first worst point on ties
+    if not div[worst] < tol:  # a nan fails too
         raise DecompositionError(
-            f"field {field.fid!r} is not divergence-free: |div|={worst_div:.3e} "
-            f"at {worst_pt.tolist()}",
-            worst_point=worst_pt,
-            worst_residual=worst_div,
+            f"field {field.fid!r} is not divergence-free: |div|={div[worst]:.3e} "
+            f"at {div_pts[worst].tolist()}",
+            worst_point=div_pts[worst],
+            worst_residual=float(div[worst]),
         )
 
     pairs = build_pairs(field, (lo, hi), quad_nodes, fd_step, tol)
 
     res_pts = sample_points((lo, hi), n_residual, _DETECT_SEED + 2, exclude=field.singular)
-    residual_max, worst_pt = 0.0, res_pts[0]
-    for p in res_pts:
-        total = np.zeros(field.dim)
-        for pair in pairs:
-            total += pair_eval(pair, t, p)
-        res = float(np.max(np.abs(field_eval(field, t, p) - total)))
-        if res > residual_max:
-            residual_max, worst_pt = res, p
-    if residual_max >= tol:
+    cols = res_pts.T
+    total = np.zeros(cols.shape)
+    for pair in pairs:
+        total[pair.d - 1] += pair.u1(t, cols)
+        total[pair.d] += pair.u2(t, cols)
+    res = np.max(np.abs(np.asarray(field.func(t, cols), float) - total), axis=0)
+    worst = int(np.argmax(res))
+    residual_max = float(res[worst])
+    if not residual_max < tol:
         raise DecompositionError(
             f"decomposition residual {residual_max:.3e} exceeds tol {tol:.3e} "
-            f"at {worst_pt.tolist()}",
-            worst_point=worst_pt,
+            f"at {res_pts[worst].tolist()}",
+            worst_point=res_pts[worst],
             worst_residual=residual_max,
         )
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .mlp import Mlp, _sigmoid, mlp_forward
+from .mlp import Mlp, _sigmoid, forward_cached
 
 _REGISTRY = {}
 _FAMILIES = {}
@@ -61,7 +61,7 @@ class MlpShift:
         return self.mlp.d_out
 
     def __call__(self, u):
-        return mlp_forward(self.mlp, u)
+        return forward_cached(self.mlp, u)[0]
 
 
 @dataclass(frozen=True)

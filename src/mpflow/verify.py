@@ -7,10 +7,9 @@ from __future__ import annotations
 import numpy as np
 
 from .coupling import MPNet, net_apply_batch, net_forward
+from .dynamics import DEFAULT_FD_STEP
 from .errors import ConfigError, NumericError
 from .rng import Xoshiro256
-
-DEFAULT_FD_STEP = 1e-5
 
 
 def as_box(box):

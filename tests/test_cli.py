@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mpflow.cli import main
 from mpflow.coupling import MPNet
@@ -268,6 +269,35 @@ def test_verify_identity_model_vs_frozen_flow(tmp_path):
     assert code == 0
     report = json.loads((out / "verification.json").read_text())
     assert report["lp_error"]["value"] < 1e-12
+
+
+HARMONIC_BOX = {"lo": [-1, -1], "hi": [1, 1]}
+DECOMPOSE_CFG = {"field": {"id": "harmonic2d"}, "box": HARMONIC_BOX}
+COMPILE_CFG = dict(DECOMPOSE_CFG, T=0.5, n_steps=2)
+CONVERGENCE_CFG = dict(DECOMPOSE_CFG, T=0.5, step_counts=[2, 4])
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("decompose", dict(DECOMPOSE_CFG, n_samples=0), "config.n_samples"),
+        ("decompose", dict(DECOMPOSE_CFG, quad_nodes=0), "config.quad_nodes"),
+        ("compile", dict(COMPILE_CFG, det_points=0), "config.det_points"),
+        ("compile", dict(COMPILE_CFG, det_points=-3), "config.det_points"),
+        ("convergence", dict(CONVERGENCE_CFG, n_samples=0), "config.n_samples"),
+        ("verify", {"n_points": 0}, "config.n_points"),
+    ],
+)
+def test_counts_below_one_exit_2_naming_the_key(tmp_path, command, config, key):
+    if command == "verify":
+        model_path = tmp_path / "identity.json"
+        save_net(MPNet(2, ()), model_path)
+        config = dict(config, model=str(model_path))
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert f"{key} must be >= 1" in manifest["error"]
 
 
 def test_compile_and_decompose_deterministic_bytes(tmp_path):

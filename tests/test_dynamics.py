@@ -13,6 +13,7 @@ from mpflow.dynamics import (
     generate_dataset,
     generate_trajectory,
     make_field,
+    partial_divergence_fd,
     rk4_flow,
     rk4_trajectory,
     splitting_step,
@@ -88,6 +89,18 @@ def test_lorentz_divergence_free():
     )
     for p in pts:
         assert abs(divergence_fd(f, 0.0, p)) < 1e-6
+
+
+def test_partial_divergence_columns_have_the_bits_of_points():
+    # one kernel for a point and for columns (dim, ...): each column, at any
+    # k, equals its own point call, and k = dim is divergence_fd
+    f = make_field("lorentz4d")
+    pts = sample_points((np.full(4, -2.0), np.full(4, 2.0)), 24, 3, exclude=f.singular)
+    for k in (1, 2, 4):
+        cols = partial_divergence_fd(f, 0.0, pts.T.reshape(4, 6, 4), k)
+        assert cols.shape == (6, 4)
+        assert np.array_equal(cols.reshape(-1), [partial_divergence_fd(f, 0.0, p, k) for p in pts])
+    assert np.array_equal(cols.reshape(-1), [divergence_fd(f, 0.0, p) for p in pts])
 
 
 def test_identity_field_divergence_is_dim():

@@ -7,10 +7,10 @@ from mpflow.mlp import (
     _sigmoid,
     adam_init,
     adam_step,
+    backward_batch,
     forward_batch,
+    forward_cached,
     lipschitz_bound,
-    mlp_backward,
-    mlp_forward,
     mlp_init,
     mlp_params,
     mlp_with_params,
@@ -39,8 +39,8 @@ def fd_param_grads(mlp, x, upstream, h=1e-6):
             pp[idx].reshape(-1)[j] += h
             pm = [q.copy() for q in params]
             pm[idx].reshape(-1)[j] -= h
-            fp = upstream @ mlp_forward(mlp_with_params(mlp, pp), x)
-            fm = upstream @ mlp_forward(mlp_with_params(mlp, pm), x)
+            fp = upstream @ forward_cached(mlp_with_params(mlp, pp), x)[0]
+            fm = upstream @ forward_cached(mlp_with_params(mlp, pm), x)[0]
             g.reshape(-1)[j] = (fp - fm) / (2.0 * h)
         out.append(g)
     return out
@@ -51,7 +51,9 @@ def fd_input_grad(mlp, x, upstream, h=1e-6):
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h
-        g[j] = (upstream @ mlp_forward(mlp, x + e) - upstream @ mlp_forward(mlp, x - e)) / (2 * h)
+        fp = upstream @ forward_cached(mlp, x + e)[0]
+        fm = upstream @ forward_cached(mlp, x - e)[0]
+        g[j] = (fp - fm) / (2 * h)
     return g
 
 
@@ -96,27 +98,27 @@ def test_init_degenerate_dims_rejected():
 def test_forward_zero_params_gives_zero():
     mlp = mlp_init((4, 5, 3), "sigmoid", 0)
     zeroed = mlp_with_params(mlp, [np.zeros_like(p) for p in mlp_params(mlp)])
-    out = mlp_forward(zeroed, np.array([1.0, -2.0, 0.5, 3.0]))
+    out = forward_cached(zeroed, np.array([1.0, -2.0, 0.5, 3.0]))[0]
     assert np.array_equal(out, np.zeros(3))
 
 
 def test_forward_identity_linear_layer():
     mlp = Mlp((3, 3), (np.eye(3),), (np.zeros(3),), "sigmoid")
     x = np.array([0.3, -1.2, 2.0])
-    assert np.array_equal(mlp_forward(mlp, x), x)
+    assert np.array_equal(forward_cached(mlp, x)[0], x)
 
 
 def test_forward_hand_sigmoid():
     # dims (1,1,1), W1=[2], W2=[1], zero biases: output = sigmoid(2*0) = 0.5
     mlp = Mlp((1, 1, 1), (np.array([[2.0]]), np.array([[1.0]])),
               (np.zeros(1), np.zeros(1)), "sigmoid")
-    assert mlp_forward(mlp, np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
+    assert forward_cached(mlp, np.array([0.0]))[0][0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_forward_dim_mismatch():
     mlp = mlp_init((3, 4, 2), "relu", 0)
     with pytest.raises(ConfigError):
-        mlp_forward(mlp, np.zeros(4))
+        forward_cached(mlp, np.zeros(4))
 
 
 def test_forward_batch_matches_single():
@@ -126,7 +128,7 @@ def test_forward_batch_matches_single():
     xs = Xoshiro256(1).uniform_array((10, 3), -2, 2)
     batch = forward_batch(mlp, xs)
     for row, x in zip(batch, xs):
-        np.testing.assert_allclose(row, mlp_forward(mlp, x), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(row, forward_cached(mlp, x)[0], rtol=1e-13, atol=1e-15)
 
 
 def _sigmoid_masked_reference(z):
@@ -157,7 +159,8 @@ def test_sigmoid_bit_exact_against_masked_form():
 
 def test_backward_zero_upstream():
     mlp = mlp_init((3, 5, 2), "sigmoid", 2)
-    grads, dx = mlp_backward(mlp, np.array([0.1, 0.2, 0.3]), np.zeros(2))
+    _, cache = forward_cached(mlp, np.array([[0.1, 0.2, 0.3]]))
+    grads, dx = backward_batch(mlp, cache, np.zeros((1, 2)))
     assert all(np.all(g == 0.0) for g in grads)
     assert np.all(dx == 0.0)
 
@@ -169,19 +172,21 @@ def test_backward_matches_finite_differences(activation):
         mlp = randomized(mlp_init((3, 6, 4, 2), activation, seed=trial), seed=trial)
         x = rng.uniform_array(3, -1.5, 1.5)
         up = rng.uniform_array(2, -1, 1)
-        grads, dx = mlp_backward(mlp, x, up)
+        _, cache = forward_cached(mlp, x[None, :])
+        grads, dx = backward_batch(mlp, cache, up[None, :])
         fd = fd_param_grads(mlp, x, up)
         for g, f in zip(grads, fd):
             np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(dx, fd_input_grad(mlp, x, up), rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(dx[0], fd_input_grad(mlp, x, up), rtol=1e-5, atol=1e-8)
 
 
 def test_backward_linear_input_grad_exact():
     w = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
     mlp = Mlp((3, 2), (w,), (np.zeros(2),), "sigmoid")
     up = np.array([0.7, -0.3])
-    _, dx = mlp_backward(mlp, np.array([1.0, 2.0, 3.0]), up)
-    assert np.array_equal(dx, w.T @ up)
+    _, cache = forward_cached(mlp, np.array([[1.0, 2.0, 3.0]]))
+    _, dx = backward_batch(mlp, cache, up[None, :])
+    assert np.array_equal(dx[0], w.T @ up)
 
 
 def test_gradient_check_sweep():
@@ -194,11 +199,12 @@ def test_gradient_check_sweep():
         mlp = randomized(mlp_init(dims, acts[trial % 3], seed=trial), seed=trial)
         x = rng.uniform_array(dims[0], -2, 2)
         up = rng.uniform_array(dims[-1], -1, 1)
-        grads, dx = mlp_backward(mlp, x, up)
+        _, cache = forward_cached(mlp, x[None, :])
+        grads, dx = backward_batch(mlp, cache, up[None, :])
         fd = fd_param_grads(mlp, x, up)
         for g, f in zip(grads, fd):
             np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(dx, fd_input_grad(mlp, x, up), rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(dx[0], fd_input_grad(mlp, x, up), rtol=1e-5, atol=1e-8)
 
 
 def test_lipschitz_witness_sigmoid():
@@ -208,7 +214,7 @@ def test_lipschitz_witness_sigmoid():
     for _ in range(1000):
         x = rng.uniform_array(3, -2, 2)
         xp = rng.uniform_array(3, -2, 2)
-        lhs = np.max(np.abs(mlp_forward(mlp, x) - mlp_forward(mlp, xp)))
+        lhs = np.max(np.abs(forward_cached(mlp, x)[0] - forward_cached(mlp, xp)[0]))
         rhs = bound * np.max(np.abs(x - xp))
         assert lhs <= rhs + 1e-12
 

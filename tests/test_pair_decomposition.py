@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mpflow.dynamics import field_eval, make_field
+from mpflow.dynamics import divergence_fd, field_eval, make_field
 from mpflow.errors import DecompositionError
 from mpflow.pair_decomposition import (
+    _DETECT_SEED,
     PairField,
+    build_pairs,
     decompose,
     pair_divergence_fd,
     pair_eval,
@@ -33,6 +37,36 @@ def quadrature_field():
         params=[[(1.0, (1, 1, 0))], [(-0.5, (0, 2, 0))], [(0.7, (0, 0, 0))]],
         dim=3,
     )
+
+
+def chain_field(coeffs):
+    # f_1 = a_1 y_1 y_2, f_k = -(a_{k-1}/2) y_k^2 + a_k y_k y_{k+1}, f_D = -(a_{D-1}/2) y_D^2:
+    # P_d = a_d y_{d+1}, so the exact u2_d is -a_d y_{d+1}^2 / 2
+    dim = len(coeffs) + 1
+    components = [[] for _ in range(dim)]
+    for k, a in enumerate(coeffs):
+        components[k].append((a, tuple(int(j in (k, k + 1)) for j in range(dim))))
+        components[k + 1].append((-a / 2.0, tuple(2 * int(j == k + 1) for j in range(dim))))
+    return make_field("poly", params=components, dim=dim)
+
+
+class CountedCalls:
+    """A field function that counts its calls and fails past a budget, so a
+    decomposition whose cost explodes with D fails fast instead of hanging."""
+
+    def __init__(self, func, budget):
+        self.func, self.budget, self.calls = func, budget, 0
+
+    def __call__(self, t, y):
+        self.calls += 1
+        if self.calls > self.budget:
+            raise AssertionError(f"more than {self.budget} field calls")
+        return self.func(t, y)
+
+
+def counted(field, budget):
+    counter = CountedCalls(field.func, budget)
+    return replace(field, func=counter), counter
 
 
 # --- pair_eval ---------------------------------------------------------------
@@ -132,6 +166,57 @@ def test_non_divergence_free_rejected():
         decompose(f, BOX3)
     assert err.value.worst_point is not None
     assert err.value.worst_residual > 1.0
+
+
+def test_nan_divergence_is_rejected():
+    # a nan is not below tol: the gate must not skip it
+    f = make_field("linear", params=np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DecompositionError, match="not divergence-free"):
+        decompose(f, (np.full(2, -1.0), np.full(2, 1.0)))
+
+
+def test_non_divergence_free_error_names_first_worst_point():
+    # div = 2 y1 + y3 varies over the box; the batched gate must name the
+    # point and value a per-point divergence_fd loop finds, the first on ties
+    f = make_field(
+        "poly", params=[[(1.0, (2, 0, 0))], [(1.0, (0, 1, 1))], [(0.5, (0, 0, 0))]], dim=3
+    )
+    worst_div, worst_pt = 0.0, None
+    for p in sample_points(BOX3, 100, _DETECT_SEED + 1):
+        dv = abs(divergence_fd(f, 0.0, p))
+        if dv > worst_div:
+            worst_div, worst_pt = dv, p
+    with pytest.raises(DecompositionError) as err:
+        decompose(f, BOX3)
+    assert np.array_equal(err.value.worst_point, worst_pt)
+    assert err.value.worst_residual == worst_div
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_one_u2_evaluation_makes_one_field_call_at_any_dim(dim):
+    f, counter = counted(chain_field([1.0] * (dim - 1)), budget=1000)
+    box = (np.full(dim, -1.0), np.full(dim, 1.0))
+    pairs = build_pairs(f, box)
+    p = np.linspace(-0.9, 0.8, dim)
+    counter.calls = 0
+    pairs[dim - 3].u2(0.0, p)  # the last quadrature pair
+    assert counter.calls == 1
+
+
+@pytest.mark.parametrize("dim", [5, 8])
+def test_chain_field_pairs_match_closed_form(dim):
+    coeffs = [0.5 + 0.125 * k for k in range(dim - 1)]
+    f, _ = counted(chain_field(coeffs), budget=1000)
+    box = (np.full(dim, -1.0), np.full(dim, 1.0))
+    deco = decompose(f, box, n_residual=20)
+    assert deco.residual_max < 1e-6
+    assert [p.separable for p in deco.pairs] == ["no"] * (dim - 1)
+    pts = sample_points(box, 20, 21)
+    for d0, pair in enumerate(deco.pairs[:-1]):
+        got = pair.u2(0.0, pts.T)
+        np.testing.assert_allclose(got, -coeffs[d0] * pts[:, d0 + 1] ** 2 / 2.0, rtol=0, atol=1e-9)
+        # a point is a batch of one: it has the bits of its column
+        assert [pair_eval(pair, 0.0, p)[d0 + 1] for p in pts] == got.tolist()
 
 
 def test_pairwise_divergence_invariant():
