@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .compiler import compile_flow, convergence_study
-from .coupling import net_forward
+from .coupling import net_apply_batch
 from .dynamics import (
     dataset_from_csv,
     dataset_from_trajectory,
@@ -379,9 +379,7 @@ def cmd_verify(config, out_dir, seed):
         )
         _at_least_one(ref, "config.reference", "lp_samples")
         field = _field_from_config(ref["field"], "config.reference.field")
-        # the model side stays per point: a batched net differs from
-        # net_forward in the last bits (matrix products against vector ones)
-        model = lambda xs: np.stack([net_forward(net, x) for x in xs])
+        model = lambda xs: net_apply_batch(net, xs)
         flow = lambda xs: rk4_flow(field, ref["tau"], ref["T"], ref["h_ref"], xs)
         val = lp_error(model, flow, box, ref["p"], ref["lp_samples"], used_seed)
         if not np.isfinite(val):

@@ -26,7 +26,6 @@ from .coupling import (
     SHEAR,
     lower_layer,
     net_apply_batch,
-    net_forward,
     shear_layer,
     upper_layer,
 )
@@ -84,8 +83,13 @@ def _pair_shift_factory(fid, params, in_dim, out_dim):
     if params.size < 8:
         raise ConfigError("pairshift params are truncated")
     d, comp, tau, h = params[:4]
+    pairs = _rebuilt_pairs(fid, in_dim, params[4:].tobytes())
+    if not (float(d).is_integer() and 1 <= d <= len(pairs)):
+        raise ConfigError(f"pairshift d must be an integer in [1, {len(pairs)}], got {d}")
+    if comp not in (0, 1):
+        raise ConfigError(f"pairshift comp must be 0 or 1, got {comp}")
     d, comp = int(d), int(comp)
-    pair = _rebuilt_pairs(fid, in_dim, params[4:].tobytes())[d - 1]
+    pair = pairs[d - 1]
     ufn = pair.u1 if comp == 0 else pair.u2
     j = (d - 1) + comp
     return _pair_shift_fn(ufn, j, tau, h), None
@@ -287,14 +291,12 @@ def convergence_study(field: VectorField, tau, T, step_counts, sample_box,
     for n in counts:
         compiled = compile_flow(field, tau, T, n, sample_box,
                                 decomposition=decomposition, n_check=0)
-        worst = 0.0
-        for p, ref in zip(pts, refs):
-            out = net_forward(compiled.net, p)
-            if not np.all(np.isfinite(out)):
-                raise NumericError(f"compiled flow blew up at {p.tolist()} with n_steps={n}")
-            worst = max(worst, float(np.max(np.abs(out - ref))))
+        out = net_apply_batch(compiled.net, pts)
+        bad = ~np.isfinite(out).all(axis=1)
+        if bad.any():
+            raise NumericError(f"compiled flow blew up at {pts[bad.argmax()].tolist()} with n_steps={n}")
         h_values.append(T / n)
-        errors.append(worst)
+        errors.append(float(np.max(np.abs(out - refs), initial=0.0)))
     if all(e < 1e-12 for e in errors):
         return ConvergenceReport(tuple(counts), tuple(h_values), tuple(errors), None, True)
     slope = float(np.polyfit(np.log2(h_values), np.log2(errors), 1)[0])

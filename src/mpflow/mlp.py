@@ -35,8 +35,17 @@ ACTIVATION_LIPSCHITZ = {"sigmoid": 0.25, "tanh": 1.0, "relu": 1.0}
 def _sigmoid(z):
     # exp never overflows: both exponents are <= 0. For z >= 0 this is
     # 1/(1+exp(-z)), for z < 0 it is exp(z)/(1+exp(z)), the usual stable form
-    # for each sign, without a select
-    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
+    # for each sign, without a select. The steps run in place on two arrays,
+    # so a batch never holds more than two temporaries the size of z
+    z = np.asarray(z, float)
+    num = np.minimum(z, 0.0, out=np.empty(z.shape))
+    np.exp(num, out=num)
+    den = np.abs(z, out=np.empty(z.shape))
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    num /= den
+    return num
 
 
 def _act(name, z):

@@ -168,7 +168,7 @@ def train(dataset: PairDataset, config: TrainConfig):
             )
         if epoch % config.log_stride == 0:
             metrics.loss_curve.append((epoch, loss))
-            dev = abs(fd_jacobian_det(lambda p: net_forward(net, p), spot) - 1.0)
+            dev = abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), spot) - 1.0)
             metrics.det_curve.append((epoch, dev))
         per_layer, _ = net_backward_collected(net, collected, (2.0 / n) * residual)
         grad = np.concatenate([g.ravel() for grads in per_layer for g in grads])
@@ -181,7 +181,7 @@ def train(dataset: PairDataset, config: TrainConfig):
 
     final = mse_loss(net, dataset)
     metrics.loss_curve.append((config.epochs, final))
-    dev = abs(fd_jacobian_det(lambda p: net_forward(net, p), spot) - 1.0)
+    dev = abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), spot) - 1.0)
     metrics.det_curve.append((config.epochs, dev))
     metrics.final_loss = final
     metrics.wall_time = time.perf_counter() - start

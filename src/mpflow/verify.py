@@ -1,12 +1,16 @@
 """Numerical verification utilities: Jacobian determinants, L^p distances,
 round-trip errors, and box sampling.
+
+Every check evaluates its maps on whole batches: `fd_jacobian_det` hands all
+perturbed rows of all its points to one call of a map from rows (m, dim) to
+rows (m, dim), and `lp_error` hands both maps the whole (n, dim) sample.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coupling import MPNet, net_apply_batch, net_forward
+from .coupling import MPNet, net_apply_batch
 from .dynamics import DEFAULT_FD_STEP
 from .errors import ConfigError, NumericError
 from .rng import Xoshiro256
@@ -42,41 +46,51 @@ def sample_points(box, n, rng, exclude=None) -> np.ndarray:
     return out
 
 
-def fd_jacobian(map_fn, x, h_fd=DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian estimate of a vector map at x."""
-    x = np.asarray(x, float)
-    dim = x.size
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        step = np.zeros(dim)
-        step[j] = h_fd
-        fp = np.asarray(map_fn(x + step), float)
-        fm = np.asarray(map_fn(x - step), float)
-        jac[:, j] = (fp - fm) / (2.0 * h_fd)
-    return jac
+def fd_jacobian_det(map_fn, x, h_fd=DEFAULT_FD_STEP):
+    """Central-difference Jacobian determinant of a map at a point or points.
 
-
-def fd_jacobian_det(map_fn, x, h_fd=DEFAULT_FD_STEP) -> float:
+    `x` is a point (dim,), giving a float, or points (n, dim), giving (n,).
+    `map_fn` maps rows (m, dim) to rows (m, dim) and is called once, on all
+    2·dim·n rows x ± h_fd·e_j; a result of any other shape raises ConfigError.
+    A non-finite Jacobian entry or determinant raises NumericError naming the
+    first such point.
+    """
     if h_fd <= 0:
         raise ConfigError(f"h_fd must be positive, got {h_fd}")
-    jac = fd_jacobian(map_fn, x, h_fd)
-    if not np.all(np.isfinite(jac)):
-        raise NumericError(f"non-finite Jacobian entries at x={np.asarray(x, float).tolist()}")
-    det = float(np.linalg.det(jac))
-    if not np.isfinite(det):
-        raise NumericError(f"non-finite determinant at x={np.asarray(x, float).tolist()}")
-    return det
+    x = np.asarray(x, float)
+    if x.ndim not in (1, 2):
+        raise ConfigError(f"fd_jacobian_det takes a point (dim,) or points (n, dim), got {x.shape}")
+    pts = np.atleast_2d(x)
+    n, dim = pts.shape
+    step = h_fd * np.eye(dim)
+    rows = np.stack([pts[:, None, :] + step, pts[:, None, :] - step], axis=1)
+    out = np.asarray(map_fn(rows.reshape(-1, dim)), float)
+    if out.shape != (2 * dim * n, dim):
+        raise ConfigError(f"fd_jacobian_det map must return shape {(2 * dim * n, dim)}, got {out.shape}")
+    out = out.reshape(n, 2, dim, dim)
+    # out[:, 0, j] is the image of x + h·e_j, so column j of the Jacobian
+    jac = np.swapaxes((out[:, 0] - out[:, 1]) / (2.0 * h_fd), 1, 2)
+    _check_points_finite(jac.reshape(n, -1), pts, "non-finite Jacobian entries")
+    det = np.linalg.det(jac)
+    _check_points_finite(det[:, None], pts, "non-finite determinant")
+    return float(det[0]) if x.ndim == 1 else det
+
+
+def _check_points_finite(values, pts, what):
+    bad = ~np.isfinite(values).all(axis=1)
+    if bad.any():
+        raise NumericError(f"{what} at x={pts[bad.argmax()].tolist()}")
 
 
 def max_det_deviation(net: MPNet, points):
     """(max |det J - 1|, worst point) over the points, J the finite-difference
-    Jacobian of `net_forward` at one point at a time; ties keep the earlier."""
-    dev, worst = 0.0, points[0] if len(points) else None
-    for p in points:
-        d = abs(fd_jacobian_det(lambda q: net_forward(net, q), p) - 1.0)
-        if d > dev:
-            dev, worst = d, p
-    return dev, worst
+    Jacobian of the net from one batched pass; ties keep the earlier point."""
+    if len(points) == 0:
+        return 0.0, None
+    points = np.asarray(points, float)
+    devs = np.abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), points) - 1.0)
+    worst = int(np.argmax(devs))
+    return float(devs[worst]), points[worst]
 
 
 def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:

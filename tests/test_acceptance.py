@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from mpflow.compiler import compile_flow, convergence_study, shear_rewrite_bound, shear_to_couplings
-from mpflow.coupling import MPNet, layer_forward, net_backward, net_forward
+from mpflow.coupling import MPNet, layer_forward, net_apply_batch, net_backward, net_forward
 from mpflow.dynamics import generate_dataset, make_field, rk4_flow, trajectory_to_csv
 from mpflow.mlp import mlp_params, mlp_with_params
 from mpflow.pair_decomposition import decompose, pair_divergence_fd, pair_eval
@@ -44,7 +44,7 @@ def test_criterion_1_structural_invariants():
         pts = rng.uniform_array((100, dim), -2.0, 2.0)
         worst_rt = max(worst_rt, roundtrip_error(net, pts))
         for p in pts:
-            det = fd_jacobian_det(lambda q: net_forward(net, q), p)
+            det = fd_jacobian_det(lambda rows: net_apply_batch(net, rows), p)
             worst_det = max(worst_det, abs(det - 1.0))
     assert worst_rt < 1e-11
     assert worst_det < 1e-6
@@ -138,7 +138,7 @@ def test_criterion_4_compiler_first_order():
         for n_steps in (10, 20, 40, 80):
             compiled = compile_flow(field, 0.0, T, n_steps, box, n_check=0)
             for p in det_pts:
-                det = fd_jacobian_det(lambda q: net_forward(compiled.net, q), p)
+                det = fd_jacobian_det(lambda rows: net_apply_batch(compiled.net, rows), p)
                 assert abs(det - 1.0) < 1e-6
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
@@ -186,7 +186,7 @@ def test_criterion_6_benchmark_rerun(tmp_path):
     pts = sample_points(BOX4, 100, 0xACC7, exclude=field.singular)
     assert roundtrip_error(net, pts) < 1e-11
     for p in pts:
-        assert abs(fd_jacobian_det(lambda q: net_forward(net, q), p) - 1.0) < 1e-6
+        assert abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), p) - 1.0) < 1e-6
 
     # plot-ready 100-step rollout from x_200, the state at t = 40
     # (ds.y[-1] is x_199 at t = 39.8, one more reference hop reaches t = 40)

@@ -336,3 +336,39 @@ def test_seed_flag_overrides_config(tmp_path):
     _, m1 = run(tmp_path, "train", cfg, seed=9, out=tmp_path / "s9")
     _, m2 = run(tmp_path, "train", dict(cfg, seed=9), out=tmp_path / "cfg9")
     assert (m1 / "model.json").read_bytes() == (m2 / "model.json").read_bytes()
+
+
+LORENTZ_COMPILE_CFG = {
+    "field": {"id": "lorentz4d"},
+    "T": 0.2,
+    "n_steps": 1,
+    "box": {"lo": [-0.4, 0.5, 0.6, 0.0], "hi": [0.6, 1.5, 1.6, 1.0]},
+    "det_points": 2,
+}
+
+
+@pytest.mark.parametrize(
+    "index, value, message",
+    [
+        (0, 4.0, "pairshift d must be an integer in [1, 3], got 4.0"),
+        (0, 0.0, "pairshift d must be an integer in [1, 3], got 0.0"),
+        (0, -1.0, "pairshift d must be an integer in [1, 3], got -1.0"),
+        (0, 1.5, "pairshift d must be an integer in [1, 3], got 1.5"),
+        (1, -1.0, "pairshift comp must be 0 or 1, got -1.0"),
+        (1, 2.0, "pairshift comp must be 0 or 1, got 2.0"),
+    ],
+    ids=["d=4", "d=0", "d=-1", "d=1.5", "comp=-1", "comp=2"],
+)
+def test_verify_bad_pairshift_params_exit_2(tmp_path, index, value, message):
+    code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG, out=tmp_path / "compiled")
+    assert code == 0
+    doc = json.loads((compiled / "model.json").read_text())
+    assert len(doc["layers"]) == 6
+    doc["layers"][0]["shift"]["params"][index] = value
+    model_path = tmp_path / "edited.json"
+    model_path.write_text(json.dumps(doc))
+    code, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert message in manifest["error"]

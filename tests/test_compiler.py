@@ -83,7 +83,7 @@ def test_shear_pair_layers_unit_det():
     for pair in deco.pairs:
         for layer in shear_pair(pair, 0.1, 0.05):
             for p in pts[:5]:
-                det = fd_jacobian_det(lambda q: layer_forward(layer, q), p)
+                det = fd_jacobian_det(lambda rows: layer_apply_batch(layer, rows), p)
                 assert abs(det - 1.0) < 1e-6
 
 
@@ -102,7 +102,7 @@ def test_compile_lorentz_layer_count_and_det():
     assert compiled.net.n_layers == 120  # 20 steps x 3 pairs x 2 shears
     pts = sample_points(BOX4, 10, 8, exclude=f.singular)
     for p in pts:
-        det = fd_jacobian_det(lambda q: net_forward(compiled.net, q), p)
+        det = fd_jacobian_det(lambda rows: net_apply_batch(compiled.net, rows), p)
         assert abs(det - 1.0) < 1e-6
 
 
@@ -255,7 +255,7 @@ def test_rewrite_net_unit_det_and_invertible():
     pts = sample_points((np.full(4, -1.0), np.full(4, 1.0)), 10, 23)
     assert roundtrip_error(net, pts) < 1e-11
     for p in pts[:5]:
-        assert abs(fd_jacobian_det(lambda q: net_forward(net, q), p) - 1.0) < 1e-6
+        assert abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), p) - 1.0) < 1e-6
 
 
 # --- convergence_study -----------------------------------------------------------

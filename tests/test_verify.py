@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
-from mpflow.coupling import net_forward
+from mpflow.compiler import compile_flow
+from mpflow.coupling import net_apply_batch, net_forward
+from mpflow.dynamics import DEFAULT_FD_STEP, make_field
 from mpflow.errors import ConfigError, NumericError
 from mpflow.rng import Xoshiro256
 from mpflow.verify import fd_jacobian_det, lp_error, max_det_deviation, sample_points
 
 from test_coupling import random_net
+from test_pair_decomposition import BOX4
 
 
 def test_identity_det_one():
@@ -15,8 +20,8 @@ def test_identity_det_one():
 
 
 def test_diagonal_maps_analytic_det():
-    d1 = fd_jacobian_det(lambda x: np.array([2.0 * x[0], 0.5 * x[1]]), np.array([0.1, 0.2]))
-    d2 = fd_jacobian_det(lambda x: np.array([2.0 * x[0], x[1]]), np.array([0.1, 0.2]))
+    d1 = fd_jacobian_det(lambda x: np.stack([2.0 * x[:, 0], 0.5 * x[:, 1]], axis=1), np.array([0.1, 0.2]))
+    d2 = fd_jacobian_det(lambda x: np.stack([2.0 * x[:, 0], x[:, 1]], axis=1), np.array([0.1, 0.2]))
     assert abs(d1 - 1.0) < 1e-8
     assert abs(d2 - 2.0) < 1e-8
 
@@ -27,23 +32,79 @@ def test_coupling_nets_unit_det():
         net = random_net(dim, 5, seed=dim)
         for _ in range(10):
             x = rng.uniform_array(dim, -2, 2)
-            det = fd_jacobian_det(lambda q: net_forward(net, q), x)
+            det = fd_jacobian_det(lambda rows: net_apply_batch(net, rows), x)
             assert abs(det - 1.0) < 1e-6
 
 
+def _point_loop_det(map_fn, x, h_fd=DEFAULT_FD_STEP):
+    # the reference: one point at a time, two map calls per Jacobian column
+    dim = x.size
+    jac = np.empty((dim, dim))
+    for j in range(dim):
+        step = np.zeros(dim)
+        step[j] = h_fd
+        jac[:, j] = (map_fn(x + step) - map_fn(x - step)) / (2.0 * h_fd)
+    return float(np.linalg.det(jac))
+
+
 def test_max_det_deviation_matches_point_loop():
-    net = random_net(3, 6, seed=31)
-    pts = Xoshiro256(32).uniform_array((12, 3), -2, 2)
-    devs = [abs(fd_jacobian_det(lambda q: net_forward(net, q), p) - 1.0) for p in pts]
+    field = make_field("lorentz4d")
+    net = compile_flow(field, 0.0, 0.2, 5, BOX4).net
+    pts = sample_points(BOX4, 37, 32, exclude=field.singular)
+    ref_dev, ref_worst = 0.0, pts[0]
+    for p in pts:
+        d = abs(_point_loop_det(lambda q: net_forward(net, q), p) - 1.0)
+        if d > ref_dev:
+            ref_dev, ref_worst = d, p
     dev, worst = max_det_deviation(net, pts)
-    assert dev == max(devs)
-    assert np.array_equal(worst, pts[int(np.argmax(devs))])
+    assert dev == ref_dev
+    assert np.array_equal(worst, ref_worst)
+
+
+def test_max_det_deviation_of_no_points():
+    assert max_det_deviation(random_net(3, 2, seed=1), np.empty((0, 3))) == (0.0, None)
+
+
+def test_det_makes_one_map_call_for_all_points():
+    calls = []
+
+    def counting(rows):
+        calls.append(rows.shape)
+        return rows * np.array([2.0, 0.5, 1.0])
+
+    pts = Xoshiro256(40).uniform_array((5, 3), -1, 1)
+    dets = fd_jacobian_det(counting, pts)
+    assert calls == [(2 * 3 * 5, 3)]
+    assert dets.shape == (5,)
+    np.testing.assert_allclose(dets, 1.0, atol=1e-8)
+    assert isinstance(fd_jacobian_det(counting, pts[0]), float)
 
 
 def test_det_nonfinite_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError):
-            fd_jacobian_det(lambda x: np.array([np.inf, x[1]]), np.array([1.0, 1.0]))
+            fd_jacobian_det(lambda x: np.stack([np.full(len(x), np.inf), x[:, 1]], axis=1),
+                            np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("scale, what", [(np.inf, "Jacobian entries"), (1e300, "determinant")])
+def test_det_nonfinite_names_the_point(scale, what):
+    # only the rows around the third of five points are scaled: an infinite
+    # image spoils its Jacobian entries, a huge finite one its determinant
+    pts = Xoshiro256(41).uniform_array((5, 3), -1, 1)
+
+    def spoiled(rows):
+        near = np.all(np.abs(rows - pts[2]) <= 2 * DEFAULT_FD_STEP, axis=1)
+        return np.where(near[:, None], scale * rows, rows)
+
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match=f"non-finite {what} at x={re.escape(str(pts[2].tolist()))}"):
+            fd_jacobian_det(spoiled, pts)
+
+
+def test_point_only_map_given_rows_raises():
+    with pytest.raises(ConfigError, match=re.escape("(4, 2)")):
+        fd_jacobian_det(lambda x: np.array([2.0 * x[0], 0.5 * x[1]]), np.array([0.1, 0.2]))
 
 
 def test_fd_step_validation():
