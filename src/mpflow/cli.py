@@ -65,7 +65,10 @@ def _coerce(val, typ, where):
     if typ is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             _fail(f"{where} must be a number")
-        return float(val)
+        out = float(val)
+        if not np.isfinite(out):  # json.loads accepts NaN and Infinity
+            _fail(f"{where} must be a finite number")
+        return out
     if typ is int:
         if isinstance(val, bool) or not isinstance(val, int):
             _fail(f"{where} must be an integer")

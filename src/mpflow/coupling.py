@@ -87,7 +87,7 @@ def layer_forward(layer: Layer, x) -> np.ndarray:
 
 
 def layer_inverse(layer: Layer, xh) -> np.ndarray:
-    return _layer_apply_cached(layer, _check_point(layer.dim, xh), -1.0)[0]
+    return _layer_apply_cached(layer, _check_point(layer.dim, xh), inverse=True)[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -110,10 +110,10 @@ def _columns(layer):
     return _shear_read(layer.dim, j), slice(j, j + 1)
 
 
-def _layer_apply_cached(layer: Layer, x, sign=1.0):
+def _layer_apply_cached(layer: Layer, x, inverse=False):
     """The one layer kernel: (output shaped like x, shift cache) for a point
-    (dim,) or a batch (n, dim). Adds sign * shift(x[..., read]) to
-    x[..., written]; sign -1 is the closed-form inverse."""
+    (dim,) or a batch (n, dim). Adds shift(x[..., read]) to x[..., written],
+    or subtracts it for the closed-form inverse."""
     x = np.asarray(x, float)
     if x.ndim not in (1, 2) or x.shape[-1] != layer.dim:
         raise ConfigError(f"expected ({layer.dim},) point or (n, {layer.dim}) batch, got {x.shape}")
@@ -124,12 +124,15 @@ def _layer_apply_cached(layer: Layer, x, sign=1.0):
     else:
         shifted, cache = layer.shift.apply_batch(u), None
     out = x.copy()
-    out[..., written] += sign * shifted
+    if inverse:
+        out[..., written] -= shifted
+    else:
+        out[..., written] += shifted
     return out, cache
 
 
 def layer_apply_batch(layer: Layer, x, inverse=False) -> np.ndarray:
-    return _layer_apply_cached(layer, x, -1.0 if inverse else 1.0)[0]
+    return _layer_apply_cached(layer, x, inverse)[0]
 
 
 def _check_point(dim, x):

@@ -12,9 +12,13 @@ Registered fields:
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
 `rk4_flow` uses that: it takes one point (dim,) or a batch (n, dim) and
-integrates the whole batch as one (dim, n) state. `partial_divergence_fd`
-takes a point or columns (dim, ...) and sends every shifted copy through one
-field call. `field_eval` and every other function here take single points.
+integrates the whole batch as one (dim, n) state. It checks finiteness once
+per hop, at its end; a non-finite end state reruns the hop with a check after
+every substep, so the NumericError names the substep (and row) where the state
+first became non-finite. `rk4_trajectory` checks every substep it keeps.
+`partial_divergence_fd` takes a point or columns (dim, ...) and sends every
+shifted copy through one field call. `field_eval` and every other function
+here take single points.
 
 All operations are pure; independent trajectories may be generated
 concurrently.
@@ -45,17 +49,11 @@ class VectorField:
 
 
 def _lorentz4d(t, y):
-    r2 = y[0] * y[0] + y[1] * y[1]
+    y0, y1, y2, y3 = y[0], y[1], y[2], y[3]  # indexing beats unpacking an array
+    r2 = y0 * y0 + y1 * y1
     r = np.sqrt(r2)
-    r3 = r2 * r
-    return np.array(
-        [
-            y[2],
-            y[3],
-            y[0] / (100.0 * r3) + r * y[3],
-            y[1] / (100.0 * r3) - r * y[2],
-        ]
-    )
+    c = 100.0 * (r2 * r)
+    return np.array([y2, y3, y0 / c + r * y3, y1 / c - r * y2])
 
 
 def _harmonic2d(t, y):
@@ -217,14 +215,22 @@ def _rk4_single(func, t, h, y):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_substeps(field: VectorField, tau, T, h_ref, y):
-    """Yield (time, state) after each RK4 substep from y, (dim,) or (dim, n)."""
-    if h_ref <= 0:
-        raise ConfigError(f"h_ref must be positive, got {h_ref}")
+def _rk4_plan(T, h_ref):
+    """(substep count, substep size) covering a hop of length T at about h_ref."""
+    if not 0 < h_ref < np.inf:
+        raise ConfigError(f"h_ref must be a positive finite number, got {h_ref}")
+    if not np.isfinite(T):
+        raise ConfigError(f"T must be finite, got {T}")
     n = max(1, round(abs(T) / h_ref)) if T != 0 else 0
-    h = T / n if n else 0.0
+    return n, (T / n if n else 0.0)
+
+
+def _rk4_substeps(func, tau, n, h, y):
+    """Yield (time, state) after each of n RK4 substeps from y, (dim,) or
+    (dim, n); a non-finite state raises NumericError naming its substep (and
+    the first bad column of a batch)."""
     for k in range(n):
-        y = _rk4_single(field.func, tau + k * h, h, y)
+        y = _rk4_single(func, tau + k * h, h, y)
         if not np.isfinite(y).all():
             where = ""
             if y.ndim == 2:
@@ -243,6 +249,11 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
     takes a matrix-vector product, and for poly fields an array square is exact
     where a scalar one goes through pow, so rows can differ from single-point
     runs by an ulp or so.
+
+    Finiteness is checked once, at the end of the hop: an inf or nan entry
+    stays non-finite through every later substep. If the end state is not
+    finite, the hop is rerun with a check after every substep, which raises
+    NumericError naming the first non-finite substep (and row of a batch).
     """
     x = np.asarray(x, float)
     if x.shape != (field.dim,) and (x.ndim != 2 or x.shape[1] != field.dim):
@@ -250,9 +261,13 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
             f"field {field.fid!r} expects points (dim,) or batches (n, dim) with dim "
             f"{field.dim}, got {x.shape}"
         )
+    n, h = _rk4_plan(T, h_ref)
     y = x.T
-    for _, y in _rk4_substeps(field, tau, T, h_ref, y):
-        pass
+    for k in range(n):
+        y = _rk4_single(field.func, tau + k * h, h, y)
+    if not np.isfinite(y).all():
+        for _, y in _rk4_substeps(field.func, tau, n, h, x.T):
+            pass
     return y.T.copy()
 
 
@@ -281,9 +296,10 @@ def rk4_trajectory(field: VectorField, tau, T, h_ref, x) -> Trajectory:
     x = np.asarray(x, float)
     if x.shape != (field.dim,):
         raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {x.shape}")
+    n, h = _rk4_plan(T, h_ref)
     times = [tau]
     states = [x.copy()]
-    for t, y in _rk4_substeps(field, tau, T, h_ref, x):
+    for t, y in _rk4_substeps(field.func, tau, n, h, x):
         times.append(t)
         states.append(y.copy())
     return Trajectory(np.array(times), np.array(states))
@@ -327,8 +343,8 @@ def generate_trajectory(field: VectorField, x0, h_data, n_states, h_ref=1e-3) ->
     """n_states coarse states spaced h_data apart, each hop integrated by RK4."""
     if n_states < 1:
         raise ConfigError(f"n_states must be >= 1, got {n_states}")
-    if h_data <= 0:
-        raise ConfigError(f"h_data must be positive, got {h_data}")
+    if not 0 < h_data < np.inf:
+        raise ConfigError(f"h_data must be a positive finite number, got {h_data}")
     x = np.asarray(x0, float)
     states = [x.copy()]
     for n in range(n_states - 1):

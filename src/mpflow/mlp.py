@@ -33,18 +33,17 @@ ACTIVATION_LIPSCHITZ = {"sigmoid": 0.25, "tanh": 1.0, "relu": 1.0}
 
 
 def _sigmoid(z):
-    # exp never overflows: both exponents are <= 0. For z >= 0 this is
-    # 1/(1+exp(-z)), for z < 0 it is exp(z)/(1+exp(z)), the usual stable form
-    # for each sign, without a select. The steps run in place on two arrays,
-    # so a batch never holds more than two temporaries the size of z
+    # e = exp(-|z|) never overflows. For z >= 0 this is 1/(1+exp(-z)), for
+    # z < 0 it is exp(z)/(1+exp(z)), the usual stable form for each sign, with
+    # one exp. The steps run in place, so a batch never holds more than two
+    # temporaries the size of z
     z = np.asarray(z, float)
-    num = np.minimum(z, 0.0, out=np.empty(z.shape))
-    np.exp(num, out=num)
-    den = np.abs(z, out=np.empty(z.shape))
-    np.negative(den, out=den)
-    np.exp(den, out=den)
-    den += 1.0
-    num /= den
+    e = np.abs(z, out=np.empty(z.shape))  # an array even for 0-d z
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    num /= e
     return num
 
 
@@ -57,10 +56,12 @@ def _act(name, z):
 
 
 def _act_grad(name, a):
-    # derivative at z from the activation a = act(z) alone; for relu,
-    # (a > 0) has the same bits as (z > 0)
+    # derivative at z from the activation a = act(z) alone, as a new array;
+    # for relu, (a > 0) has the same bits as (z > 0)
     if name == "sigmoid":
-        return a * (1.0 - a)
+        t = 1.0 - a
+        t *= a
+        return t
     if name == "tanh":
         return 1.0 - a * a
     return (a > 0.0).astype(float)
@@ -172,7 +173,7 @@ def backward_batch(mlp: Mlp, cache, upstream: np.ndarray):
         grads[2 * l + 1] = delta.sum(axis=0)
         delta = delta @ mlp.weights[l]
         if l > 0:
-            delta = delta * _act_grad(mlp.activation, cache[l])
+            delta *= _act_grad(mlp.activation, cache[l])  # delta is the fresh matmul
     return grads, delta
 
 

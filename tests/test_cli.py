@@ -300,6 +300,25 @@ def test_counts_below_one_exit_2_naming_the_key(tmp_path, command, config, key):
     assert f"{key} must be >= 1" in manifest["error"]
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("gen-data", dict(GEN_CFG, h_ref=float("nan")), "config.h_ref"),
+        ("gen-data", dict(GEN_CFG, h_ref=float("inf")), "config.h_ref"),
+        ("gen-data", dict(GEN_CFG, x0=[1.0, float("nan")]), "config.x0[1]"),
+        ("decompose", dict(DECOMPOSE_CFG, box={"lo": [-1, -float("inf")], "hi": [1, 1]}),
+         "box.lo[1]"),
+        ("compile", dict(COMPILE_CFG, T=float("-inf")), "config.T"),
+    ],
+)
+def test_non_finite_numbers_exit_2_naming_the_key(tmp_path, command, config, key):
+    code, out = run(tmp_path, command, config)  # json writes NaN, Infinity, -Infinity
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"].endswith(f"{key} must be a finite number")
+
+
 def test_compile_and_decompose_deterministic_bytes(tmp_path):
     compile_cfg = {
         "field": {"id": "harmonic2d"},

@@ -82,6 +82,44 @@ def test_zero_shift_is_identity():
         assert np.array_equal(layer_inverse(layer, x), x)
 
 
+def _signed_shift_reference(x, read, written, shift, sign):
+    """The earlier sign-multiplying layer update, kept as the bit-exact reference."""
+    out = x.copy()
+    out[..., written] += sign * shift(x[..., read])
+    return out
+
+
+def test_layer_add_and_subtract_bit_exact_against_sign_form():
+    rng = Xoshiro256(8)
+    cases = [
+        (upper_layer(4, 2, MlpShift(mlp_init((3, 6, 1), "sigmoid", 1))), slice(1, 4), slice(0, 1)),
+        (lower_layer(4, 3, MlpShift(mlp_init((2, 6, 2), "tanh", 2))), slice(0, 2), slice(2, 4)),
+        (shear_layer(4, 2, MlpShift(mlp_init((3, 6, 1), "sigmoid", 3))), [0, 2, 3], slice(1, 2)),
+    ]
+    for layer, read, written in cases:
+        for x in (rng.uniform_array((13, 4), -3, 3), rng.uniform_array(4, -3, 3)):
+            for sign, apply in ((1.0, layer_forward), (-1.0, layer_inverse)):
+                want = _signed_shift_reference(x, read, written, layer.shift, sign)
+                if x.ndim == 1:
+                    assert np.array_equal(apply(layer, x), want)
+                assert np.array_equal(net_apply_batch(MPNet(4, (layer,)), np.atleast_2d(x),
+                                                      inverse=sign < 0), np.atleast_2d(want))
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_layer_inverse_signed_zeros_match_sign_form(zero):
+    layer = upper_layer(3, 2, fixed_shift("constant", [zero], 2, 1))
+    x = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [5.0, 0.0, 0.0]])
+    want = _signed_shift_reference(x, slice(1, 3), slice(0, 1), layer.shift, -1.0)
+    got = net_apply_batch(MPNet(3, (layer,)), x, inverse=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got, want)
+    for row, want_row in zip(x, want):
+        back = layer_inverse(layer, row)
+        assert np.array_equal(back, want_row)
+        assert np.array_equal(np.signbit(back), np.signbit(want_row))
+
+
 def test_shear_modifies_only_target():
     mlp = mlp_init((3, 4, 1), "sigmoid", 3)
     layer = shear_layer(4, 3, MlpShift(mlp))

@@ -49,6 +49,31 @@ def test_lorentz_benchmark_point():
     np.testing.assert_allclose(val, [1.1, 0.5, LORENTZ_F3, LORENTZ_F4], rtol=0, atol=1e-12)
 
 
+def _lorentz4d_reference(y):
+    """The earlier lorentz4d expression, kept as the bit-exact reference."""
+    r2 = y[0] * y[0] + y[1] * y[1]
+    r = np.sqrt(r2)
+    r3 = r2 * r
+    return np.array(
+        [y[2], y[3], y[0] / (100.0 * r3) + r * y[3], y[1] / (100.0 * r3) - r * y[2]]
+    )
+
+
+def test_lorentz_bit_exact_against_reference_on_points_and_columns():
+    f = make_field("lorentz4d")
+    cols = Xoshiro256(21).uniform_array((4, 300), -2.0, 2.0)
+    cols[:2, :100] *= 1e-7  # near the singular line
+    cols[:, 100:200] *= 1e5
+    cols[:, 200:] *= 1e-200  # r2 underflows to 0: inf and nan entries
+    cols[:, 0] = [0.0, -0.0, 1.0, -1.0]
+    with np.errstate(all="ignore"):
+        want = _lorentz4d_reference(cols)
+        assert np.array_equal(f.func(0.0, cols), want, equal_nan=True)
+        for j in range(0, cols.shape[1], 7):
+            assert np.array_equal(f.func(0.0, cols[:, j]), want[:, j], equal_nan=True)
+    assert not np.isfinite(want[:, 200:]).all()
+
+
 def test_linear_zero_matrix():
     f = zero_field(3)
     assert np.array_equal(field_eval(f, 0.0, np.ones(3)), np.zeros(3))
@@ -174,12 +199,61 @@ def test_rk4_fourth_order():
     assert 12.0 < e1 / e2 < 20.0
 
 
+def _checked_rk4_reference(field, tau, T, h_ref, x):
+    """The per-substep checked RK4 loop, kept as the reference: (end state,
+    None, None), or (None, first non-finite substep, its first bad row or None)."""
+    n = max(1, round(abs(T) / h_ref)) if T != 0 else 0
+    h = T / n if n else 0.0
+    y = np.asarray(x, float).T
+    for k in range(n):
+        t = tau + k * h
+        k1 = field.func(t, y)
+        k2 = field.func(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = field.func(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = field.func(t + h, y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            row = np.flatnonzero(~np.isfinite(y).all(axis=0))[0] if y.ndim == 2 else None
+            return None, k + 1, row
+    return y.T, None, None
+
+
+SQUARE_FIELD = make_field("poly", params=[[(1.0, (2,))]], dim=1)  # dy/dt = y^2
+
+
 def test_rk4_blowup_raises_with_step():
-    f = make_field("poly", params=[[(1.0, (2,))]], dim=1)  # dy/dt = y^2 from 2
+    x = np.array([2.0])  # blows up at t = 0.5
     with np.errstate(all="ignore"):
-        with pytest.raises(NumericError) as err:
-            rk4_flow(f, 0.0, 1.0, 1e-3, np.array([2.0]))
-    assert err.value.step is not None
+        _, step, _ = _checked_rk4_reference(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
+        with pytest.raises(NumericError, match=f"at substep {step}$") as err:
+            rk4_flow(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
+    assert step is not None and 400 < step < 1000
+    assert err.value.step == step
+
+
+def test_rk4_trajectory_blowup_names_the_same_step():
+    x = np.array([2.0])
+    with np.errstate(all="ignore"):
+        _, step, _ = _checked_rk4_reference(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
+        with pytest.raises(NumericError, match=f"at substep {step}$") as err:
+            rk4_trajectory(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
+    assert err.value.step == step
+
+
+@pytest.mark.parametrize(
+    "fid, box",
+    [
+        ("lorentz4d", (np.array([-0.4, 0.5, 0.6, 0.0]), np.array([0.6, 1.5, 1.6, 1.0]))),
+        ("harmonic2d", (-np.ones(2), np.ones(2))),
+    ],
+)
+def test_rk4_flow_matches_checked_reference_bits(fid, box):
+    f = make_field(fid)
+    x = sample_points(box, 9, 3, exclude=f.singular)
+    for start in (x, x[0]):
+        want, step, _ = _checked_rk4_reference(f, 0.3, 0.2, 1e-3, start)
+        assert step is None
+        assert np.array_equal(rk4_flow(f, 0.3, 0.2, 1e-3, start), want)
 
 
 def _batch_and_points(f, box):
@@ -223,11 +297,44 @@ def test_rk4_batch_rows_match_points_within_ulps_linear_and_poly():
 
 
 def test_rk4_batch_blowup_names_row():
-    f = make_field("poly", params=[[(1.0, (2,))]], dim=1)  # dy/dt = y^2
     with np.errstate(all="ignore"):
         with pytest.raises(NumericError, match="in row 0") as err:
-            rk4_flow(f, 0.0, 1.0, 1e-3, np.array([[2.0], [0.1]]))
+            rk4_flow(SQUARE_FIELD, 0.0, 1.0, 1e-3, np.array([[2.0], [0.1]]))
     assert err.value.step is not None
+
+
+def test_rk4_batch_blowup_in_a_later_row_names_step_and_row():
+    # rows 0 and 1 stay finite; row 2 blows up first (t = 0.4), row 3 later (t = 0.5)
+    x = np.array([[0.1], [-3.0], [2.5], [2.0]])
+    with np.errstate(all="ignore"):
+        _, step, row = _checked_rk4_reference(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
+        with pytest.raises(NumericError, match=f"at substep {step} in row {row}$") as err:
+            rk4_flow(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
+    assert row == 2
+    assert err.value.step == step
+
+
+@pytest.mark.parametrize("h_ref", [0.0, -1e-3, np.nan, np.inf])
+def test_rk4_rejects_bad_substep(h_ref):
+    f = make_field("harmonic2d")
+    x = np.array([1.0, 0.0])
+    for integrate in (rk4_flow, rk4_trajectory):
+        with pytest.raises(ConfigError, match="h_ref must be a positive finite number"):
+            integrate(f, 0.0, 1.0, h_ref, x)
+    with pytest.raises(ConfigError, match="h_ref"):
+        generate_trajectory(f, x, 0.1, 3, h_ref=h_ref)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -np.inf])
+def test_rk4_rejects_non_finite_span(T):
+    with pytest.raises(ConfigError, match="T must be finite"):
+        rk4_flow(make_field("harmonic2d"), 0.0, T, 1e-3, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("h_data", [0.0, -0.1, np.nan, np.inf])
+def test_generate_trajectory_rejects_bad_h_data(h_data):
+    with pytest.raises(ConfigError, match="h_data must be a positive finite number"):
+        generate_trajectory(make_field("harmonic2d"), [1.0, 0.0], h_data, 3)
 
 
 def test_rk4_rejects_wrong_shapes():

@@ -180,6 +180,27 @@ def test_backward_matches_finite_differences(activation):
         np.testing.assert_allclose(dx[0], fd_input_grad(mlp, x, up), rtol=1e-5, atol=1e-8)
 
 
+def test_backward_sigmoid_bit_exact_and_leaves_inputs_alone():
+    mlp = randomized(mlp_init((3, 7, 5, 2), "sigmoid", 4), 4)
+    rng = Xoshiro256(6)
+    _, cache = forward_cached(mlp, rng.uniform_array((9, 3), -2.0, 2.0))
+    up = rng.uniform_array((9, 2), -1.0, 1.0)
+    saved, up_saved = [a.copy() for a in cache], up.copy()
+    grads, dx = backward_batch(mlp, cache, up)
+    # the earlier loop, kept as the bit-exact reference
+    delta, want = up, [None] * 6
+    for l in (2, 1, 0):
+        want[2 * l] = delta.T @ cache[l]
+        want[2 * l + 1] = delta.sum(axis=0)
+        delta = delta @ mlp.weights[l]
+        if l > 0:
+            delta = delta * (cache[l] * (1.0 - cache[l]))
+    assert all(np.array_equal(g, w) for g, w in zip(grads, want))
+    assert np.array_equal(dx, delta)
+    assert all(np.array_equal(a, b) for a, b in zip(cache, saved))
+    assert np.array_equal(up, up_saved)
+
+
 def test_backward_linear_input_grad_exact():
     w = np.array([[1.0, -2.0, 0.5], [3.0, 0.0, 1.0]])
     mlp = Mlp((3, 2), (w,), (np.zeros(2),), "sigmoid")
