@@ -90,6 +90,13 @@ def _vector(val, where):
     return np.array([_coerce(v, float, f"{where}[{i}]") for i, v in enumerate(val)])
 
 
+def _numbers(val, where):
+    """Nested lists of finite numbers as an array, naming the first bad entry."""
+    if isinstance(val, list):
+        return np.array([_numbers(v, f"{where}[{i}]") for i, v in enumerate(val)])
+    return _coerce(val, float, where)
+
+
 def _box_from_config(doc, where="box"):
     cfg = _check_keys(doc, where, {"lo": list, "hi": list}, {})
     return as_box((_vector(cfg["lo"], f"{where}.lo"), _vector(cfg["hi"], f"{where}.hi")))
@@ -107,7 +114,7 @@ def _field_from_config(doc, where="field"):
     if fid == "linear":
         if cfg["matrix"] is None:
             _fail(f"{where}: linear field needs a matrix")
-        return make_field("linear", params=np.array(cfg["matrix"], float), dim=cfg["dim"])
+        return make_field("linear", params=_numbers(cfg["matrix"], f"{where}.matrix"), dim=cfg["dim"])
     if fid == "poly":
         if cfg["dim"] is None or cfg["components"] is None:
             _fail(f"{where}: poly field needs dim and components")
@@ -134,7 +141,7 @@ def cmd_gen_data(config, out_dir, seed):
     x0 = _vector(cfg["x0"], "config.x0")
     _at_least_one(cfg, "config", "n_pairs")
     traj = generate_trajectory(field, x0, cfg["h_data"], cfg["n_pairs"] + 1, cfg["h_ref"])
-    ds = dataset_from_trajectory(traj, cfg["h_data"])
+    ds = dataset_from_trajectory(traj)
     _write(out_dir / "trajectory.csv", trajectory_to_csv(traj))
     _write(out_dir / "dataset.csv", dataset_to_csv(ds))
     print(f"gen-data: n_pairs={ds.n_pairs} h_data={cfg['h_data']} field={field.fid}")
@@ -308,7 +315,7 @@ def cmd_convergence(config, out_dir, seed):
     _at_least_one(cfg, "config", "n_samples", "quad_nodes")
     field = _field_from_config(cfg["field"])
     box = _box_from_config(cfg["box"])
-    counts = [_coerce(v, int, "config.step_counts[]") for v in cfg["step_counts"]]
+    counts = [_coerce(v, int, f"config.step_counts[{i}]") for i, v in enumerate(cfg["step_counts"])]
     used_seed = seed if seed is not None else cfg["seed"]
     report = convergence_study(
         field, cfg["tau"], cfg["T"], counts, box,

@@ -29,7 +29,7 @@ from .coupling import (
     shear_layer,
     upper_layer,
 )
-from .dynamics import DEFAULT_FD_STEP, VectorField, field_from_params, rk4_flow
+from .dynamics import FD_STEP, VectorField, field_from_params, rk4_flow
 from .errors import ConfigError, NumericError, UnsupportedError
 from .mlp import ACTIVATION_LIPSCHITZ
 from .pair_decomposition import (
@@ -58,6 +58,8 @@ def _pair_shift_fn(ufn, j, tau, h):
 
 
 def _pair_shift_params(config: DecompositionConfig, d, comp, tau, h):
+    # (d, comp, tau, h, quad_nodes, fd_step, tol, dim, box lo, box hi, field
+    # params); the fd_step slot always holds FD_STEP, and loads require it
     field = config.field
     vec = [
         float(d),
@@ -65,7 +67,7 @@ def _pair_shift_params(config: DecompositionConfig, d, comp, tau, h):
         float(tau),
         float(h),
         float(config.quad_nodes),
-        config.fd_step,
+        FD_STEP,
         config.tol,
         float(field.dim),
     ]
@@ -99,15 +101,24 @@ def _pair_shift_factory(fid, params, in_dim, out_dim):
 def _rebuilt_pairs(fid, in_dim, config_bits):
     """build_pairs for the serialized params after (d, comp, tau, h), which
     every layer of a compiled net shares, so a load builds once. Keyed on exact
-    bits, so 0.0 and -0.0 differ; the immutable pairs are safe to share."""
+    bits, so 0.0 and -0.0 differ; the immutable pairs are safe to share. A slot
+    that no compile writes (a fractional count, another step) is a ConfigError."""
     quad_nodes, fd_step, tol, dim, *rest = np.frombuffer(config_bits).tolist()
+    if not (quad_nodes.is_integer() and quad_nodes >= 1):
+        raise ConfigError(f"pairshift quad_nodes must be an integer >= 1, got {quad_nodes}")
+    if fd_step != FD_STEP:
+        raise ConfigError(f"pairshift fd_step must be {FD_STEP}, got {fd_step}")
+    if not 0 < tol < np.inf:
+        raise ConfigError(f"pairshift tol must be a positive finite number, got {tol}")
+    if not dim.is_integer():
+        raise ConfigError(f"pairshift dim must be an integer, got {dim}")
     dim = int(dim)
     if in_dim != dim - 1:
         raise ConfigError(f"pairshift expects in_dim {dim - 1}, got {in_dim}")
     if len(rest) < 2 * dim:
         raise ConfigError("pairshift params are missing box bounds")
     field = field_from_params(fid, dim, rest[2 * dim :])
-    return tuple(build_pairs(field, (rest[:dim], rest[dim : 2 * dim]), int(quad_nodes), fd_step, tol))
+    return tuple(build_pairs(field, (rest[:dim], rest[dim : 2 * dim]), int(quad_nodes), tol))
 
 
 register_fixed_family("pairshift", _pair_shift_factory)
@@ -160,8 +171,8 @@ class CompiledFlow:
 
 
 def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
-                 quad_nodes=DEFAULT_QUAD_NODES, tol=DEFAULT_TOL, fd_step=DEFAULT_FD_STEP,
-                 decomposition=None, n_check=8) -> CompiledFlow:
+                 quad_nodes=DEFAULT_QUAD_NODES, tol=DEFAULT_TOL, decomposition=None,
+                 n_check=8) -> CompiledFlow:
     """Compile the time-T flow of a divergence-free field into a shear stack.
 
     Per step k the layers advance coordinates pair by pair in ascending d at
@@ -172,7 +183,7 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
     if decomposition is None:
-        decomposition = decompose(field, sample_box, quad_nodes, tol, fd_step)
+        decomposition = decompose(field, sample_box, quad_nodes, tol)
     bad = [p.d for p in decomposition.pairs if p.separable != "yes"]
     if bad:
         raise UnsupportedError(
@@ -275,7 +286,7 @@ class ConvergenceReport:
 
 def convergence_study(field: VectorField, tau, T, step_counts, sample_box,
                       n_samples=50, quad_nodes=DEFAULT_QUAD_NODES, tol=DEFAULT_TOL,
-                      fd_step=DEFAULT_FD_STEP, h_ref=1e-3, seed=0xC0DE) -> ConvergenceReport:
+                      h_ref=1e-3, seed=0xC0DE) -> ConvergenceReport:
     """Sup-norm error of the compiled flow against RK4 across step counts.
 
     Fits the slope of log2(error) versus log2(h) by least squares; an exact
@@ -284,7 +295,7 @@ def convergence_study(field: VectorField, tau, T, step_counts, sample_box,
     counts = [int(n) for n in step_counts]
     if len(counts) < 2 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ConfigError("step_counts must be at least two strictly increasing integers")
-    decomposition = decompose(field, sample_box, quad_nodes, tol, fd_step)
+    decomposition = decompose(field, sample_box, quad_nodes, tol)
     pts = sample_points(sample_box, n_samples, seed, exclude=field.singular)
     refs = rk4_flow(field, tau, T, h_ref, pts)
     h_values, errors = [], []

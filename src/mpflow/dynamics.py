@@ -34,7 +34,7 @@ from .errors import ConfigError, NumericError
 from .serialize import fmt17
 
 SINGULAR_RADIUS = 0.05
-DEFAULT_FD_STEP = 1e-5  # central-difference step of every finite-difference check
+FD_STEP = 1e-5  # central-difference step of every finite-difference check
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class VectorField:
     fid: str
     func: object  # (t, y) -> array shaped like y: (dim,) or (dim, n) columns
     params: tuple = ()  # flat float encoding, see field_from_params
-    divergence_free: bool = False
     singular: object = None  # (y) -> bool, or None
     jacobian: object = None  # (t, y) -> ndarray(dim, dim), or None
 
@@ -64,19 +63,34 @@ def _linear_field(mat):
     return lambda t, y: mat @ y
 
 
+def _is_real(v):
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 def _poly_terms(components, dim):
-    """Validate [(coef, multi_index), ...] per component; returns nested tuples."""
+    """Validate [(coef, multi_index), ...] per component; returns nested tuples.
+
+    A coefficient must be a finite number and an exponent a non-negative
+    integer; integral floats count, since `field_from_params` decodes floats.
+    """
     if len(components) != dim:
         raise ConfigError(f"poly field needs {dim} component term lists, got {len(components)}")
     parsed = []
     for c, terms in enumerate(components):
+        if not isinstance(terms, (list, tuple)):
+            raise ConfigError(f"poly component {c + 1} must be a list of terms, got {terms!r}")
         out = []
-        for term in terms:
+        for k, term in enumerate(terms):
+            where = f"poly component {c + 1} term {k + 1}"
+            if not isinstance(term, (list, tuple)) or len(term) != 2:
+                raise ConfigError(f"{where} must be [coefficient, multi-index], got {term!r}")
             coef, exps = term
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != dim or any(e < 0 for e in exps):
-                raise ConfigError(f"poly component {c + 1}: multi-index {exps} invalid for dim {dim}")
-            out.append((float(coef), exps))
+            if not (_is_real(coef) and np.isfinite(coef)):
+                raise ConfigError(f"{where}: coefficient must be a finite number, got {coef!r}")
+            if not (isinstance(exps, (list, tuple)) and len(exps) == dim
+                    and all(_is_real(e) and e >= 0 and e % 1 == 0 for e in exps)):
+                raise ConfigError(f"{where}: multi-index {exps!r} invalid for dim {dim}")
+            out.append((float(coef), tuple(int(e) for e in exps)))
         parsed.append(tuple(out))
     return tuple(parsed)
 
@@ -102,17 +116,11 @@ def make_field(fid, params=None, dim=None) -> VectorField:
     """Construct a registered vector field; unknown ids raise ConfigError."""
     if fid == "lorentz4d":
         return VectorField(
-            4,
-            fid,
-            _lorentz4d,
-            divergence_free=True,
-            singular=lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS,
+            4, fid, _lorentz4d, singular=lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS
         )
     if fid == "harmonic2d":
         mat = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return VectorField(
-            2, fid, _harmonic2d, divergence_free=True, jacobian=lambda t, y: mat
-        )
+        return VectorField(2, fid, _harmonic2d, jacobian=lambda t, y: mat)
     if fid == "linear":
         mat = np.asarray(params, float)
         if dim is not None and mat.size == dim * dim:
@@ -120,14 +128,8 @@ def make_field(fid, params=None, dim=None) -> VectorField:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ConfigError(f"linear field needs a square matrix, got shape {mat.shape}")
         d = mat.shape[0]
-        return VectorField(
-            d,
-            fid,
-            _linear_field(mat),
-            params=tuple(mat.reshape(-1).tolist()),
-            divergence_free=bool(abs(np.trace(mat)) < 1e-14),
-            jacobian=lambda t, y: mat,
-        )
+        return VectorField(d, fid, _linear_field(mat), params=tuple(mat.reshape(-1).tolist()),
+                           jacobian=lambda t, y: mat)
     if fid == "poly":
         if dim is None:
             raise ConfigError("poly field needs an explicit dim")
@@ -171,33 +173,31 @@ def field_eval(field: VectorField, t, y) -> np.ndarray:
     return np.asarray(field.func(t, y), float)
 
 
-def partial_divergence_fd(field: VectorField, t, y, k, h_fd=DEFAULT_FD_STEP):
-    """Central-difference estimate of sum_{d<k} df_d/dy_d at (t, y).
+def partial_divergence_fd(field: VectorField, t, y, k):
+    """Central-difference estimate, step FD_STEP, of sum_{d<k} df_d/dy_d at (t, y).
 
     y is a point (dim,), giving a 0-d array, or columns (dim, ...), giving the
     trailing shape. The 2k shifted copies of every column go through one
     `field.func` call as 2-d columns; the k quotients are summed in order from
     0.0, so a column has the bits of the same point on its own.
     """
-    if h_fd <= 0:
-        raise ConfigError(f"h_fd must be positive, got {h_fd}")
     y = np.asarray(y, float)
     if y.ndim == 0 or y.shape[0] != field.dim:
         raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {y.shape}")
     shifted = np.repeat(y.reshape(field.dim, 1, -1), 2 * k, axis=1)  # (dim, 2k, N)
     j = np.arange(k)
-    shifted[j, j] += h_fd
-    shifted[j, k + j] -= h_fd
+    shifted[j, j] += FD_STEP
+    shifted[j, k + j] -= FD_STEP
     out = np.asarray(field.func(t, shifted.reshape(field.dim, -1)), float).reshape(shifted.shape)
-    return sum((out[j, j] - out[j, k + j]) / (2.0 * h_fd)).reshape(y.shape[1:])
+    return sum((out[j, j] - out[j, k + j]) / (2.0 * FD_STEP)).reshape(y.shape[1:])
 
 
-def divergence_fd(field: VectorField, t, y, h_fd=DEFAULT_FD_STEP) -> float:
+def divergence_fd(field: VectorField, t, y) -> float:
     """Central-difference estimate of sum_d df_d/dy_d at one point (t, y)."""
     y = np.asarray(y, float)
     if y.shape != (field.dim,):
         raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {y.shape}")
-    return float(partial_divergence_fd(field, t, y, field.dim, h_fd))
+    return float(partial_divergence_fd(field, t, y, field.dim))
 
 
 def euler_step(field: VectorField, tau, h, x) -> np.ndarray:
@@ -320,7 +320,6 @@ def splitting_step(subflows, x) -> np.ndarray:
 class PairDataset:
     x: np.ndarray  # (n, dim) states
     y: np.ndarray  # (n, dim) successor states
-    h_data: float
 
     def __post_init__(self):
         x = np.asarray(self.x, float)
@@ -354,10 +353,10 @@ def generate_trajectory(field: VectorField, x0, h_data, n_states, h_ref=1e-3) ->
     return Trajectory(times, np.array(states))
 
 
-def dataset_from_trajectory(traj: Trajectory, h_data) -> PairDataset:
+def dataset_from_trajectory(traj: Trajectory) -> PairDataset:
     if traj.states.shape[0] < 2:
         raise ConfigError("need at least two states to form pairs")
-    return PairDataset(traj.states[:-1].copy(), traj.states[1:].copy(), float(h_data))
+    return PairDataset(traj.states[:-1].copy(), traj.states[1:].copy())
 
 
 def generate_dataset(field: VectorField, x0, h_data, n_pairs, h_ref=1e-3) -> PairDataset:
@@ -365,7 +364,7 @@ def generate_dataset(field: VectorField, x0, h_data, n_pairs, h_ref=1e-3) -> Pai
     if n_pairs < 1:
         raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
     traj = generate_trajectory(field, x0, h_data, n_pairs + 1, h_ref)
-    return dataset_from_trajectory(traj, h_data)
+    return dataset_from_trajectory(traj)
 
 
 # --- CSV interfaces --------------------------------------------------------
@@ -397,7 +396,7 @@ def dataset_to_csv(ds: PairDataset) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dataset_from_csv(text: str, h_data=0.0) -> PairDataset:
+def dataset_from_csv(text: str) -> PairDataset:
     lines = [ln for ln in text.strip().split("\n") if ln]
     if not lines or not lines[0].startswith("x1,"):
         raise ConfigError("dataset CSV must start with header x1,...,xp1,...")
@@ -409,4 +408,4 @@ def dataset_from_csv(text: str, h_data=0.0) -> PairDataset:
     arr = np.array(rows)
     if arr.size == 0:
         raise ConfigError("dataset CSV has no rows")
-    return PairDataset(arr[:, :dim], arr[:, dim:], float(h_data))
+    return PairDataset(arr[:, :dim], arr[:, dim:])

@@ -186,27 +186,19 @@ def lipschitz_bound(mlp: Mlp) -> float:
     return bound * l_act ** (len(mlp.weights) - 1)
 
 
+_B1, _B2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
+
+
 @dataclass
 class AdamState:
     m: list
     v: list
     t: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
 
 
-def adam_init(params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        t=0,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def adam_init(params, lr=0.001) -> AdamState:
+    return AdamState([np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params], 0, lr)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -217,15 +209,14 @@ def adam_step(params, grads, state: AdamState):
     for i, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in array {i} at step {t}", step=t)
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - _B1**t
+    c2 = 1.0 - _B2**t
     new_params, new_m, new_v = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        step = state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m = _B1 * m + (1.0 - _B1) * g
+        v = _B2 * v + (1.0 - _B2) * g * g
+        step = state.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
         new_params.append(p - step)
         new_m.append(m)
         new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t, state.lr, b1, b2, state.eps)
+    return new_params, AdamState(new_m, new_v, t, state.lr)

@@ -25,7 +25,7 @@ import numpy as np
 
 # field_eval is unused here but stays bound: perfbench's harness self-test
 # wraps it as pair_decomposition.field_eval
-from .dynamics import DEFAULT_FD_STEP, VectorField, field_eval, partial_divergence_fd  # noqa: F401
+from .dynamics import FD_STEP, VectorField, field_eval, partial_divergence_fd  # noqa: F401
 from .errors import ConfigError, DecompositionError
 from .verify import as_box, sample_points
 
@@ -33,6 +33,7 @@ DEFAULT_QUAD_NODES = 32
 DEFAULT_TOL = 1e-6
 _DETECT_SEED = 0x7A1D5EED
 _DETECT_SAMPLES = 32
+_CHECK_SAMPLES = 100  # points of the divergence gate and of each separability check
 _QUAD_BLOCK = 4096  # values of y per integrand call in a quadrature
 
 
@@ -67,7 +68,6 @@ class DecompositionConfig:
     box_lo: tuple
     box_hi: tuple
     quad_nodes: int
-    fd_step: float
     tol: float
 
 
@@ -90,13 +90,13 @@ def pair_eval(pair: PairField, t, y) -> np.ndarray:
     return out
 
 
-def _fd_partial(fn, j, h):
+def _fd_partial(fn, j):
     def dfn(t, y):
         yp = y.copy()
-        yp[j] += h
+        yp[j] += FD_STEP
         ym = y.copy()
-        ym[j] -= h
-        return (fn(t, yp) - fn(t, ym)) / (2.0 * h)
+        ym[j] -= FD_STEP
+        return (fn(t, yp) - fn(t, ym)) / (2.0 * FD_STEP)
 
     return dfn
 
@@ -133,14 +133,13 @@ def _integrand_vanishes(integrand, detect_pts, tol):
     return np.max(np.abs(integrand(0.0, detect_pts.T))) < tol
 
 
-def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
-                fd_step=DEFAULT_FD_STEP, tol=DEFAULT_TOL):
+def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, tol=DEFAULT_TOL):
     """Construct the D-1 pair fields without running the residual diagnostic.
 
     Pair d (0-based d0 = d-1) takes u1 = f_d - u2_{d-1}, or f_d itself when
     u2_{d-1} is pinned to zero, and u2 from the partial divergence P_d of the
     field, or f_D for the last pair. Fully deterministic in (field,
-    sample_box, quad_nodes, fd_step, tol), so pairs can be reconstructed bit
+    sample_box, quad_nodes, tol), so pairs can be reconstructed bit
     for bit from a serialized configuration.
     """
     dim = field.dim
@@ -151,9 +150,7 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
         raise ConfigError(f"sample box has dim {lo.size}, field has dim {dim}")
     nodes, weights = np.polynomial.legendre.leggauss(int(quad_nodes))
     detect_pts = sample_points((lo, hi), _DETECT_SAMPLES, _DETECT_SEED, exclude=field.singular)
-    config = DecompositionConfig(
-        field, tuple(lo.tolist()), tuple(hi.tolist()), int(quad_nodes), float(fd_step), float(tol)
-    )
+    config = DecompositionConfig(field, tuple(lo.tolist()), tuple(hi.tolist()), int(quad_nodes), float(tol))
 
     comp = [(lambda t, y, j=j: field.func(t, y)[j]) for j in range(dim)]
     pairs, u2 = [], _zero_component
@@ -162,7 +159,7 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
         if d0 == dim - 2:
             u2 = comp[dim - 1]
         else:
-            integrand = functools.partial(partial_divergence_fd, field, k=d0 + 1, h_fd=fd_step)
+            integrand = functools.partial(partial_divergence_fd, field, k=d0 + 1)
             if _integrand_vanishes(integrand, detect_pts, tol):
                 u2 = _zero_component
             else:
@@ -171,42 +168,39 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
     return pairs
 
 
-def separability_check(pair: PairField, sample_box, n_samples=100, tol=DEFAULT_TOL,
-                       fd_step=DEFAULT_FD_STEP, seed=_DETECT_SEED) -> str:
+def separability_check(pair: PairField, sample_box, tol=DEFAULT_TOL) -> str:
     """'yes' iff neither active component depends on its own coordinate.
 
     Checked by finite differences at sampled points; with the pair structure
     this is exactly the separability criterion.
     """
     exclude = pair.provenance.field.singular if pair.provenance is not None else None
-    cols = sample_points(sample_box, n_samples, seed, exclude=exclude).T
+    cols = sample_points(sample_box, _CHECK_SAMPLES, _DETECT_SEED, exclude=exclude).T
     d0 = pair.d - 1
-    du1 = _fd_partial(pair.u1, d0, fd_step)(0.0, cols)
-    du2 = _fd_partial(pair.u2, d0 + 1, fd_step)(0.0, cols)
+    du1 = _fd_partial(pair.u1, d0)(0.0, cols)
+    du2 = _fd_partial(pair.u2, d0 + 1)(0.0, cols)
     return "yes" if max(np.max(np.abs(du1)), np.max(np.abs(du2))) < tol else "no"
 
 
-def pair_divergence_fd(pair: PairField, t, y, h_fd=DEFAULT_FD_STEP) -> float:
+def pair_divergence_fd(pair: PairField, t, y) -> float:
     """FD estimate of d(u1)/dy_d + d(u2)/dy_{d+1}; zero for exact pairs."""
     y = np.asarray(y, float)
     d0 = pair.d - 1
-    return float(
-        _fd_partial(pair.u1, d0, h_fd)(t, y) + _fd_partial(pair.u2, d0 + 1, h_fd)(t, y)
-    )
+    return float(_fd_partial(pair.u1, d0)(t, y) + _fd_partial(pair.u2, d0 + 1)(t, y))
 
 
 def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
-              tol=DEFAULT_TOL, fd_step=DEFAULT_FD_STEP, n_residual=200,
-              n_divergence=100, t=0.0) -> Decomposition:
+              tol=DEFAULT_TOL, n_residual=200) -> Decomposition:
     """Build, validate, and classify the pairwise decomposition of a field.
 
     Rejects fields whose sampled divergence exceeds tol; raises
     DecompositionError carrying the worst sample if the reconstruction
     residual max_x |f - sum of pairs| over n_residual samples exceeds tol.
+    Every check evaluates the field at t = 0.
     """
     lo, hi = as_box(sample_box)
-    div_pts = sample_points((lo, hi), n_divergence, _DETECT_SEED + 1, exclude=field.singular)
-    div = np.abs(partial_divergence_fd(field, t, div_pts.T, field.dim, fd_step))
+    div_pts = sample_points((lo, hi), _CHECK_SAMPLES, _DETECT_SEED + 1, exclude=field.singular)
+    div = np.abs(partial_divergence_fd(field, 0.0, div_pts.T, field.dim))
     worst = int(np.argmax(div))  # the first worst point on ties
     if not div[worst] < tol:  # a nan fails too
         raise DecompositionError(
@@ -216,15 +210,15 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
             worst_residual=float(div[worst]),
         )
 
-    pairs = build_pairs(field, (lo, hi), quad_nodes, fd_step, tol)
+    pairs = build_pairs(field, (lo, hi), quad_nodes, tol)
 
     res_pts = sample_points((lo, hi), n_residual, _DETECT_SEED + 2, exclude=field.singular)
     cols = res_pts.T
     total = np.zeros(cols.shape)
     for pair in pairs:
-        total[pair.d - 1] += pair.u1(t, cols)
-        total[pair.d] += pair.u2(t, cols)
-    res = np.max(np.abs(np.asarray(field.func(t, cols), float) - total), axis=0)
+        total[pair.d - 1] += pair.u1(0.0, cols)
+        total[pair.d] += pair.u2(0.0, cols)
+    res = np.max(np.abs(np.asarray(field.func(0.0, cols), float) - total), axis=0)
     worst = int(np.argmax(res))
     residual_max = float(res[worst])
     if not residual_max < tol:
@@ -235,9 +229,6 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
             worst_residual=residual_max,
         )
 
-    pairs = tuple(
-        replace(pair, separable=separability_check(pair, (lo, hi), tol=tol, fd_step=fd_step))
-        for pair in pairs
-    )
+    pairs = tuple(replace(pair, separable=separability_check(pair, (lo, hi), tol)) for pair in pairs)
     config = pairs[0].provenance
     return Decomposition(field, pairs, residual_max, n_residual, config)

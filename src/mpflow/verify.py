@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coupling import MPNet, net_apply_batch
-from .dynamics import DEFAULT_FD_STEP
+from .dynamics import FD_STEP
 from .errors import ConfigError, NumericError
 from .rng import Xoshiro256
 
@@ -46,30 +46,28 @@ def sample_points(box, n, rng, exclude=None) -> np.ndarray:
     return out
 
 
-def fd_jacobian_det(map_fn, x, h_fd=DEFAULT_FD_STEP):
+def fd_jacobian_det(map_fn, x):
     """Central-difference Jacobian determinant of a map at a point or points.
 
     `x` is a point (dim,), giving a float, or points (n, dim), giving (n,).
     `map_fn` maps rows (m, dim) to rows (m, dim) and is called once, on all
-    2·dim·n rows x ± h_fd·e_j; a result of any other shape raises ConfigError.
+    2·dim·n rows x ± FD_STEP·e_j; a result of any other shape raises ConfigError.
     A non-finite Jacobian entry or determinant raises NumericError naming the
     first such point.
     """
-    if h_fd <= 0:
-        raise ConfigError(f"h_fd must be positive, got {h_fd}")
     x = np.asarray(x, float)
     if x.ndim not in (1, 2):
         raise ConfigError(f"fd_jacobian_det takes a point (dim,) or points (n, dim), got {x.shape}")
     pts = np.atleast_2d(x)
     n, dim = pts.shape
-    step = h_fd * np.eye(dim)
+    step = FD_STEP * np.eye(dim)
     rows = np.stack([pts[:, None, :] + step, pts[:, None, :] - step], axis=1)
     out = np.asarray(map_fn(rows.reshape(-1, dim)), float)
     if out.shape != (2 * dim * n, dim):
         raise ConfigError(f"fd_jacobian_det map must return shape {(2 * dim * n, dim)}, got {out.shape}")
     out = out.reshape(n, 2, dim, dim)
     # out[:, 0, j] is the image of x + h·e_j, so column j of the Jacobian
-    jac = np.swapaxes((out[:, 0] - out[:, 1]) / (2.0 * h_fd), 1, 2)
+    jac = np.swapaxes((out[:, 0] - out[:, 1]) / (2.0 * FD_STEP), 1, 2)
     _check_points_finite(jac.reshape(n, -1), pts, "non-finite Jacobian entries")
     det = np.linalg.det(jac)
     _check_points_finite(det[:, None], pts, "non-finite determinant")

@@ -214,7 +214,7 @@ def test_criterion_7_teacher_student():
             2, (upper_layer(2, 2, MlpShift(mlp_init((1, 8, 1), "sigmoid", 9000 + seed))),)
         )
         x = sample_points((np.full(2, -1.0), np.full(2, 1.0)), 64, 8000 + seed)
-        ds = PairDataset(x, net_apply_batch(teacher, x), 0.0)
+        ds = PairDataset(x, net_apply_batch(teacher, x))
         cfg = TrainConfig(n_layers=1, s=2, width=8, epochs=20000, seed=seed, log_stride=5000)
         _, metrics = train(ds, cfg)
         finals.append(metrics.final_loss)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from mpflow.cli import main
 from mpflow.coupling import MPNet
+from mpflow.dynamics import FD_STEP
 from mpflow.serialize import save_net, serialize
 
 from test_coupling import random_net
@@ -375,8 +377,17 @@ LORENTZ_COMPILE_CFG = {
         (0, 1.5, "pairshift d must be an integer in [1, 3], got 1.5"),
         (1, -1.0, "pairshift comp must be 0 or 1, got -1.0"),
         (1, 2.0, "pairshift comp must be 0 or 1, got 2.0"),
+        (4, 1.5, "pairshift quad_nodes must be an integer >= 1, got 1.5"),
+        (4, 0.0, "pairshift quad_nodes must be an integer >= 1, got 0.0"),
+        (5, 1e-3, "pairshift fd_step must be 1e-05, got 0.001"),
+        (5, 0.0, "pairshift fd_step must be 1e-05, got 0.0"),
+        (6, -1.0, "pairshift tol must be a positive finite number, got -1.0"),
+        (6, float("inf"), "pairshift tol must be a positive finite number, got inf"),
+        (6, float("nan"), "pairshift tol must be a positive finite number, got nan"),
+        (7, 4.5, "pairshift dim must be an integer, got 4.5"),
     ],
-    ids=["d=4", "d=0", "d=-1", "d=1.5", "comp=-1", "comp=2"],
+    ids=["d=4", "d=0", "d=-1", "d=1.5", "comp=-1", "comp=2", "quad_nodes=1.5", "quad_nodes=0",
+         "fd_step=1e-3", "fd_step=0", "tol=-1", "tol=inf", "tol=nan", "dim=4.5"],
 )
 def test_verify_bad_pairshift_params_exit_2(tmp_path, index, value, message):
     code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG, out=tmp_path / "compiled")
@@ -391,3 +402,66 @@ def test_verify_bad_pairshift_params_exit_2(tmp_path, index, value, message):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
     assert message in manifest["error"]
+
+
+def test_compiled_model_format_is_pinned(tmp_path):
+    # model.json holds config numbers and Python float arithmetic only
+    # (tau = k*h, h = T/n), so its bytes do not depend on the platform
+    code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG)
+    assert code == 0
+    data = (compiled / "model.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "0c27cfbc874ba3bf1d3b4f82c819dc9a597aee7814a9bcd088497b9b50c52e18"
+    )
+    assert all(layer["shift"]["params"][5] == FD_STEP for layer in json.loads(data)["layers"])
+
+
+POLY_HARMONIC = {"id": "poly", "dim": 2, "components": [[[-1.0, [0, 1]]], [[1.0, [1, 0]]]]}
+
+
+def _poly_with(component):
+    return dict(POLY_HARMONIC, components=[component, POLY_HARMONIC["components"][1]])
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("gen-data", dict(GEN_CFG, field={"id": "linear", "matrix": [[0.0, float("nan")], [1.0, 0.0]]}),
+         "field.matrix[0][1] must be a finite number"),
+        ("gen-data", dict(GEN_CFG, field={"id": "linear", "matrix": [[0.0, -1.0], [True, 0.0]]}),
+         "field.matrix[1][0] must be a number"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[float("inf"), [0, 1]]])),
+         "poly component 1 term 1: coefficient must be a finite number, got inf"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[-1.0, [0, 1]], [True, [0, 0]]])),
+         "poly component 1 term 2: coefficient must be a finite number, got True"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([1.0])),
+         "poly component 1 term 1 must be [coefficient, multi-index], got 1.0"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[1.0]])),
+         "poly component 1 term 1 must be [coefficient, multi-index], got [1.0]"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[-1.0, [0, 0.5]]])),
+         "poly component 1 term 1: multi-index [0, 0.5] invalid for dim 2"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[-1.0, [0, False]]])),
+         "poly component 1 term 1: multi-index [0, False] invalid for dim 2"),
+        ("gen-data", dict(GEN_CFG, field=dict(POLY_HARMONIC, components=[1.0, []])),
+         "poly component 1 must be a list of terms, got 1.0"),
+        ("convergence", dict(CONVERGENCE_CFG, step_counts=[2, 4.5]),
+         "config.step_counts[1] must be an integer"),
+    ],
+    ids=["matrix-nan", "matrix-true", "coef-inf", "coef-true", "bare-number-term",
+         "short-term", "exponent-0.5", "exponent-false", "bare-number-component",
+         "step-count"],
+)
+def test_bad_field_config_exits_2_naming_the_term(tmp_path, command, config, message):
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert message in manifest["error"]
+
+
+def test_poly_exponents_may_be_integral_floats(tmp_path):
+    as_floats = dict(POLY_HARMONIC, components=[[[-1.0, [0.0, 1.0]]], [[1.0, [1.0, 0.0]]]])
+    _, ints = run(tmp_path, "gen-data", dict(GEN_CFG, field=POLY_HARMONIC), out=tmp_path / "i")
+    code, floats = run(tmp_path, "gen-data", dict(GEN_CFG, field=as_floats), out=tmp_path / "f")
+    assert code == 0
+    assert (floats / "dataset.csv").read_bytes() == (ints / "dataset.csv").read_bytes()

@@ -141,7 +141,6 @@ def test_constant_field_divergence_zero():
 def test_registered_divergence_free_fields_pass_fd():
     for fid in ("lorentz4d", "harmonic2d"):
         f = make_field(fid)
-        assert f.divergence_free
         pts = sample_points((np.full(f.dim, -2.0), np.full(f.dim, 2.0)), 100, 1,
                             exclude=f.singular)
         for p in pts:
@@ -430,7 +429,7 @@ def test_dataset_csv_roundtrip():
     ds = generate_dataset(f, LORENTZ_TEST_POINT, 0.2, 3, 1e-2)
     text = dataset_to_csv(ds)
     assert text.startswith("x1,x2,x3,x4,xp1,xp2,xp3,xp4\n")
-    back = dataset_from_csv(text, h_data=0.2)
+    back = dataset_from_csv(text)
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     assert dataset_to_csv(back) == text
@@ -438,6 +437,6 @@ def test_dataset_csv_roundtrip():
 
 def test_dataset_from_trajectory_chaining():
     traj = Trajectory(np.arange(4.0), np.arange(8.0).reshape(4, 2))
-    ds = dataset_from_trajectory(traj, 1.0)
+    ds = dataset_from_trajectory(traj)
     assert ds.n_pairs == 3
     assert np.array_equal(ds.x[1:], ds.y[:-1])

@@ -264,14 +264,14 @@ def test_separability_nonseparable_hamiltonian():
         lambda t, y: 2.0 * y[0] * y[1] ** 2,
     )
     box = (np.full(2, 0.5), np.full(2, 1.5))
-    assert separability_check(pair, box, n_samples=50, tol=1e-6) == "no"
+    assert separability_check(pair, box, tol=1e-6) == "no"
 
 
 def test_separability_zero_pair():
     pair = PairField(3, 2, lambda t, y: 0.0, lambda t, y: 0.0)
-    assert separability_check(pair, BOX3, n_samples=20, tol=1e-6) == "yes"
+    assert separability_check(pair, BOX3, tol=1e-6) == "yes"
 
 
 def test_separability_lorentz_pair3():
     deco = decompose(make_field("lorentz4d"), BOX4, tol=1e-9)
-    assert separability_check(deco.pairs[2], BOX4, n_samples=100, tol=1e-6) == "yes"
+    assert separability_check(deco.pairs[2], BOX4, tol=1e-6) == "yes"

@@ -25,7 +25,7 @@ def teacher_student_dataset(seed, n_points=64, width=8):
     """Pairs (x, teacher(x)) for a one-layer upper teacher on [-1,1]^2."""
     teacher = MPNet(2, (upper_layer(2, 2, MlpShift(mlp_init((1, width, 1), "sigmoid", 1000 + seed))),))
     x = sample_points((np.full(2, -1.0), np.full(2, 1.0)), n_points, 42 + seed)
-    return PairDataset(x, net_apply_batch(teacher, x), 0.0), teacher
+    return PairDataset(x, net_apply_batch(teacher, x)), teacher
 
 
 def reference_params(ds, cfg, updates):
@@ -60,14 +60,14 @@ def assert_params_equal(net, params):
 
 def test_mse_identity_on_constant_pairs():
     x = Xoshiro256(0).uniform_array((10, 3), -1, 1)
-    ds = PairDataset(x, x.copy(), 0.5)
+    ds = PairDataset(x, x.copy())
     assert mse_loss(MPNet(3, ()), ds) == 0.0
 
 
 def test_mse_single_unit_offset_pair():
     x = np.array([[0.2, -0.4]])
     y = x + np.array([[1.0, 0.0]])
-    assert mse_loss(MPNet(2, ()), PairDataset(x, y, 0.0)) == 1.0
+    assert mse_loss(MPNet(2, ()), PairDataset(x, y)) == 1.0
 
 
 def test_mse_invariant_under_reordering():
@@ -76,14 +76,14 @@ def test_mse_invariant_under_reordering():
     y = rng.uniform_array((12, 2), -1, 1)
     net = MPNet(2, (upper_layer(2, 2, MlpShift(mlp_init((1, 4, 1), "sigmoid", 5))),))
     perm = np.argsort(rng.uniform_array(12))
-    a = mse_loss(net, PairDataset(x, y, 0.0))
-    b = mse_loss(net, PairDataset(x[perm], y[perm], 0.0))
+    a = mse_loss(net, PairDataset(x, y))
+    b = mse_loss(net, PairDataset(x[perm], y[perm]))
     assert abs(a - b) < 1e-15
 
 
 def test_mse_empty_dataset_rejected():
     with pytest.raises(ConfigError):
-        mse_loss(MPNet(2, ()), PairDataset(np.zeros((0, 2)), np.zeros((0, 2)), 0.0))
+        mse_loss(MPNet(2, ()), PairDataset(np.zeros((0, 2)), np.zeros((0, 2))))
 
 
 # --- build_training_net ---------------------------------------------------------
@@ -113,7 +113,7 @@ def test_config_validation():
 def test_train_identity_fixed_point():
     # zero-field pairs with zero-initialized shift outputs stay at loss 0
     x = Xoshiro256(9).uniform_array((16, 2), -1, 1)
-    ds = PairDataset(x, x.copy(), 0.0)
+    ds = PairDataset(x, x.copy())
     cfg = TrainConfig(n_layers=2, width=4, epochs=50, seed=0, log_stride=10)
     net, metrics = train(ds, cfg)
     # Glorot init is not the identity, but training must drive loss down hard

@@ -5,7 +5,7 @@ import pytest
 
 from mpflow.compiler import compile_flow
 from mpflow.coupling import net_apply_batch, net_forward
-from mpflow.dynamics import DEFAULT_FD_STEP, make_field
+from mpflow.dynamics import FD_STEP, make_field
 from mpflow.errors import ConfigError, NumericError
 from mpflow.rng import Xoshiro256
 from mpflow.verify import fd_jacobian_det, lp_error, max_det_deviation, sample_points
@@ -36,14 +36,14 @@ def test_coupling_nets_unit_det():
             assert abs(det - 1.0) < 1e-6
 
 
-def _point_loop_det(map_fn, x, h_fd=DEFAULT_FD_STEP):
+def _point_loop_det(map_fn, x):
     # the reference: one point at a time, two map calls per Jacobian column
     dim = x.size
     jac = np.empty((dim, dim))
     for j in range(dim):
         step = np.zeros(dim)
-        step[j] = h_fd
-        jac[:, j] = (map_fn(x + step) - map_fn(x - step)) / (2.0 * h_fd)
+        step[j] = FD_STEP
+        jac[:, j] = (map_fn(x + step) - map_fn(x - step)) / (2.0 * FD_STEP)
     return float(np.linalg.det(jac))
 
 
@@ -94,7 +94,7 @@ def test_det_nonfinite_names_the_point(scale, what):
     pts = Xoshiro256(41).uniform_array((5, 3), -1, 1)
 
     def spoiled(rows):
-        near = np.all(np.abs(rows - pts[2]) <= 2 * DEFAULT_FD_STEP, axis=1)
+        near = np.all(np.abs(rows - pts[2]) <= 2 * FD_STEP, axis=1)
         return np.where(near[:, None], scale * rows, rows)
 
     with np.errstate(all="ignore"):
@@ -105,11 +105,6 @@ def test_det_nonfinite_names_the_point(scale, what):
 def test_point_only_map_given_rows_raises():
     with pytest.raises(ConfigError, match=re.escape("(4, 2)")):
         fd_jacobian_det(lambda x: np.array([2.0 * x[0], 0.5 * x[1]]), np.array([0.1, 0.2]))
-
-
-def test_fd_step_validation():
-    with pytest.raises(ConfigError):
-        fd_jacobian_det(lambda x: x, np.zeros(2), h_fd=0.0)
 
 
 # --- lp_error ---------------------------------------------------------------
