@@ -65,10 +65,10 @@ def _coerce(val, typ, where):
     if typ is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             _fail(f"{where} must be a number")
-        out = float(val)
-        if not np.isfinite(out):  # json.loads accepts NaN and Infinity
+        # json.loads accepts NaN, Infinity and integers beyond float range
+        if not abs(val) <= sys.float_info.max:
             _fail(f"{where} must be a finite number")
-        return out
+        return float(val)
     if typ is int:
         if isinstance(val, bool) or not isinstance(val, int):
             _fail(f"{where} must be an integer")
@@ -286,7 +286,7 @@ def cmd_decompose(config, out_dir, seed):
     report = {
         "pairs": [{"d": p.d, "separable": p.separable} for p in deco.pairs],
         "residual_max": deco.residual_max,
-        "samples": deco.n_residual_samples,
+        "samples": cfg["n_samples"],
     }
     _write(out_dir / "decomposition.json", dump_json(report))
     print(f"decompose: field={field.fid} pairs={len(deco.pairs)} residual={deco.residual_max:.3e}")

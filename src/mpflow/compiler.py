@@ -41,7 +41,7 @@ from .pair_decomposition import (
     build_pairs,
     decompose,
 )
-from .shifts import FixedShift, MlpShift, fixed_shift, register_fixed_family
+from .shifts import MlpShift, fixed_shift, register_fixed_family
 from .verify import as_box, sample_points
 
 
@@ -78,7 +78,8 @@ def _pair_shift_params(config: DecompositionConfig, d, comp, tau, h):
 
 
 def _pair_shift_factory(fid, params, in_dim, out_dim):
-    """Rebuild a pair-field shear shift from its serialized configuration."""
+    """Build a pair-field shear shift from its serialized configuration; the
+    only constructor, used by compile (`shear_pair`) and by load alike."""
     if out_dim != 1:
         raise ConfigError("pairshift produces a scalar shift (out_dim must be 1)")
     params = np.asarray(params, float)
@@ -129,7 +130,8 @@ def shear_pair(pair: PairField, tau, h):
 
     The first shifts coordinate d by h*g1, the second coordinate d+1 by h*g2
     evaluated on the post-first-shear state. Requires pair.separable == 'yes'
-    and a decomposition provenance so the layers stay serializable.
+    and a decomposition provenance. Each shift is built through the registry
+    from its serialized params, so the layers are the ones a load rebuilds.
     """
     if pair.separable != "yes":
         raise UnsupportedError(
@@ -142,31 +144,16 @@ def shear_pair(pair: PairField, tau, h):
         raise ConfigError("shear_pair needs a pair built by decompose (with provenance)")
     config = pair.provenance
     fid = f"pairshift:{config.field.fid}"
-    dim = pair.dim
-    layers = []
-    for comp in (0, 1):
-        j = (pair.d - 1) + comp
-        ufn = pair.u1 if comp == 0 else pair.u2
-        shift = FixedShift(
-            fid,
-            _pair_shift_params(config, pair.d, comp, tau, h),
-            dim - 1,
-            1,
-            _pair_shift_fn(ufn, j, tau, h),
-            None,
-        )
-        layers.append(shear_layer(dim, j + 1, shift))
-    return layers[0], layers[1]
+    return tuple(
+        shear_layer(pair.dim, pair.d + comp,
+                    fixed_shift(fid, _pair_shift_params(config, pair.d, comp, tau, h), pair.dim - 1, 1))
+        for comp in (0, 1)
+    )
 
 
 @dataclass(frozen=True)
 class CompiledFlow:
     net: MPNet
-    field: VectorField
-    tau: float
-    T: float
-    n_steps: int
-    h: float
     decomposition: Decomposition
 
 
@@ -199,7 +186,7 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
             layers.extend(shear_pair(pair, tau_k, h))
     net = MPNet(field.dim, tuple(layers))
     _check_finite(net, sample_box, field, n_check)
-    return CompiledFlow(net, field, float(tau), float(T), int(n_steps), h, decomposition)
+    return CompiledFlow(net, decomposition)
 
 
 def _check_finite(net: MPNet, sample_box, field, n_check):

@@ -26,6 +26,7 @@ concurrently.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,7 @@ def _poly_terms(components, dim):
             if not isinstance(term, (list, tuple)) or len(term) != 2:
                 raise ConfigError(f"{where} must be [coefficient, multi-index], got {term!r}")
             coef, exps = term
-            if not (_is_real(coef) and np.isfinite(coef)):
+            if not (_is_real(coef) and abs(coef) <= sys.float_info.max):  # an int may exceed floats
                 raise ConfigError(f"{where}: coefficient must be a finite number, got {coef!r}")
             if not (isinstance(exps, (list, tuple)) and len(exps) == dim
                     and all(_is_real(e) and e >= 0 and e % 1 == 0 for e in exps)):
@@ -147,21 +148,32 @@ def make_field(fid, params=None, dim=None) -> VectorField:
 def field_from_params(fid, dim, params) -> VectorField:
     """Rebuild a field from its flat parameter encoding (see VectorField.params)."""
     if fid in ("lorentz4d", "harmonic2d"):
+        if len(params):
+            raise ConfigError(f"field {fid!r} params have values left over")
         return make_field(fid)
     if fid == "linear":
         return make_field(fid, params=np.asarray(params, float), dim=dim)
     if fid == "poly":
-        vals = list(params)
-        n_comp = int(vals.pop(0))
+        vals = iter(params)
+
+        def count():
+            n = next(vals)
+            if not (n >= 0 and float(n).is_integer()):
+                raise ConfigError(f"field {fid!r} params hold a bad count {n}")
+            return int(n)
+
         components = []
-        for _ in range(n_comp):
-            n_terms = int(vals.pop(0))
-            terms = []
-            for _ in range(n_terms):
-                coef = vals.pop(0)
-                exps = [int(vals.pop(0)) for _ in range(dim)]
-                terms.append((coef, exps))
-            components.append(terms)
+        try:
+            for _ in range(count()):
+                terms = []
+                for _ in range(count()):
+                    coef = next(vals)
+                    terms.append((coef, [next(vals) for _ in range(dim)]))
+                components.append(terms)
+        except StopIteration:
+            raise ConfigError(f"field {fid!r} params are truncated") from None
+        if next(vals, None) is not None:
+            raise ConfigError(f"field {fid!r} params have values left over")
         return make_field(fid, params=components, dim=dim)
     raise ConfigError(f"unknown field id {fid!r}")
 

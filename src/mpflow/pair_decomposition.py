@@ -30,6 +30,7 @@ from .errors import ConfigError, DecompositionError
 from .verify import as_box, sample_points
 
 DEFAULT_QUAD_NODES = 32
+MAX_QUAD_NODES = 1024  # leggauss took about 50 ms at 1024 nodes and 0.3 s at 2048 (2-core host)
 DEFAULT_TOL = 1e-6
 _DETECT_SEED = 0x7A1D5EED
 _DETECT_SAMPLES = 32
@@ -73,10 +74,8 @@ class DecompositionConfig:
 
 @dataclass(frozen=True)
 class Decomposition:
-    field: VectorField
     pairs: tuple
     residual_max: float
-    n_residual_samples: int
     config: DecompositionConfig
 
 
@@ -148,6 +147,8 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, t
     lo, hi = as_box(sample_box)
     if lo.size != dim:
         raise ConfigError(f"sample box has dim {lo.size}, field has dim {dim}")
+    if quad_nodes > MAX_QUAD_NODES:
+        raise ConfigError(f"quad_nodes must be <= {MAX_QUAD_NODES}, got {quad_nodes}")
     nodes, weights = np.polynomial.legendre.leggauss(int(quad_nodes))
     detect_pts = sample_points((lo, hi), _DETECT_SAMPLES, _DETECT_SEED, exclude=field.singular)
     config = DecompositionConfig(field, tuple(lo.tolist()), tuple(hi.tolist()), int(quad_nodes), float(tol))
@@ -230,5 +231,4 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
         )
 
     pairs = tuple(replace(pair, separable=separability_check(pair, (lo, hi), tol)) for pair in pairs)
-    config = pairs[0].provenance
-    return Decomposition(field, pairs, residual_max, n_residual, config)
+    return Decomposition(pairs, residual_max, pairs[0].provenance)

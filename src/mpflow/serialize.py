@@ -16,6 +16,7 @@ doubles exactly, so serialize(deserialize(serialize(net))) is byte-identical.
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
@@ -97,6 +98,8 @@ def _float_list(val, where):
     for idx, v in enumerate(val):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ParseError(f"field {where}[{idx}] is not a number")
+        if isinstance(v, int) and not abs(v) <= sys.float_info.max:
+            raise ParseError(f"field {where}[{idx}] is beyond float range")
         out.append(float(v))
     return np.array(out)
 

@@ -74,8 +74,8 @@ class FixedShift:
     params: np.ndarray
     in_dim: int
     out_dim: int
-    _fn: object = field(repr=False, compare=False, default=None)
-    _jac: object = field(repr=False, compare=False, default=None)
+    _fn: object = field(repr=False, compare=False)
+    _jac: object = field(repr=False, compare=False)
 
     def __call__(self, u):
         u = np.asarray(u, float)

@@ -311,6 +311,7 @@ def test_counts_below_one_exit_2_naming_the_key(tmp_path, command, config, key):
         ("decompose", dict(DECOMPOSE_CFG, box={"lo": [-1, -float("inf")], "hi": [1, 1]}),
          "box.lo[1]"),
         ("compile", dict(COMPILE_CFG, T=float("-inf")), "config.T"),
+        ("gen-data", dict(GEN_CFG, h_data=10**400), "config.h_data"),  # beyond float range
     ],
 )
 def test_non_finite_numbers_exit_2_naming_the_key(tmp_path, command, config, key):
@@ -385,9 +386,11 @@ LORENTZ_COMPILE_CFG = {
         (6, float("inf"), "pairshift tol must be a positive finite number, got inf"),
         (6, float("nan"), "pairshift tol must be a positive finite number, got nan"),
         (7, 4.5, "pairshift dim must be an integer, got 4.5"),
+        # rejected before Gauss-Legendre allocates anything for the nodes
+        (4, 1e9, "quad_nodes must be <= 1024, got 1000000000"),
     ],
     ids=["d=4", "d=0", "d=-1", "d=1.5", "comp=-1", "comp=2", "quad_nodes=1.5", "quad_nodes=0",
-         "fd_step=1e-3", "fd_step=0", "tol=-1", "tol=inf", "tol=nan", "dim=4.5"],
+         "fd_step=1e-3", "fd_step=0", "tol=-1", "tol=inf", "tol=nan", "dim=4.5", "quad_nodes=1e9"],
 )
 def test_verify_bad_pairshift_params_exit_2(tmp_path, index, value, message):
     code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG, out=tmp_path / "compiled")
@@ -402,6 +405,61 @@ def test_verify_bad_pairshift_params_exit_2(tmp_path, index, value, message):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
     assert message in manifest["error"]
+
+
+CYCLE_POLY = {"id": "poly", "dim": 3,
+              "components": [[[1.0, [0, 1, 0]]], [[1.0, [0, 0, 1]]], [[1.0, [1, 0, 0]]]]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # 8 slots, 2 x 3 box bounds, then the 16-value field encoding
+        (lambda params: params[:17], "field 'poly' params are truncated"),
+        (lambda params: params + [0.0], "field 'poly' params have values left over"),
+        (lambda params: params[:14] + [float("inf")] + params[15:], "field 'poly' params hold a bad count inf"),
+    ],
+    ids=["truncated", "left-over", "count=inf"],
+)
+def test_verify_bad_pairshift_field_params_exit_2(tmp_path, edit, message):
+    cfg = {"field": CYCLE_POLY, "T": 0.5, "n_steps": 1, "box": {"lo": [-1, -1, -1], "hi": [1, 1, 1]},
+           "det_points": 2}
+    code, compiled = run(tmp_path, "compile", cfg, out=tmp_path / "compiled")
+    assert code == 0
+    doc = json.loads((compiled / "model.json").read_text())
+    for layer in doc["layers"]:
+        assert len(layer["shift"]["params"]) == 30
+        layer["shift"]["params"] = edit(layer["shift"]["params"])
+    model_path = tmp_path / "edited.json"
+    model_path.write_text(json.dumps(doc))
+    code, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert message in manifest["error"]
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [("compile", COMPILE_CFG), ("decompose", DECOMPOSE_CFG), ("convergence", CONVERGENCE_CFG)],
+)
+def test_quad_nodes_above_bound_exit_2(tmp_path, command, config):
+    code, out = run(tmp_path, command, dict(config, quad_nodes=1025))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "quad_nodes must be <= 1024, got 1025" in manifest["error"]
+
+
+def test_verify_model_number_beyond_float_range_exits_2(tmp_path):
+    shift = {"type": "fixed", "id": "constant", "params": [10**400]}
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"dim": 2, "layers": [{"kind": "shear", "i": 1, "shift": shift}]}))
+    code, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "field layers[0].shift.params[0] is beyond float range" in manifest["error"]
 
 
 def test_compiled_model_format_is_pinned(tmp_path):
@@ -432,6 +490,8 @@ def _poly_with(component):
          "field.matrix[1][0] must be a number"),
         ("gen-data", dict(GEN_CFG, field=_poly_with([[float("inf"), [0, 1]]])),
          "poly component 1 term 1: coefficient must be a finite number, got inf"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[10**400, [0, 1]]])),
+         "poly component 1 term 1: coefficient must be a finite number"),
         ("gen-data", dict(GEN_CFG, field=_poly_with([[-1.0, [0, 1]], [True, [0, 0]]])),
          "poly component 1 term 2: coefficient must be a finite number, got True"),
         ("gen-data", dict(GEN_CFG, field=_poly_with([1.0])),
@@ -447,7 +507,7 @@ def _poly_with(component):
         ("convergence", dict(CONVERGENCE_CFG, step_counts=[2, 4.5]),
          "config.step_counts[1] must be an integer"),
     ],
-    ids=["matrix-nan", "matrix-true", "coef-inf", "coef-true", "bare-number-term",
+    ids=["matrix-nan", "matrix-true", "coef-inf", "coef-1e400", "coef-true", "bare-number-term",
          "short-term", "exponent-0.5", "exponent-false", "bare-number-component",
          "step-count"],
 )

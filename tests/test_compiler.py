@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,6 +37,23 @@ from mpflow.verify import fd_jacobian_det, roundtrip_error, sample_points
 from test_pair_decomposition import BOX3, BOX4, quadrature_field
 
 BOXH = (np.full(2, -1.0), np.full(2, 1.0))
+BOX_UNIT3 = (np.full(3, -1.0), np.full(3, 1.0))
+
+# (field, T, n_steps, box, maxulp): maxulp bounds how far batch rows may be
+# from point calls. A batch reaches linear and poly fields as (D, n) columns:
+# linear takes a matrix product where a point takes a matrix-vector one, and
+# poly squares an array exactly where a point goes through scalar pow
+# (measured over 32 layers: linear 8 ulp, poly 1 ulp)
+COMPILED_FIELDS = [
+    (make_field("lorentz4d"), 0.2, 5, BOX4, 0),
+    (make_field("harmonic2d"), 1.0, 8, BOXH, 0),
+    (make_field("linear", params=np.array([[0.0, 0.7, 0.2], [-1.3, 0.0, 0.4], [0.3, -0.5, 0.0]])),
+     1.0, 8, BOX_UNIT3, 16),
+    (make_field("poly", params=[[(1.0, (0, 2, 0))], [(-1.0, (3, 0, 0)), (0.3, (0, 0, 2))],
+                                [(0.6, (1, 0, 0))]], dim=3),
+     1.0, 8, BOX_UNIT3, 16),
+]
+COMPILED_IDS = ["lorentz4d", "harmonic2d", "linear", "poly"]
 
 
 def zero_field3():
@@ -79,7 +97,7 @@ def test_shear_pair_zero_step_identity():
 
 def test_shear_pair_layers_unit_det():
     deco = decompose(make_field("lorentz4d"), BOX4, tol=1e-9)
-    pts = sample_points(BOX4, 10, 5, exclude=deco.field.singular)
+    pts = sample_points(BOX4, 10, 5, exclude=deco.config.field.singular)
     for pair in deco.pairs:
         for layer in shear_pair(pair, 0.1, 0.05):
             for p in pts[:5]:
@@ -137,14 +155,25 @@ def test_compiled_net_invertible():
     assert roundtrip_error(compiled.net, pts) < 1e-11
 
 
-def test_compiled_net_serialization_reproduces_bitwise():
-    f = make_field("lorentz4d")
-    compiled = compile_flow(f, 0.0, 0.2, 3, BOX4)
-    restored = deserialize(serialize(compiled.net))
-    pts = sample_points(BOX4, 10, 15, exclude=f.singular)
-    for p in pts:
-        assert np.array_equal(net_forward(compiled.net, p), net_forward(restored, p))
-    assert serialize(restored) == serialize(compiled.net)
+@pytest.mark.parametrize("field, T, n_steps, box, maxulp", COMPILED_FIELDS, ids=COMPILED_IDS)
+def test_compiled_net_serialization_reproduces_bitwise(field, T, n_steps, box, maxulp):
+    net = compile_flow(field, 0.0, T, n_steps, box).net
+    data = serialize(net)
+    compiler._rebuilt_pairs.cache_clear()  # the restored net builds its own pairs
+    restored = deserialize(data)
+    pts = sample_points(box, 10, 15, exclude=field.singular)
+    for inverse in (False, True):
+        want = net_apply_batch(net, pts, inverse=inverse)
+        assert np.array_equal(net_apply_batch(restored, pts, inverse=inverse), want)
+    assert serialize(restored) == data
+
+
+def test_compile_rejects_a_field_id_the_registry_cannot_rebuild():
+    # compiled layers are built from their serialized params, so a field that
+    # a load could not rebuild cannot be compiled either
+    field = replace(make_field("harmonic2d"), fid="custom")
+    with pytest.raises(ConfigError, match="unknown field id 'custom'"):
+        compile_flow(field, 0.0, 1.0, 2, BOXH)
 
 
 def test_compile_approaches_rk4_flow():
@@ -287,26 +316,7 @@ def test_convergence_validation():
 # --- one layer kernel for a point and a batch ------------------------------------
 
 
-BOX_UNIT3 = (np.full(3, -1.0), np.full(3, 1.0))
-
-
-@pytest.mark.parametrize(
-    "field, T, n_steps, box, maxulp",
-    [
-        (make_field("lorentz4d"), 0.2, 5, BOX4, 0),
-        (make_field("harmonic2d"), 1.0, 8, BOXH, 0),
-        # a batch reaches these fields as (D, n) columns: linear takes a
-        # matrix product where a point takes a matrix-vector one, and poly
-        # squares an array exactly where a point goes through scalar pow
-        # (measured over 32 layers: linear 8 ulp, poly 1 ulp)
-        (make_field("linear", params=np.array([[0.0, 0.7, 0.2], [-1.3, 0.0, 0.4], [0.3, -0.5, 0.0]])),
-         1.0, 8, BOX_UNIT3, 16),
-        (make_field("poly", params=[[(1.0, (0, 2, 0))], [(-1.0, (3, 0, 0)), (0.3, (0, 0, 2))],
-                                    [(0.6, (1, 0, 0))]], dim=3),
-         1.0, 8, BOX_UNIT3, 16),
-    ],
-    ids=["lorentz4d", "harmonic2d", "linear", "poly"],
-)
+@pytest.mark.parametrize("field, T, n_steps, box, maxulp", COMPILED_FIELDS, ids=COMPILED_IDS)
 def test_compiled_net_batch_rows_match_point_calls(field, T, n_steps, box, maxulp):
     net = compile_flow(field, 0.0, T, n_steps, box).net
     pts = sample_points(box, 37, 21, exclude=field.singular)
@@ -329,6 +339,8 @@ def test_load_rebuilds_pairs_once(tmp_path, monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(compiler, "build_pairs", counting_build)
+    load_net(tmp_path / "model.json")
+    assert len(calls) == 0  # compile built these layers through the same cache
     compiler._rebuilt_pairs.cache_clear()
     restored = load_net(tmp_path / "model.json")
     assert len(calls) == 1

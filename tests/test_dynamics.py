@@ -103,6 +103,11 @@ def test_field_params_roundtrip():
         assert np.array_equal(field_eval(f, 0.3, y), field_eval(g, 0.3, y))
 
 
+def test_field_from_params_rejects_values_left_over():
+    with pytest.raises(ConfigError, match="field 'lorentz4d' params have values left over"):
+        field_from_params("lorentz4d", 4, [0.0])
+
+
 # --- divergence ---------------------------------------------------------
 
 

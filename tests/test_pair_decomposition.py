@@ -224,7 +224,7 @@ def test_pairwise_divergence_invariant():
         decompose(make_field("lorentz4d"), BOX4, tol=1e-9),
         decompose(quadrature_field(), BOX3, tol=1e-6),
     ]:
-        f = deco.field
+        f = deco.config.field
         pts = sample_points(
             (np.array(deco.config.box_lo), np.array(deco.config.box_hi)), 100, 13,
             exclude=f.singular,
