@@ -11,11 +11,19 @@ Registered fields:
 
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
-`rk4_flow` uses that: it takes one point (dim,) or a batch (n, dim) and
-integrates the whole batch as one (dim, n) state. It checks finiteness once
-per hop, at its end; a non-finite end state reruns the hop with a check after
-every substep, so the NumericError names the substep (and row) where the state
-first became non-finite. `rk4_trajectory` checks every substep it keeps.
+lorentz4d and harmonic2d also carry `point`, the same arithmetic on a
+sequence of Python floats: one body over the coordinates serves both, so the
+two agree bit for bit.
+
+`rk4_flow` takes one point (dim,) or a batch (n, dim). A point of a field with
+`point` runs its substeps on Python floats, which costs a fraction of numpy's
+per-call overhead on a few elements; every other input is integrated as one
+(dim, n) array state. Either way finiteness is checked once per hop, at its
+end. A non-finite end state, or a ZeroDivisionError, OverflowError or
+ValueError that Python raises where numpy yields inf or nan, reruns the hop
+on the array state with a check after every substep, so the NumericError
+names the substep (and row) where the state first became non-finite.
+`rk4_trajectory` checks every substep it keeps.
 `partial_divergence_fd` takes a point or columns (dim, ...) and sends every
 shifted copy through one field call. `field_eval` and every other function
 here take single points.
@@ -26,6 +34,7 @@ concurrently.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -36,6 +45,7 @@ from .serialize import fmt17
 
 SINGULAR_RADIUS = 0.05
 FD_STEP = 1e-5  # central-difference step of every finite-difference check
+MAX_EXPONENT = 2**53  # largest poly exponent the flat float encoding holds exactly
 
 
 @dataclass(frozen=True)
@@ -46,18 +56,34 @@ class VectorField:
     params: tuple = ()  # flat float encoding, see field_from_params
     singular: object = None  # (y) -> bool, or None
     jacobian: object = None  # (t, y) -> ndarray(dim, dim), or None
+    point: object = None  # (t, float sequence) -> dim floats, func's arithmetic; or None
+
+
+def _lorentz4d_body(y0, y1, y2, y3, sqrt):
+    r2 = y0 * y0 + y1 * y1
+    r = sqrt(r2)
+    c = 100.0 * (r2 * r)
+    return y2, y3, y0 / c + r * y3, y1 / c - r * y2
 
 
 def _lorentz4d(t, y):
-    y0, y1, y2, y3 = y[0], y[1], y[2], y[3]  # indexing beats unpacking an array
-    r2 = y0 * y0 + y1 * y1
-    r = np.sqrt(r2)
-    c = 100.0 * (r2 * r)
-    return np.array([y2, y3, y0 / c + r * y3, y1 / c - r * y2])
+    return np.array(_lorentz4d_body(y[0], y[1], y[2], y[3], np.sqrt))  # indexing beats unpacking
+
+
+def _lorentz4d_point(t, y):
+    return _lorentz4d_body(*y, math.sqrt)
+
+
+def _harmonic2d_body(y0, y1):
+    return -y1, y0
 
 
 def _harmonic2d(t, y):
-    return np.array([-y[1], y[0]])
+    return np.array(_harmonic2d_body(y[0], y[1]))
+
+
+def _harmonic2d_point(t, y):
+    return _harmonic2d_body(*y)
 
 
 def _linear_field(mat):
@@ -71,8 +97,9 @@ def _is_real(v):
 def _poly_terms(components, dim):
     """Validate [(coef, multi_index), ...] per component; returns nested tuples.
 
-    A coefficient must be a finite number and an exponent a non-negative
-    integer; integral floats count, since `field_from_params` decodes floats.
+    A coefficient must be a finite number and an exponent an integer in
+    [0, MAX_EXPONENT]; integral floats count, since `field_from_params` decodes
+    floats.
     """
     if len(components) != dim:
         raise ConfigError(f"poly field needs {dim} component term lists, got {len(components)}")
@@ -91,6 +118,9 @@ def _poly_terms(components, dim):
             if not (isinstance(exps, (list, tuple)) and len(exps) == dim
                     and all(_is_real(e) and e >= 0 and e % 1 == 0 for e in exps)):
                 raise ConfigError(f"{where}: multi-index {exps!r} invalid for dim {dim}")
+            if any(e > MAX_EXPONENT for e in exps):
+                raise ConfigError(f"{where}: exponents must be at most 2**53, the largest "
+                                  f"the float parameter encoding holds exactly")
             out.append((float(coef), tuple(int(e) for e in exps)))
         parsed.append(tuple(out))
     return tuple(parsed)
@@ -117,11 +147,12 @@ def make_field(fid, params=None, dim=None) -> VectorField:
     """Construct a registered vector field; unknown ids raise ConfigError."""
     if fid == "lorentz4d":
         return VectorField(
-            4, fid, _lorentz4d, singular=lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS
+            4, fid, _lorentz4d, point=_lorentz4d_point,
+            singular=lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS,
         )
     if fid == "harmonic2d":
         mat = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return VectorField(2, fid, _harmonic2d, jacobian=lambda t, y: mat)
+        return VectorField(2, fid, _harmonic2d, point=_harmonic2d_point, jacobian=lambda t, y: mat)
     if fid == "linear":
         mat = np.asarray(params, float)
         if dim is not None and mat.size == dim * dim:
@@ -227,6 +258,20 @@ def _rk4_single(func, t, h, y):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _rk4_point(point, tau, n, h, y):
+    """n substeps of _rk4_single on one point held as Python floats, in its
+    operation order, so the end state has its bits; returns a list."""
+    hh, h6 = 0.5 * h, h / 6.0
+    for k in range(n):
+        t = tau + k * h
+        k1 = point(t, y)
+        k2 = point(t + hh, [a + hh * b for a, b in zip(y, k1)])
+        k3 = point(t + hh, [a + hh * b for a, b in zip(y, k2)])
+        k4 = point(t + h, [a + h * b for a, b in zip(y, k3)])
+        y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y
+
+
 def _rk4_plan(T, h_ref):
     """(substep count, substep size) covering a hop of length T at about h_ref."""
     if not 0 < h_ref < np.inf:
@@ -254,18 +299,22 @@ def _rk4_substeps(func, tau, n, h, y):
 def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
     """Classic fourth-order Runge-Kutta flow over [tau, tau+T] with substep h_ref.
 
-    x is one point (dim,) or a batch (n, dim); the batch is integrated as one
-    (dim, n) state and returned as (n, dim). Each row then has exactly the bits
-    of its own single-point run for fields that compute elementwise (lorentz4d,
-    harmonic2d). For linear fields `mat @ Y` is a matrix product where a point
-    takes a matrix-vector product, and for poly fields an array square is exact
-    where a scalar one goes through pow, so rows can differ from single-point
-    runs by an ulp or so.
+    x is one point (dim,) or a batch (n, dim). A point of a field with `point`
+    (lorentz4d, harmonic2d) runs on Python floats in the array loop's operation
+    order, so it has the array loop's bits. Any other point, and every batch,
+    is integrated as one (dim, n) array state; a batch returns as (n, dim).
+    Each row then has exactly the bits of its own single-point run for fields
+    that compute elementwise (lorentz4d, harmonic2d). For linear fields
+    `mat @ Y` is a matrix product where a point takes a matrix-vector product,
+    and for poly fields an array square is exact where a scalar one goes
+    through pow, so rows can differ from single-point runs by an ulp or so.
 
     Finiteness is checked once, at the end of the hop: an inf or nan entry
     stays non-finite through every later substep. If the end state is not
-    finite, the hop is rerun with a check after every substep, which raises
-    NumericError naming the first non-finite substep (and row of a batch).
+    finite, or the float path raises ZeroDivisionError, OverflowError or
+    ValueError where numpy would yield inf or nan, the hop is rerun on the
+    array state with a check after every substep, which raises NumericError
+    naming the first non-finite substep (and row of a batch).
     """
     x = np.asarray(x, float)
     if x.shape != (field.dim,) and (x.ndim != 2 or x.shape[1] != field.dim):
@@ -274,9 +323,15 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
             f"{field.dim}, got {x.shape}"
         )
     n, h = _rk4_plan(T, h_ref)
-    y = x.T
-    for k in range(n):
-        y = _rk4_single(field.func, tau + k * h, h, y)
+    if x.ndim == 1 and field.point is not None:
+        try:
+            y = np.array(_rk4_point(field.point, tau, n, h, x.tolist()))
+        except (ZeroDivisionError, OverflowError, ValueError):
+            y = np.array(np.nan)  # numpy would have gone non-finite: rerun below
+    else:
+        y = x.T
+        for k in range(n):
+            y = _rk4_single(field.func, tau + k * h, h, y)
     if not np.isfinite(y).all():
         for _, y in _rk4_substeps(field.func, tau, n, h, x.T):
             pass

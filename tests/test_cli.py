@@ -51,6 +51,19 @@ def test_gen_data_deterministic_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("x0", [[0.0, 0.0, 1.0, 1.0], [1e-200, 1e-200, 1.0, 1.0]],
+                         ids=["origin", "underflow"])
+def test_gen_data_singular_start_exits_3(tmp_path, x0):
+    # r = 0 on the singular line: numpy yields inf or nan where Python floats
+    # raise ZeroDivisionError; either way the run ends as a NumericError
+    with np.errstate(all="ignore"):
+        code, out = run(tmp_path, "gen-data", dict(GEN_CFG, field={"id": "lorentz4d"}, x0=x0))
+    assert code == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "rk4 state became non-finite at substep 1"
+
+
 def test_gen_data_zero_pairs_exits_2(tmp_path):
     cfg = dict(GEN_CFG, n_pairs=0)
     code, out = run(tmp_path, "gen-data", cfg)
@@ -504,12 +517,16 @@ def _poly_with(component):
          "poly component 1 term 1: multi-index [0, False] invalid for dim 2"),
         ("gen-data", dict(GEN_CFG, field=dict(POLY_HARMONIC, components=[1.0, []])),
          "poly component 1 must be a list of terms, got 1.0"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[-1.0, [0, 10**400]]])),
+         "poly component 1 term 1: exponents must be at most 2**53"),
+        ("gen-data", dict(GEN_CFG, field=_poly_with([[-1.0, [0, 1]], [1.0, [2**53 + 1, 0]]])),
+         "poly component 1 term 2: exponents must be at most 2**53"),
         ("convergence", dict(CONVERGENCE_CFG, step_counts=[2, 4.5]),
          "config.step_counts[1] must be an integer"),
     ],
     ids=["matrix-nan", "matrix-true", "coef-inf", "coef-1e400", "coef-true", "bare-number-term",
          "short-term", "exponent-0.5", "exponent-false", "bare-number-component",
-         "step-count"],
+         "exponent-1e400", "exponent-2**53+1", "step-count"],
 )
 def test_bad_field_config_exits_2_naming_the_term(tmp_path, command, config, message):
     code, out = run(tmp_path, command, config)

@@ -59,19 +59,33 @@ def _lorentz4d_reference(y):
     )
 
 
+def _harmonic2d_reference(y):
+    return np.array([-y[1], y[0]])
+
+
 def test_lorentz_bit_exact_against_reference_on_points_and_columns():
-    f = make_field("lorentz4d")
+    # func on columns and on points, and the float body `point` on every
+    # finite column (Python raises where numpy yields inf or nan)
     cols = Xoshiro256(21).uniform_array((4, 300), -2.0, 2.0)
     cols[:2, :100] *= 1e-7  # near the singular line
     cols[:, 100:200] *= 1e5
     cols[:, 200:] *= 1e-200  # r2 underflows to 0: inf and nan entries
     cols[:, 0] = [0.0, -0.0, 1.0, -1.0]
-    with np.errstate(all="ignore"):
-        want = _lorentz4d_reference(cols)
-        assert np.array_equal(f.func(0.0, cols), want, equal_nan=True)
-        for j in range(0, cols.shape[1], 7):
-            assert np.array_equal(f.func(0.0, cols[:, j]), want[:, j], equal_nan=True)
-    assert not np.isfinite(want[:, 200:]).all()
+    for fid, reference in (("lorentz4d", _lorentz4d_reference),
+                           ("harmonic2d", _harmonic2d_reference)):
+        f = make_field(fid)
+        y = cols[: f.dim]
+        with np.errstate(all="ignore"):
+            want = reference(y)
+            assert np.array_equal(f.func(0.0, y), want, equal_nan=True)
+            for j in range(0, y.shape[1], 7):
+                assert np.array_equal(f.func(0.0, y[:, j]), want[:, j], equal_nan=True)
+        finite = np.flatnonzero(np.isfinite(want).all(axis=0))
+        assert finite.size >= 199
+        for j in finite:  # bytes, so signed zeros count
+            assert np.array(f.point(0.0, y[:, j].tolist())).tobytes() == want[:, j].tobytes()
+        if fid == "lorentz4d":
+            assert not np.isfinite(want[:, 200:]).all()
 
 
 def test_linear_zero_matrix():
@@ -235,6 +249,17 @@ def test_rk4_blowup_raises_with_step():
     assert err.value.step == step
 
 
+@pytest.mark.parametrize("x0", [[0.0, 0.0, 1.0, 1.0], [1e-200, 1e-200, 1.0, 1.0]],
+                         ids=["origin", "underflow"])
+def test_lorentz_singular_start_raises_at_substep_1(x0):
+    # on the singular line Python floats raise ZeroDivisionError; the hop is
+    # rerun on arrays, so the error is numpy's NumericError with its step
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="^rk4 state became non-finite at substep 1$") as err:
+            rk4_flow(make_field("lorentz4d"), 0.0, 0.2, 1e-3, np.array(x0))
+    assert err.value.step == 1
+
+
 def test_rk4_trajectory_blowup_names_the_same_step():
     x = np.array([2.0])
     with np.errstate(all="ignore"):
@@ -258,6 +283,18 @@ def test_rk4_flow_matches_checked_reference_bits(fid, box):
         want, step, _ = _checked_rk4_reference(f, 0.3, 0.2, 1e-3, start)
         assert step is None
         assert np.array_equal(rk4_flow(f, 0.3, 0.2, 1e-3, start), want)
+
+
+def test_generate_trajectory_equals_checked_reference_hop_by_hop():
+    # the benchmark's gen-data start: each float-path hop has the bits of the
+    # per-substep checked array loop
+    f = make_field("lorentz4d")
+    traj = generate_trajectory(f, LORENTZ_TEST_POINT, 0.2, 25, h_ref=1e-3)
+    x = LORENTZ_TEST_POINT
+    for n in range(1, 25):
+        x, step, _ = _checked_rk4_reference(f, (n - 1) * 0.2, 0.2, 1e-3, x)
+        assert step is None
+        assert traj.states[n].tobytes() == x.tobytes()
 
 
 def _batch_and_points(f, box):
