@@ -11,17 +11,17 @@ Registered fields:
 
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
-lorentz4d and harmonic2d also carry `point`, the same arithmetic on a
-sequence of Python floats: one body over the coordinates serves both, so the
-two agree bit for bit.
+lorentz4d writes its arithmetic once, as a body over the coordinates that
+takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, `_lorentz4d_point` with
+`math.sqrt` on Python floats, so the two agree bit for bit.
 
-`rk4_flow` takes one point (dim,) or a batch (n, dim). A point of a field with
-`point` runs its substeps on Python floats, which costs a fraction of numpy's
-per-call overhead on a few elements; every other input is integrated as one
-(dim, n) array state. Either way finiteness is checked once per hop, at its
-end. A non-finite end state, or a ZeroDivisionError, OverflowError or
-ValueError that Python raises where numpy yields inf or nan, reruns the hop
-on the array state with a check after every substep, so the NumericError
+`rk4_flow` takes one point (dim,) or a batch (n, dim). A lorentz4d point (a
+field whose func is `_lorentz4d`) runs its substeps on Python floats, which
+costs a fraction of numpy's per-call overhead on four elements; every other
+input is integrated as one (dim, n) array state. Either way finiteness is
+checked once per hop, at its end. A non-finite end state, or a
+ZeroDivisionError that Python raises where numpy yields inf or nan, reruns the
+hop on the array state with a check after every substep, so the NumericError
 names the substep (and row) where the state first became non-finite.
 `rk4_trajectory` checks every substep it keeps.
 `partial_divergence_fd` takes a point or columns (dim, ...) and sends every
@@ -56,7 +56,6 @@ class VectorField:
     params: tuple = ()  # flat float encoding, see field_from_params
     singular: object = None  # (y) -> bool, or None
     jacobian: object = None  # (t, y) -> ndarray(dim, dim), or None
-    point: object = None  # (t, float sequence) -> dim floats, func's arithmetic; or None
 
 
 def _lorentz4d_body(y0, y1, y2, y3, sqrt):
@@ -74,16 +73,8 @@ def _lorentz4d_point(t, y):
     return _lorentz4d_body(*y, math.sqrt)
 
 
-def _harmonic2d_body(y0, y1):
-    return -y1, y0
-
-
 def _harmonic2d(t, y):
-    return np.array(_harmonic2d_body(y[0], y[1]))
-
-
-def _harmonic2d_point(t, y):
-    return _harmonic2d_body(*y)
+    return np.array([-y[1], y[0]])
 
 
 def _linear_field(mat):
@@ -147,12 +138,12 @@ def make_field(fid, params=None, dim=None) -> VectorField:
     """Construct a registered vector field; unknown ids raise ConfigError."""
     if fid == "lorentz4d":
         return VectorField(
-            4, fid, _lorentz4d, point=_lorentz4d_point,
+            4, fid, _lorentz4d,
             singular=lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS,
         )
     if fid == "harmonic2d":
         mat = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return VectorField(2, fid, _harmonic2d, point=_harmonic2d_point, jacobian=lambda t, y: mat)
+        return VectorField(2, fid, _harmonic2d, jacobian=lambda t, y: mat)
     if fid == "linear":
         mat = np.asarray(params, float)
         if dim is not None and mat.size == dim * dim:
@@ -299,8 +290,8 @@ def _rk4_substeps(func, tau, n, h, y):
 def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
     """Classic fourth-order Runge-Kutta flow over [tau, tau+T] with substep h_ref.
 
-    x is one point (dim,) or a batch (n, dim). A point of a field with `point`
-    (lorentz4d, harmonic2d) runs on Python floats in the array loop's operation
+    x is one point (dim,) or a batch (n, dim). A lorentz4d point runs on
+    Python floats through `_lorentz4d_point`, in the array loop's operation
     order, so it has the array loop's bits. Any other point, and every batch,
     is integrated as one (dim, n) array state; a batch returns as (n, dim).
     Each row then has exactly the bits of its own single-point run for fields
@@ -311,10 +302,10 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
 
     Finiteness is checked once, at the end of the hop: an inf or nan entry
     stays non-finite through every later substep. If the end state is not
-    finite, or the float path raises ZeroDivisionError, OverflowError or
-    ValueError where numpy would yield inf or nan, the hop is rerun on the
-    array state with a check after every substep, which raises NumericError
-    naming the first non-finite substep (and row of a batch).
+    finite, or the float path raises ZeroDivisionError where numpy would yield
+    inf or nan, the hop is rerun on the array state with a check after every
+    substep, which raises NumericError naming the first non-finite substep
+    (and row of a batch).
     """
     x = np.asarray(x, float)
     if x.shape != (field.dim,) and (x.ndim != 2 or x.shape[1] != field.dim):
@@ -323,10 +314,10 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
             f"{field.dim}, got {x.shape}"
         )
     n, h = _rk4_plan(T, h_ref)
-    if x.ndim == 1 and field.point is not None:
+    if x.ndim == 1 and field.func is _lorentz4d:  # a replaced func keeps the array loop
         try:
-            y = np.array(_rk4_point(field.point, tau, n, h, x.tolist()))
-        except (ZeroDivisionError, OverflowError, ValueError):
+            y = np.array(_rk4_point(_lorentz4d_point, tau, n, h, x.tolist()))
+        except ZeroDivisionError:
             y = np.array(np.nan)  # numpy would have gone non-finite: rerun below
     else:
         y = x.T

@@ -3,6 +3,7 @@ import pytest
 
 from mpflow.dynamics import (
     Trajectory,
+    _lorentz4d_point,
     dataset_from_csv,
     dataset_from_trajectory,
     dataset_to_csv,
@@ -59,33 +60,25 @@ def _lorentz4d_reference(y):
     )
 
 
-def _harmonic2d_reference(y):
-    return np.array([-y[1], y[0]])
-
-
 def test_lorentz_bit_exact_against_reference_on_points_and_columns():
-    # func on columns and on points, and the float body `point` on every
-    # finite column (Python raises where numpy yields inf or nan)
+    f = make_field("lorentz4d")
     cols = Xoshiro256(21).uniform_array((4, 300), -2.0, 2.0)
     cols[:2, :100] *= 1e-7  # near the singular line
     cols[:, 100:200] *= 1e5
     cols[:, 200:] *= 1e-200  # r2 underflows to 0: inf and nan entries
     cols[:, 0] = [0.0, -0.0, 1.0, -1.0]
-    for fid, reference in (("lorentz4d", _lorentz4d_reference),
-                           ("harmonic2d", _harmonic2d_reference)):
-        f = make_field(fid)
-        y = cols[: f.dim]
-        with np.errstate(all="ignore"):
-            want = reference(y)
-            assert np.array_equal(f.func(0.0, y), want, equal_nan=True)
-            for j in range(0, y.shape[1], 7):
-                assert np.array_equal(f.func(0.0, y[:, j]), want[:, j], equal_nan=True)
-        finite = np.flatnonzero(np.isfinite(want).all(axis=0))
-        assert finite.size >= 199
-        for j in finite:  # bytes, so signed zeros count
-            assert np.array(f.point(0.0, y[:, j].tolist())).tobytes() == want[:, j].tobytes()
-        if fid == "lorentz4d":
-            assert not np.isfinite(want[:, 200:]).all()
+    with np.errstate(all="ignore"):
+        want = _lorentz4d_reference(cols)
+        assert np.array_equal(f.func(0.0, cols), want, equal_nan=True)
+        for j in range(0, cols.shape[1], 7):
+            assert np.array_equal(f.func(0.0, cols[:, j]), want[:, j], equal_nan=True)
+    assert not np.isfinite(want[:, 200:]).all()
+    # the Python-float form on every finite column, as bytes so signed zeros
+    # count (on the others Python raises where numpy yields inf or nan)
+    finite = np.flatnonzero(np.isfinite(want).all(axis=0))
+    assert finite.size >= 199
+    for j in finite:
+        assert np.array(_lorentz4d_point(0.0, cols[:, j].tolist())).tobytes() == want[:, j].tobytes()
 
 
 def test_linear_zero_matrix():
@@ -279,22 +272,11 @@ def test_rk4_trajectory_blowup_names_the_same_step():
 def test_rk4_flow_matches_checked_reference_bits(fid, box):
     f = make_field(fid)
     x = sample_points(box, 9, 3, exclude=f.singular)
-    for start in (x, x[0]):
+    starts = (x, x[0], LORENTZ_TEST_POINT) if fid == "lorentz4d" else (x, x[0])  # + gen-data's start
+    for start in starts:
         want, step, _ = _checked_rk4_reference(f, 0.3, 0.2, 1e-3, start)
         assert step is None
         assert np.array_equal(rk4_flow(f, 0.3, 0.2, 1e-3, start), want)
-
-
-def test_generate_trajectory_equals_checked_reference_hop_by_hop():
-    # the benchmark's gen-data start: each float-path hop has the bits of the
-    # per-substep checked array loop
-    f = make_field("lorentz4d")
-    traj = generate_trajectory(f, LORENTZ_TEST_POINT, 0.2, 25, h_ref=1e-3)
-    x = LORENTZ_TEST_POINT
-    for n in range(1, 25):
-        x, step, _ = _checked_rk4_reference(f, (n - 1) * 0.2, 0.2, 1e-3, x)
-        assert step is None
-        assert traj.states[n].tobytes() == x.tobytes()
 
 
 def _batch_and_points(f, box):
