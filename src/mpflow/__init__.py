@@ -21,11 +21,8 @@ from .coupling import (
     Layer,
     MPNet,
     layer_forward,
-    layer_inverse,
     lower_layer,
-    net_backward,
     net_forward,
-    net_inverse,
     shear_layer,
     upper_layer,
 )
@@ -34,14 +31,10 @@ from .dynamics import (
     Trajectory,
     VectorField,
     divergence_fd,
-    euler_step,
     field_eval,
-    generate_dataset,
     generate_trajectory,
     make_field,
     rk4_flow,
-    rk4_trajectory,
-    splitting_step,
 )
 from .errors import (
     ConfigError,
@@ -91,27 +84,21 @@ __all__ = [
     "decompose",
     "deserialize",
     "divergence_fd",
-    "euler_step",
     "fd_jacobian_det",
     "field_eval",
     "fixed_shift",
-    "generate_dataset",
     "generate_trajectory",
     "layer_forward",
-    "layer_inverse",
     "load_net",
     "lower_layer",
     "lp_error",
     "make_field",
     "mlp_init",
     "mse_loss",
-    "net_backward",
     "net_forward",
-    "net_inverse",
     "pair_eval",
     "register_fixed_shift",
     "rk4_flow",
-    "rk4_trajectory",
     "rollout",
     "roundtrip_error",
     "sample_points",
@@ -122,7 +109,6 @@ __all__ = [
     "shear_pair",
     "shear_rewrite_bound",
     "shear_to_couplings",
-    "splitting_step",
     "train",
     "upper_layer",
 ]

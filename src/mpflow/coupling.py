@@ -12,8 +12,8 @@ Layers and nets are immutable after construction; forward, inverse, and
 backward are pure functions and safe for concurrent callers.
 
 `_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
-(dim,) or a batch (n, dim); the single-point functions check their point's
-shape and call it.
+(dim,) or a batch (n, dim). `layer_apply_batch` and `net_apply_batch` take
+either shape; `layer_forward` and `net_forward` first check for one point.
 
 Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
@@ -84,10 +84,6 @@ def _check_shift_dims(shift, in_dim, out_dim, kind):
 
 def layer_forward(layer: Layer, x) -> np.ndarray:
     return _layer_apply_cached(layer, _check_point(layer.dim, x))[0]
-
-
-def layer_inverse(layer: Layer, xh) -> np.ndarray:
-    return _layer_apply_cached(layer, _check_point(layer.dim, xh), inverse=True)[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -163,10 +159,6 @@ def net_forward(net: MPNet, x) -> np.ndarray:
     return net_apply_batch(net, _check_point(net.dim, x))
 
 
-def net_inverse(net: MPNet, xh) -> np.ndarray:
-    return net_apply_batch(net, _check_point(net.dim, xh), inverse=True)
-
-
 def net_apply_batch(net: MPNet, x, inverse=False) -> np.ndarray:
     """The net (or its inverse) applied to a batch (n, dim) or a point (dim,)."""
     x = np.asarray(x, float)
@@ -223,23 +215,6 @@ def net_backward_collected(net: MPNet, collected, upstream):
         x, cache = collected[idx]
         per_layer[idx], g = layer_backward_batch(net.layers[idx], x, cache, g)
     return per_layer, g
-
-
-def net_backward_batch(net: MPNet, x, upstream):
-    """Gradients of sum_i <upstream_i, net(x_i)> for a batch.
-
-    Returns (per-layer parameter-grad lists, gradient wrt the input batch).
-    """
-    _, collected = net_forward_collect(net, x)
-    return net_backward_collected(net, collected, upstream)
-
-
-def net_backward(net: MPNet, x, upstream):
-    """Single-point gradients: (per-layer parameter grads, input gradient)."""
-    x = _check_point(net.dim, x)
-    upstream = _check_point(net.dim, np.asarray(upstream, float))
-    per_layer, dx = net_backward_batch(net, x[None, :], upstream[None, :])
-    return per_layer, dx[0]
 
 
 def net_trainable_params(net: MPNet):

@@ -20,13 +20,12 @@ field whose func is `_lorentz4d`) runs its substeps on Python floats, which
 costs a fraction of numpy's per-call overhead on four elements; every other
 input is integrated as one (dim, n) array state. Either way finiteness is
 checked once per hop, at its end. A non-finite end state, or a
-ZeroDivisionError that Python raises where numpy yields inf or nan, reruns the
+ZeroDivisionError that Python raises where numpy gives inf or nan, reruns the
 hop on the array state with a check after every substep, so the NumericError
 names the substep (and row) where the state first became non-finite.
-`rk4_trajectory` checks every substep it keeps.
 `partial_divergence_fd` takes a point or columns (dim, ...) and sends every
-shifted copy through one field call. `field_eval` and every other function
-here take single points.
+shifted copy through one field call. `field_eval`, `divergence_fd` and
+`generate_trajectory` take single points.
 
 All operations are pure; independent trajectories may be generated
 concurrently.
@@ -234,13 +233,6 @@ def divergence_fd(field: VectorField, t, y) -> float:
     return float(partial_divergence_fd(field, t, y, field.dim))
 
 
-def euler_step(field: VectorField, tau, h, x) -> np.ndarray:
-    if h < 0:
-        raise ConfigError(f"step size must be >= 0, got {h}")
-    x = np.asarray(x, float)
-    return x + h * field_eval(field, tau, x)
-
-
 def _rk4_single(func, t, h, y):
     k1 = func(t, y)
     k2 = func(t + 0.5 * h, y + 0.5 * h * k1)
@@ -274,9 +266,9 @@ def _rk4_plan(T, h_ref):
 
 
 def _rk4_substeps(func, tau, n, h, y):
-    """Yield (time, state) after each of n RK4 substeps from y, (dim,) or
-    (dim, n); a non-finite state raises NumericError naming its substep (and
-    the first bad column of a batch)."""
+    """The end state of n RK4 substeps from y, (dim,) or (dim, n), checked after
+    each; a non-finite state raises NumericError naming its substep (and the
+    first bad column of a batch)."""
     for k in range(n):
         y = _rk4_single(func, tau + k * h, h, y)
         if not np.isfinite(y).all():
@@ -284,7 +276,7 @@ def _rk4_substeps(func, tau, n, h, y):
             if y.ndim == 2:
                 where = f" in row {np.flatnonzero(~np.isfinite(y).all(axis=0))[0]}"
             raise NumericError(f"rk4 state became non-finite at substep {k + 1}{where}", step=k + 1)
-        yield tau + (k + 1) * h, y
+    return y
 
 
 def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
@@ -302,10 +294,11 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
 
     Finiteness is checked once, at the end of the hop: an inf or nan entry
     stays non-finite through every later substep. If the end state is not
-    finite, or the float path raises ZeroDivisionError where numpy would yield
+    finite, or the float path raises ZeroDivisionError where numpy would give
     inf or nan, the hop is rerun on the array state with a check after every
     substep, which raises NumericError naming the first non-finite substep
-    (and row of a batch).
+    (and row of a batch). numpy's floating-point warnings are silenced on the
+    array state, so that error is the one report.
     """
     x = np.asarray(x, float)
     if x.shape != (field.dim,) and (x.ndim != 2 or x.shape[1] != field.dim):
@@ -320,12 +313,13 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
         except ZeroDivisionError:
             y = np.array(np.nan)  # numpy would have gone non-finite: rerun below
     else:
-        y = x.T
-        for k in range(n):
-            y = _rk4_single(field.func, tau + k * h, h, y)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = x.T
+            for k in range(n):
+                y = _rk4_single(field.func, tau + k * h, h, y)
     if not np.isfinite(y).all():
-        for _, y in _rk4_substeps(field.func, tau, n, h, x.T):
-            pass
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            y = _rk4_substeps(field.func, tau, n, h, x.T)
     return y.T.copy()
 
 
@@ -347,31 +341,6 @@ class Trajectory:
     @property
     def dim(self):
         return self.states.shape[1]
-
-
-def rk4_trajectory(field: VectorField, tau, T, h_ref, x) -> Trajectory:
-    """Like rk4_flow for one point, but keeps every substep state."""
-    x = np.asarray(x, float)
-    if x.shape != (field.dim,):
-        raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {x.shape}")
-    n, h = _rk4_plan(T, h_ref)
-    times = [tau]
-    states = [x.copy()]
-    for t, y in _rk4_substeps(field.func, tau, n, h, x):
-        times.append(t)
-        states.append(y.copy())
-    return Trajectory(np.array(times), np.array(states))
-
-
-def splitting_step(subflows, x) -> np.ndarray:
-    """Compose point maps in the given order (first entry applied first)."""
-    x = np.asarray(x, float)
-    for flow in subflows:
-        nxt = np.asarray(flow(x), float)
-        if nxt.shape != x.shape:
-            raise ConfigError(f"subflow changed dimension {x.shape} -> {nxt.shape}")
-        x = nxt
-    return x
 
 
 @dataclass(frozen=True)
@@ -417,14 +386,6 @@ def dataset_from_trajectory(traj: Trajectory) -> PairDataset:
     return PairDataset(traj.states[:-1].copy(), traj.states[1:].copy())
 
 
-def generate_dataset(field: VectorField, x0, h_data, n_pairs, h_ref=1e-3) -> PairDataset:
-    """(x_n, x_{n+1}) pairs along one trajectory; consecutive pairs chain."""
-    if n_pairs < 1:
-        raise ConfigError(f"n_pairs must be >= 1, got {n_pairs}")
-    traj = generate_trajectory(field, x0, h_data, n_pairs + 1, h_ref)
-    return dataset_from_trajectory(traj)
-
-
 # --- CSV interfaces --------------------------------------------------------
 
 
@@ -434,15 +395,6 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join([fmt17(t)] + [fmt17(v) for v in row]))
     return "\n".join(lines) + "\n"
-
-
-def trajectory_from_csv(text: str) -> Trajectory:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    if not lines or not lines[0].startswith("t,"):
-        raise ConfigError("trajectory CSV must start with header t,y1,...")
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    arr = np.array(rows)
-    return Trajectory(arr[:, 0], arr[:, 1:])
 
 
 def dataset_to_csv(ds: PairDataset) -> str:

@@ -177,15 +177,6 @@ def backward_batch(mlp: Mlp, cache, upstream: np.ndarray):
     return grads, delta
 
 
-def lipschitz_bound(mlp: Mlp) -> float:
-    """Product-of-norms Lipschitz constant in the sup norm on any box."""
-    l_act = ACTIVATION_LIPSCHITZ[mlp.activation]
-    bound = 1.0
-    for w in mlp.weights:
-        bound *= np.abs(w).sum(axis=1).max()
-    return bound * l_act ** (len(mlp.weights) - 1)
-
-
 _B1, _B2, _EPS = 0.9, 0.999, 1e-8  # Adam's moment decay rates and denominator guard
 
 

@@ -183,13 +183,6 @@ def separability_check(pair: PairField, sample_box, tol=DEFAULT_TOL) -> str:
     return "yes" if max(np.max(np.abs(du1)), np.max(np.abs(du2))) < tol else "no"
 
 
-def pair_divergence_fd(pair: PairField, t, y) -> float:
-    """FD estimate of d(u1)/dy_d + d(u2)/dy_{d+1}; zero for exact pairs."""
-    y = np.asarray(y, float)
-    d0 = pair.d - 1
-    return float(_fd_partial(pair.u1, d0)(t, y) + _fd_partial(pair.u2, d0 + 1)(t, y))
-
-
 def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
               tol=DEFAULT_TOL, n_residual=200) -> Decomposition:
     """Build, validate, and classify the pairwise decomposition of a field.

@@ -72,8 +72,3 @@ class Xoshiro256:
         for i in range(n):
             out[i] = self.uniform(lo, hi)
         return out.reshape(shape)
-
-    def spawn(self, index: int) -> "Xoshiro256":
-        """Independent substream keyed by (this stream's seed state, index)."""
-        _, mixed = _splitmix64((self._s[0] ^ (index & _MASK)) & _MASK)
-        return Xoshiro256(mixed ^ self._s[3])

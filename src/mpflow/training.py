@@ -196,6 +196,8 @@ def rollout(net: MPNet, x0, n_steps, h_data=None):
     """
     if n_steps < 0:
         raise ConfigError(f"n_steps must be >= 0, got {n_steps}")
+    if h_data is not None and not 0 < h_data < np.inf:
+        raise ConfigError(f"h_data must be a positive finite number, got {h_data}")
     x = np.asarray(x0, float)
     scale = 1.0 if h_data is None else float(h_data)
     states = [x.copy()]

@@ -113,7 +113,8 @@ def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:
 
 
 def roundtrip_error(net: MPNet, points) -> float:
-    """Max sup-norm error of net_inverse(net_forward(x)) - x over the points."""
+    """Max sup-norm error of inverse(forward(x)) - x over the points, each map one
+    net_apply_batch call (inverse=True for the inverse)."""
     points = np.atleast_2d(np.asarray(points, float))
     back = net_apply_batch(net, net_apply_batch(net, points), inverse=True)
     return float(np.max(np.abs(back - points)))

@@ -8,17 +8,24 @@ import time
 import numpy as np
 
 from mpflow.compiler import compile_flow, convergence_study, shear_rewrite_bound, shear_to_couplings
-from mpflow.coupling import MPNet, layer_forward, net_apply_batch, net_backward, net_forward
-from mpflow.dynamics import generate_dataset, make_field, rk4_flow, trajectory_to_csv
+from mpflow.coupling import MPNet, layer_forward, net_apply_batch, net_forward
+from mpflow.dynamics import (
+    dataset_from_trajectory,
+    generate_trajectory,
+    make_field,
+    rk4_flow,
+    trajectory_to_csv,
+)
 from mpflow.mlp import mlp_params, mlp_with_params
-from mpflow.pair_decomposition import decompose, pair_divergence_fd, pair_eval
+from mpflow.pair_decomposition import decompose, pair_eval
 from mpflow.rng import Xoshiro256
 from mpflow.shifts import MlpShift
 from mpflow.training import TrainConfig, rollout, train
 from mpflow.verify import fd_jacobian_det, lp_error, roundtrip_error, sample_points
 
-from test_coupling import random_net
+from test_coupling import point_backward, random_net
 from test_compiler import sigmoid_shear
+from test_pair_decomposition import fd_pair_divergence
 
 # Fixed seed for the benchmark rerun (criterion 6), chosen from a small scan
 # for the widest margin below the loss threshold (the late-phase full-batch
@@ -64,7 +71,7 @@ def test_criterion_2_gradient_correctness():
         net = random_net(dim, 1 + trial % 3, seed=500 + trial, width=3)
         x = rng.uniform_array(dim, -1.5, 1.5)
         up = rng.uniform_array(dim, -1.0, 1.0)
-        per_layer, dx = net_backward(net, x, up)
+        per_layer, dx = point_backward(net, x, up)
         fdx = np.zeros(dim)
         for j in range(dim):
             e = np.zeros(dim)
@@ -103,7 +110,7 @@ def test_criterion_3_pair_decomposition():
     pts = sample_points(BOX4, 100, 0xACC3, exclude=lorentz.singular)
     for pair in deco.pairs:
         for p in pts:
-            assert abs(pair_divergence_fd(pair, 0.0, p)) < 1e-6
+            assert abs(fd_pair_divergence(pair, 0.0, p)) < 1e-6
 
     cycle = make_field(
         "poly", params=[[(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))], [(1.0, (1, 0, 0))]], dim=3
@@ -173,7 +180,7 @@ def test_criterion_6_benchmark_rerun(tmp_path):
     started = time.perf_counter()
     field = make_field("lorentz4d")
     x0 = np.array([0.1, 1.0, 1.1, 0.5])
-    ds = generate_dataset(field, x0, 0.2, 199, 1e-3)
+    ds = dataset_from_trajectory(generate_trajectory(field, x0, 0.2, 200, 1e-3))
     assert ds.n_pairs == 199
     config = TrainConfig(
         n_layers=8, s=2, width=64, activation="sigmoid", lr=0.001,

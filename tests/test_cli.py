@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ def test_gen_data_zero_pairs_exits_2(tmp_path):
     assert code == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
+
+
+def test_gen_data_singular_start_reports_only_the_rk4_error(tmp_path, capsys):
+    # lorentz4d divides by r^3, which is 0 at the start: the first substep goes
+    # non-finite, and no numpy warning may come before the error line
+    cfg = dict(GEN_CFG, field={"id": "lorentz4d"}, x0=[0.0, 0.0, 1.0, 1.0], n_pairs=3, h_data=0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "gen-data", cfg)
+    assert code == 3
+    assert json.loads((out / "manifest.json").read_text())["status"] == "error"
+    assert capsys.readouterr().err == "error: rk4 state became non-finite at substep 1\n"
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -126,6 +139,19 @@ def test_predict_identity_model(tmp_path):
     lines = (out / "prediction.csv").read_text().strip().split("\n")[1:]
     vals = [ln.split(",")[1:] for ln in lines]
     assert all(v == vals[0] for v in vals)
+
+
+@pytest.mark.parametrize("h_data", [0.0, -0.2])
+def test_predict_non_positive_h_data_exits_2_naming_the_key(tmp_path, h_data):
+    model_path = tmp_path / "identity.json"
+    save_net(MPNet(3, ()), model_path)
+    cfg = {"model": str(model_path), "x0": [0.1, 0.2, 0.3], "n_steps": 4, "h_data": h_data}
+    code, out = run(tmp_path, "predict", cfg)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert f"h_data must be a positive finite number, got {h_data}" in manifest["error"]
+    assert not (out / "prediction.csv").exists()
 
 
 def test_compile_lorentz_manifest(tmp_path):

@@ -17,15 +17,13 @@ from mpflow.coupling import (
     MPNet,
     layer_apply_batch,
     layer_forward,
-    layer_inverse,
     lower_layer,
     net_apply_batch,
     net_forward,
-    net_inverse,
     shear_layer,
     upper_layer,
 )
-from mpflow.dynamics import make_field, rk4_flow, splitting_step
+from mpflow.dynamics import make_field, rk4_flow
 from mpflow.errors import ConfigError, NumericError, UnsupportedError
 from mpflow.mlp import Mlp
 from mpflow.pair_decomposition import decompose
@@ -140,11 +138,12 @@ def test_compile_rejects_nonseparable_field():
 def test_compiled_net_equals_explicit_splitting():
     f = make_field("lorentz4d")
     compiled = compile_flow(f, 0.0, 0.2, 5, BOX4)
-    subflows = [lambda x, layer=layer: layer_forward(layer, x) for layer in compiled.net.layers]
     pts = sample_points(BOX4, 100, 12, exclude=f.singular)
     for p in pts:
         a = net_forward(compiled.net, p)
-        b = splitting_step(subflows, p)
+        b = p
+        for layer in compiled.net.layers:
+            b = layer_forward(layer, b)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -320,11 +319,11 @@ def test_convergence_validation():
 def test_compiled_net_batch_rows_match_point_calls(field, T, n_steps, box, maxulp):
     net = compile_flow(field, 0.0, T, n_steps, box).net
     pts = sample_points(box, 37, 21, exclude=field.singular)
-    for inverse, point_fn in ((False, net_forward), (True, net_inverse)):
-        rows = np.array([point_fn(net, p) for p in pts])
+    for inverse in (False, True):
+        rows = np.array([net_apply_batch(net, p, inverse=inverse) for p in pts])
         np.testing.assert_array_max_ulp(net_apply_batch(net, pts, inverse=inverse), rows, maxulp=maxulp)
     for layer in net.layers[:4]:
-        rows = np.array([layer_inverse(layer, p) for p in pts])
+        rows = np.array([layer_apply_batch(layer, p, inverse=True) for p in pts])
         np.testing.assert_array_max_ulp(layer_apply_batch(layer, pts, inverse=True), rows, maxulp=maxulp)
 
 

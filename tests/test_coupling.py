@@ -1,16 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
 
 from mpflow.coupling import (
     MPNet,
+    layer_apply_batch,
     layer_forward,
-    layer_inverse,
     lower_layer,
     net_apply_batch,
-    net_backward,
-    net_backward_batch,
+    net_backward_collected,
     net_forward,
-    net_inverse,
+    net_forward_collect,
     shear_layer,
     upper_layer,
 )
@@ -30,6 +31,14 @@ def _square_factory(params, in_dim, out_dim):
 
 
 register_fixed_shift("usquared", _square_factory)
+
+
+def point_backward(net, x, upstream):
+    """(per-layer parameter grads, input gradient) at one point, through the
+    batched forward and backward passes training uses."""
+    _, collected = net_forward_collect(net, np.asarray(x, float)[None, :])
+    per_layer, dx = net_backward_collected(net, collected, np.asarray(upstream, float)[None, :])
+    return per_layer, dx[0]
 
 
 def random_net(dim, n_layers, seed, width=5):
@@ -60,7 +69,7 @@ def test_upper_constant_shift():
     layer = upper_layer(4, 2, fixed_shift("constant", [1.0], 3, 1))
     out = layer_forward(layer, np.zeros(4))
     assert np.array_equal(out, np.array([1.0, 0.0, 0.0, 0.0]))
-    back = layer_inverse(layer, out)
+    back = layer_apply_batch(layer, out, inverse=True)
     assert np.array_equal(back, np.zeros(4))
 
 
@@ -79,7 +88,7 @@ def test_zero_shift_is_identity():
     ]:
         x = np.array([0.4, -1.1, 2.2])
         assert np.array_equal(layer_forward(layer, x), x)
-        assert np.array_equal(layer_inverse(layer, x), x)
+        assert np.array_equal(layer_apply_batch(layer, x, inverse=True), x)
 
 
 def _signed_shift_reference(x, read, written, shift, sign):
@@ -96,9 +105,10 @@ def test_layer_add_and_subtract_bit_exact_against_sign_form():
         (lower_layer(4, 3, MlpShift(mlp_init((2, 6, 2), "tanh", 2))), slice(0, 2), slice(2, 4)),
         (shear_layer(4, 2, MlpShift(mlp_init((3, 6, 1), "sigmoid", 3))), [0, 2, 3], slice(1, 2)),
     ]
+    inverse = functools.partial(layer_apply_batch, inverse=True)
     for layer, read, written in cases:
         for x in (rng.uniform_array((13, 4), -3, 3), rng.uniform_array(4, -3, 3)):
-            for sign, apply in ((1.0, layer_forward), (-1.0, layer_inverse)):
+            for sign, apply in ((1.0, layer_forward), (-1.0, inverse)):
                 want = _signed_shift_reference(x, read, written, layer.shift, sign)
                 if x.ndim == 1:
                     assert np.array_equal(apply(layer, x), want)
@@ -115,7 +125,7 @@ def test_layer_inverse_signed_zeros_match_sign_form(zero):
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.array_equal(got, want)
     for row, want_row in zip(x, want):
-        back = layer_inverse(layer, row)
+        back = layer_apply_batch(layer, row, inverse=True)
         assert np.array_equal(back, want_row)
         assert np.array_equal(np.signbit(back), np.signbit(want_row))
 
@@ -136,7 +146,8 @@ def test_layer_roundtrip_random():
         layer = net.layers[0]
         for _ in range(10):
             x = rng.uniform_array(4, -3, 3)
-            err = np.max(np.abs(layer_inverse(layer, layer_forward(layer, x)) - x))
+            back = layer_apply_batch(layer, layer_forward(layer, x), inverse=True)
+            err = np.max(np.abs(back - x))
             assert err < 1e-12
 
 
@@ -170,7 +181,7 @@ def test_empty_net_is_identity():
     net = MPNet(3, ())
     x = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(net_forward(net, x), x)
-    assert np.array_equal(net_inverse(net, x), x)
+    assert np.array_equal(net_apply_batch(net, x, inverse=True), x)
 
 
 def test_translation_two_layer_construction_exact():
@@ -222,7 +233,7 @@ def _fd_net_input_grad(net, x, up, h=1e-6):
 
 def test_net_backward_zero_upstream():
     net = random_net(3, 4, seed=50)
-    per_layer, dx = net_backward(net, np.zeros(3), np.zeros(3))
+    per_layer, dx = point_backward(net, np.zeros(3), np.zeros(3))
     assert np.all(dx == 0.0)
     assert all(np.all(g == 0.0) for grads in per_layer for g in grads)
 
@@ -232,7 +243,7 @@ def test_single_upper_layer_input_grad_has_jacobian_term():
     net = MPNet(3, (upper_layer(3, 2, MlpShift(mlp)),))
     x = np.array([0.3, -0.8, 1.1])
     up = np.array([1.0, 0.0, 0.0])  # only the shifted block sees upstream
-    _, dx = net_backward(net, x, up)
+    _, dx = point_backward(net, x, up)
     fd = _fd_net_input_grad(net, x, up)
     np.testing.assert_allclose(dx, fd, rtol=1e-5, atol=1e-8)
     assert np.any(dx[1:] != 0.0)  # shift Jacobian feeds the unchanged block
@@ -247,7 +258,7 @@ def test_net_backward_matches_fd_composed():
     rng = Xoshiro256(62)
     x = rng.uniform_array(4, -1, 1)
     up = rng.uniform_array(4, -1, 1)
-    per_layer, dx = net_backward(net, x, up)
+    per_layer, dx = point_backward(net, x, up)
     np.testing.assert_allclose(dx, _fd_net_input_grad(net, x, up), rtol=1e-5, atol=1e-8)
     # parameter grads of every layer against finite differences
     h = 1e-6
@@ -273,7 +284,7 @@ def test_fixed_shift_with_jacobian_backprops():
     net = MPNet(2, (layer,))
     x = np.array([1.5, 0.2])
     up = np.array([0.0, 1.0])
-    per_layer, dx = net_backward(net, x, up)
+    per_layer, dx = point_backward(net, x, up)
     assert per_layer[0] == []
     np.testing.assert_allclose(dx, [2.0 * 1.5, 1.0], rtol=1e-12)
 
@@ -291,7 +302,7 @@ def test_fixed_shift_batch_backward_matches_fd():
     rng = Xoshiro256(23)
     x = rng.uniform_array((5, 3), -1, 1)
     up = rng.uniform_array((5, 3), -1, 1)
-    per_layer, dx = net_backward_batch(net, x, up)
+    per_layer, dx = net_backward_collected(net, net_forward_collect(net, x)[1], up)
     assert per_layer == [[], [], []]
     for row, xi, ui in zip(dx, x, up):
         np.testing.assert_allclose(row, _fd_net_input_grad(net, xi, ui), rtol=1e-6, atol=1e-9)
@@ -302,7 +313,7 @@ def test_fixed_shift_without_jacobian_rejected():
     layer = upper_layer(3, 2, fixed_shift("nojac", [], 2, 1))
     net = MPNet(3, (layer,))
     with pytest.raises(UnsupportedError):
-        net_backward(net, np.zeros(3), np.ones(3))
+        point_backward(net, np.zeros(3), np.ones(3))
 
 
 def test_net_inverse_of_forward_many_dims():

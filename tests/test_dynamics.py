@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpflow.coupling import MPNet, net_apply_batch, shear_layer
 from mpflow.dynamics import (
     Trajectory,
     _lorentz4d_point,
@@ -8,21 +9,17 @@ from mpflow.dynamics import (
     dataset_from_trajectory,
     dataset_to_csv,
     divergence_fd,
-    euler_step,
     field_eval,
     field_from_params,
-    generate_dataset,
     generate_trajectory,
     make_field,
     partial_divergence_fd,
     rk4_flow,
-    rk4_trajectory,
-    splitting_step,
-    trajectory_from_csv,
     trajectory_to_csv,
 )
 from mpflow.errors import ConfigError, NumericError
 from mpflow.rng import Xoshiro256
+from mpflow.shifts import fixed_shift
 from mpflow.verify import sample_points
 
 # Independently evaluated benchmark values at y = (0.1, 1, 1.1, 0.5):
@@ -162,34 +159,6 @@ def test_registered_divergence_free_fields_pass_fd():
 # --- integrators ----------------------------------------------------------
 
 
-def test_euler_hand_example():
-    f = make_field("harmonic2d")
-    out = euler_step(f, 0.0, 0.1, np.array([1.0, 0.0]))
-    assert np.array_equal(out, np.array([1.0, 0.1]))
-
-
-def test_euler_zero_step_and_zero_field():
-    f = make_field("harmonic2d")
-    x = np.array([0.4, -0.3])
-    assert np.array_equal(euler_step(f, 0.0, 0.0, x), x)
-    assert np.array_equal(euler_step(zero_field(), 0.0, 0.5, x), x)
-
-
-def test_euler_first_order_convergence():
-    f = make_field("harmonic2d")
-    x0 = np.array([1.0, 0.0])
-    exact = np.array([np.cos(1.0), np.sin(1.0)])
-    errors = []
-    for h in (0.1, 0.05, 0.025, 0.0125):
-        n = round(1.0 / h)
-        x = x0
-        for k in range(n):
-            x = euler_step(f, k * h, h, x)
-        errors.append(np.max(np.abs(x - exact)))
-    slope = np.polyfit(np.log2([0.1, 0.05, 0.025, 0.0125]), np.log2(errors), 1)[0]
-    assert 0.8 <= slope <= 1.2
-
-
 def test_rk4_period_return():
     f = make_field("harmonic2d")
     out = rk4_flow(f, 0.0, 2.0 * np.pi, 1e-3, np.array([1.0, 0.0]))
@@ -251,15 +220,6 @@ def test_lorentz_singular_start_raises_at_substep_1(x0):
         with pytest.raises(NumericError, match="^rk4 state became non-finite at substep 1$") as err:
             rk4_flow(make_field("lorentz4d"), 0.0, 0.2, 1e-3, np.array(x0))
     assert err.value.step == 1
-
-
-def test_rk4_trajectory_blowup_names_the_same_step():
-    x = np.array([2.0])
-    with np.errstate(all="ignore"):
-        _, step, _ = _checked_rk4_reference(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
-        with pytest.raises(NumericError, match=f"at substep {step}$") as err:
-            rk4_trajectory(SQUARE_FIELD, 0.0, 1.0, 1e-3, x)
-    assert err.value.step == step
 
 
 @pytest.mark.parametrize(
@@ -341,9 +301,8 @@ def test_rk4_batch_blowup_in_a_later_row_names_step_and_row():
 def test_rk4_rejects_bad_substep(h_ref):
     f = make_field("harmonic2d")
     x = np.array([1.0, 0.0])
-    for integrate in (rk4_flow, rk4_trajectory):
-        with pytest.raises(ConfigError, match="h_ref must be a positive finite number"):
-            integrate(f, 0.0, 1.0, h_ref, x)
+    with pytest.raises(ConfigError, match="h_ref must be a positive finite number"):
+        rk4_flow(f, 0.0, 1.0, h_ref, x)
     with pytest.raises(ConfigError, match="h_ref"):
         generate_trajectory(f, x, 0.1, 3, h_ref=h_ref)
 
@@ -367,49 +326,36 @@ def test_rk4_rejects_wrong_shapes():
             rk4_flow(f, 0.0, 1.0, 1e-2, bad)
 
 
-def test_rk4_trajectory_keeps_substeps():
-    f = make_field("harmonic2d")
-    traj = rk4_trajectory(f, 0.0, 0.1, 0.01, np.array([1.0, 0.0]))
-    assert traj.states.shape == (11, 2)
-    assert traj.times[0] == 0.0 and abs(traj.times[-1] - 0.1) < 1e-15
-    assert np.array_equal(traj.states[-1], rk4_flow(f, 0.0, 0.1, 0.01, np.array([1.0, 0.0])))
-
-
 # --- splitting -------------------------------------------------------------
 
 
-def test_splitting_single_subflow():
-    out = splitting_step([lambda x: x + 2.0], np.zeros(2))
-    assert np.array_equal(out, np.full(2, 2.0))
-
-
-def test_splitting_two_translations():
-    a, b = np.array([1.0, 0.0]), np.array([0.0, 3.0])
-    out = splitting_step([lambda x: x + a, lambda x: x + b], np.array([0.5, 0.5]))
-    assert np.array_equal(out, np.array([1.5, 3.5]))
-
-
 def test_splitting_shear_pair_hand_example():
-    # p-update then q-update with g1 = -q, g2 = p, h = 0.1 from (1, 0)
+    # p-update then q-update with g1 = -q, g2 = p, h = 0.1 from (1, 0), as the
+    # two-shear net that applies the splitting step
     h = 0.1
-    phi1 = lambda x: np.array([x[0] + h * (-x[1]), x[1]])
-    phi2 = lambda x: np.array([x[0], x[1] + h * x[0]])
-    out = splitting_step([phi1, phi2], np.array([1.0, 0.0]))
+    net = MPNet(2, (shear_layer(2, 1, fixed_shift("linear", [-h], 1, 1)),
+                    shear_layer(2, 2, fixed_shift("linear", [h], 1, 1))))
+    out = net_apply_batch(net, np.array([1.0, 0.0]))
     assert np.array_equal(out, np.array([1.0, 0.1]))
 
 
 # --- datasets ---------------------------------------------------------------
 
 
+def _dataset(field, x0, h_data, n_pairs, h_ref):
+    """gen-data's pairs: n_pairs chained hops along one trajectory."""
+    return dataset_from_trajectory(generate_trajectory(field, x0, h_data, n_pairs + 1, h_ref))
+
+
 def test_generate_dataset_lorentz_chained():
     f = make_field("lorentz4d")
-    ds = generate_dataset(f, LORENTZ_TEST_POINT, 0.2, 25, 1e-2)
+    ds = _dataset(f, LORENTZ_TEST_POINT, 0.2, 25, 1e-2)
     assert ds.n_pairs == 25
     assert np.array_equal(ds.x[1:], ds.y[:-1])
 
 
 def test_generate_dataset_zero_field():
-    ds = generate_dataset(zero_field(), np.array([0.3, 0.4]), 0.5, 4, 1e-2)
+    ds = _dataset(zero_field(), np.array([0.3, 0.4]), 0.5, 4, 1e-2)
     for k in range(4):
         assert np.array_equal(ds.x[k], np.array([0.3, 0.4]))
         assert np.array_equal(ds.y[k], np.array([0.3, 0.4]))
@@ -417,14 +363,14 @@ def test_generate_dataset_zero_field():
 
 def test_generate_dataset_periodic_pair():
     f = make_field("harmonic2d")
-    ds = generate_dataset(f, np.array([1.0, 0.0]), 2.0 * np.pi, 1, 1e-3)
+    ds = _dataset(f, np.array([1.0, 0.0]), 2.0 * np.pi, 1, 1e-3)
     assert ds.n_pairs == 1
     assert np.max(np.abs(ds.y[0] - ds.x[0])) < 1e-8
 
 
 def test_generate_dataset_validation():
     with pytest.raises(ConfigError):
-        generate_dataset(zero_field(), np.zeros(2), 0.2, 0, 1e-3)
+        _dataset(zero_field(), np.zeros(2), 0.2, 0, 1e-3)
 
 
 def test_trajectory_validation():
@@ -442,7 +388,8 @@ def test_trajectory_csv_roundtrip():
     traj = generate_trajectory(f, np.array([1.0, 0.0]), 0.3, 5, 1e-2)
     text = trajectory_to_csv(traj)
     assert text.startswith("t,y1,y2\n")
-    back = trajectory_from_csv(text)
+    arr = np.array([[float(v) for v in ln.split(",")] for ln in text.strip().split("\n")[1:]])
+    back = Trajectory(arr[:, 0], arr[:, 1:])
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.states, traj.states)
     assert trajectory_to_csv(back) == text
@@ -450,7 +397,7 @@ def test_trajectory_csv_roundtrip():
 
 def test_dataset_csv_roundtrip():
     f = make_field("lorentz4d")
-    ds = generate_dataset(f, LORENTZ_TEST_POINT, 0.2, 3, 1e-2)
+    ds = _dataset(f, LORENTZ_TEST_POINT, 0.2, 3, 1e-2)
     text = dataset_to_csv(ds)
     assert text.startswith("x1,x2,x3,x4,xp1,xp2,xp3,xp4\n")
     back = dataset_from_csv(text)

@@ -10,7 +10,6 @@ from mpflow.mlp import (
     backward_batch,
     forward_batch,
     forward_cached,
-    lipschitz_bound,
     mlp_init,
     mlp_params,
     mlp_with_params,
@@ -226,18 +225,6 @@ def test_gradient_check_sweep():
         for g, f in zip(grads, fd):
             np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(dx[0], fd_input_grad(mlp, x, up), rtol=1e-5, atol=1e-8)
-
-
-def test_lipschitz_witness_sigmoid():
-    mlp = mlp_init((3, 16, 2), "sigmoid", seed=8)
-    bound = lipschitz_bound(mlp)
-    rng = Xoshiro256(4)
-    for _ in range(1000):
-        x = rng.uniform_array(3, -2, 2)
-        xp = rng.uniform_array(3, -2, 2)
-        lhs = np.max(np.abs(forward_cached(mlp, x)[0] - forward_cached(mlp, xp)[0]))
-        rhs = bound * np.max(np.abs(x - xp))
-        assert lhs <= rhs + 1e-12
 
 
 # --- adam -------------------------------------------------------------------

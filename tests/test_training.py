@@ -8,7 +8,6 @@ from mpflow.coupling import (
     net_apply_batch,
     net_backward_collected,
     net_forward_collect,
-    net_inverse,
     net_trainable_params,
     upper_layer,
 )
@@ -280,7 +279,7 @@ def test_rollout_forward_then_inverse_returns_start():
     traj, _ = rollout(net, x0, 10)
     x = traj.states[-1]
     for _ in range(10):
-        x = net_inverse(net, x)
+        x = net_apply_batch(net, x, inverse=True)
     assert np.max(np.abs(x - x0)) < 1e-9
 
 
