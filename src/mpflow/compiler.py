@@ -38,6 +38,7 @@ from .pair_decomposition import (
     Decomposition,
     DecompositionConfig,
     PairField,
+    _zero_component,
     build_pairs,
     decompose,
 )
@@ -47,12 +48,19 @@ from .verify import as_box, sample_points
 
 def _pair_shift_fn(ufn, j, tau, h):
     # h * ufn(tau, y), y = u with a zero inserted at coordinate j; a batch
-    # reaches the pair component as columns (D, n)
+    # reaches the pair component as columns (D, n). A pinned-zero component
+    # adds h * 0.0 (signed like h) without evaluating the field.
+    if ufn is _zero_component:
+        zero = h * 0.0
+        return lambda u: np.full(u.shape[:-1] + (1,), zero)
+
     def fn(u):
-        y = np.zeros(u.shape[:-1] + (u.shape[-1] + 1,))
-        y[..., :j] = u[..., :j]
-        y[..., j + 1 :] = u[..., j:]
-        return (h * ufn(tau, y.T))[..., None]
+        cols = u.T
+        y = np.empty((cols.shape[0] + 1,) + cols.shape[1:])
+        y[:j] = cols[:j]
+        y[j] = 0.0
+        y[j + 1 :] = cols[j:]
+        return (h * ufn(tau, y))[..., None]
 
     return fn
 
@@ -85,9 +93,9 @@ def _pair_shift_factory(fid, params, in_dim, out_dim):
     params = np.asarray(params, float)
     if params.size < 8:
         raise ConfigError("pairshift params are truncated")
-    d, comp, tau, h = params[:4]
+    d, comp, tau, h = params[:4].tolist()  # Python floats: cheaper checks, same products
     pairs = _rebuilt_pairs(fid, in_dim, params[4:].tobytes())
-    if not (float(d).is_integer() and 1 <= d <= len(pairs)):
+    if not (d.is_integer() and 1 <= d <= len(pairs)):
         raise ConfigError(f"pairshift d must be an integer in [1, {len(pairs)}], got {d}")
     if comp not in (0, 1):
         raise ConfigError(f"pairshift comp must be 0 or 1, got {comp}")

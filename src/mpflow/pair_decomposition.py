@@ -176,7 +176,14 @@ def separability_check(pair: PairField, sample_box, tol=DEFAULT_TOL) -> str:
     this is exactly the separability criterion.
     """
     exclude = pair.provenance.field.singular if pair.provenance is not None else None
-    cols = sample_points(sample_box, _CHECK_SAMPLES, _DETECT_SEED, exclude=exclude).T
+    return _separable(pair, _separability_cols(sample_box, exclude), tol)
+
+
+def _separability_cols(sample_box, exclude):
+    return sample_points(sample_box, _CHECK_SAMPLES, _DETECT_SEED, exclude=exclude).T
+
+
+def _separable(pair: PairField, cols, tol) -> str:
     d0 = pair.d - 1
     du1 = _fd_partial(pair.u1, d0)(0.0, cols)
     du2 = _fd_partial(pair.u2, d0 + 1)(0.0, cols)
@@ -223,5 +230,6 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
             worst_residual=residual_max,
         )
 
-    pairs = tuple(replace(pair, separable=separability_check(pair, (lo, hi), tol)) for pair in pairs)
+    sep_cols = _separability_cols((lo, hi), field.singular)  # one sample checks every pair
+    pairs = tuple(replace(pair, separable=_separable(pair, sep_cols, tol)) for pair in pairs)
     return Decomposition(pairs, residual_max, pairs[0].provenance)

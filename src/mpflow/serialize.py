@@ -11,12 +11,21 @@ Document shape:
 
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, so serialize(deserialize(serialize(net))) is byte-identical.
+A negative zero is written as -0.0: the shortest form, -0, would read back as
+the integer 0 and lose its sign.
+
+`dump_json` dispatches on the exact type of each value through one table
+(float, int, str, bool, None, dict, list, tuple); numpy scalars and
+subclasses of those types take an isinstance fallback, and anything else is
+a ParseError.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -27,28 +36,62 @@ from .shifts import FixedShift, MlpShift, fixed_shift
 
 
 def fmt17(x: float) -> str:
-    """Decimal text for a float with 17 significant digits."""
-    if not np.isfinite(x):
+    """Decimal text for a float with 17 significant digits; -0.0 keeps its sign."""
+    v = float(x)
+    if not math.isfinite(v):
         raise ParseError(f"cannot serialize non-finite number {x!r}")
-    return format(float(x), ".17g")
+    text = format(v, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def dump_json(obj) -> str:
     """JSON text with floats at 17 significant digits and stable key order."""
+    dump = _DUMP.get(type(obj))
+    return dump(obj) if dump is not None else _dump_subtype(obj)
+
+
+def _dump_dict(obj) -> str:
+    items = ", ".join([f"{_dump_key(k)}: {dump_json(v)}" for k, v in obj.items()])
+    return "{" + items + "}"
+
+
+def _dump_key(key) -> str:
+    if not isinstance(key, str):
+        raise ParseError(f"cannot serialize object key of type {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _dump_seq(obj) -> str:
+    return "[" + ", ".join(map(dump_json, obj)) + "]"
+
+
+def _dump_subtype(obj) -> str:
+    # numpy scalars and subclasses of the table's types; bool and None cannot
+    # be subclassed, and np.bool_ is not an int
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {dump_json(v)}" for k, v in obj.items())
-        return "{" + items + "}"
+        return _dump_dict(obj)
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dump_json(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+        return _dump_seq(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return fmt17(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+# str -> encode_basestring_ascii is what json.dumps runs for a str
+_DUMP = {
+    float: fmt17,
+    int: str,
+    str: encode_basestring_ascii,
+    bool: json.dumps,
+    type(None): json.dumps,
+    dict: _dump_dict,
+    list: _dump_seq,
+    tuple: _dump_seq,
+}
 
 
 def _shift_doc(shift):

@@ -26,7 +26,7 @@ from mpflow.coupling import (
 from mpflow.dynamics import make_field, rk4_flow
 from mpflow.errors import ConfigError, NumericError, UnsupportedError
 from mpflow.mlp import Mlp
-from mpflow.pair_decomposition import decompose
+from mpflow.pair_decomposition import _zero_component, decompose
 from mpflow.rng import Xoshiro256
 from mpflow.serialize import deserialize, load_net, save_net, serialize
 from mpflow.shifts import MlpShift, fixed_shift, register_fixed_shift
@@ -165,6 +165,24 @@ def test_compiled_net_serialization_reproduces_bitwise(field, T, n_steps, box, m
         want = net_apply_batch(net, pts, inverse=inverse)
         assert np.array_equal(net_apply_batch(restored, pts, inverse=inverse), want)
     assert serialize(restored) == data
+
+
+def test_pinned_zero_shift_adds_h_times_zero_without_the_field():
+    # lorentz4d pins u2 of pairs 1 and 2 to zero; with T < 0 each such shear
+    # adds h * 0.0 = -0.0, which the field path computed as h * zeros
+    field = make_field("lorentz4d")
+    net = compile_flow(field, 0.0, -0.2, 2, BOX4).net
+    pinned = [layer for layer in net.layers if layer.shift.params[1] == 1 and layer.shift.params[0] < 3]
+    assert len(pinned) == 4
+    pts = sample_points(BOX4, 6, 9, exclude=field.singular)[:, 1:]
+    for layer in pinned:
+        d, comp, tau, h = layer.shift.params[:4]
+        via_field = compiler._pair_shift_fn(lambda t, y: _zero_component(t, y), int(d), tau, h)
+        for u, shape in ((pts[0], (1,)), (pts, (6, 1))):
+            got = layer.shift(u)
+            assert got.shape == shape and got.dtype == np.float64
+            assert np.all(got == 0.0) and np.all(np.signbit(got))
+            assert got.tobytes() == via_field(u).tobytes()
 
 
 def test_compile_rejects_a_field_id_the_registry_cannot_rebuild():

@@ -5,7 +5,7 @@ import pytest
 
 from mpflow.coupling import MPNet, net_forward
 from mpflow.errors import ParseError
-from mpflow.mlp import mlp_init
+from mpflow.mlp import Mlp, mlp_init
 from mpflow.rng import Xoshiro256
 from mpflow.serialize import deserialize, dump_json, fmt17, net_to_doc, serialize
 from mpflow.shifts import MlpShift, fixed_shift
@@ -135,6 +135,68 @@ def test_unknown_fixed_id_rejected():
 def test_dump_json_17_digits():
     text = dump_json({"v": 1.0 / 3.0})
     assert text == '{"v": 0.33333333333333331}'
+
+
+@pytest.mark.parametrize(
+    "obj, text",
+    [
+        (1.0, "1"),
+        (1.0 / 3.0, "0.33333333333333331"),
+        (-2.5e-300, "-2.5e-300"),
+        (7, "7"),
+        (-12, "-12"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (np.int64(-3), "-3"),
+        (True, "true"),
+        (False, "false"),
+        (None, "null"),
+        ('say "hi"\nnaïve π', '"say \\"hi\\"\\nna\\u00efve \\u03c0"'),
+        ([1, [2.0, []], (3, "a")], '[1, [2, []], [3, "a"]]'),
+        ((), "[]"),
+        ({"b": {"c": [None]}, "a": (0.5,)}, '{"b": {"c": [null]}, "a": [0.5]}'),
+        ({}, "{}"),
+    ],
+    ids=["float-int-valued", "float-17", "float-tiny", "int", "int-neg", "np-float64",
+         "np-int64", "true", "false", "none", "str", "list", "empty-tuple", "dict",
+         "empty-dict"],
+)
+def test_dump_json_text_per_kind(obj, text):
+    assert dump_json(obj) == text
+    assert json.loads(text) == json.loads(json.dumps(obj, default=float))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
+def test_dump_json_rejects_non_finite_naming_the_value(value):
+    with pytest.raises(ParseError, match="non-finite number .*(nan|inf)"):
+        dump_json({"x": [1.0, value]})
+
+
+@pytest.mark.parametrize("obj", [{1, 2}, np.bool_(True), {"x": object()}], ids=["set", "np-bool", "object"])
+def test_dump_json_rejects_unsupported_types(obj):
+    with pytest.raises(ParseError, match="cannot serialize object of type"):
+        dump_json(obj)
+
+
+def test_dump_json_rejects_a_key_that_is_not_a_string():
+    # json.loads could not read {1: 2} back
+    with pytest.raises(ParseError, match="key of type int"):
+        dump_json({1: 2.0})
+
+
+def test_negative_zero_survives_a_round_trip():
+    from mpflow.compiler import shear_to_couplings
+    from mpflow.coupling import shear_layer
+
+    assert dump_json([-0.0, 0.0, np.float64(-0.0)]) == "[-0.0, 0, -0.0]"
+    mlp = mlp_init((2, 3, 1), "sigmoid", 5)
+    mlp = Mlp(mlp.layer_dims, mlp.weights, (mlp.biases[0], np.zeros(1)), "sigmoid")
+    net = shear_to_couplings(shear_layer(3, 1, MlpShift(mlp)), s=3)
+    data = serialize(net)
+    assert b"-0.0" in data
+    restored = deserialize(data)
+    assert serialize(restored) == data
+    for layer, back in zip(net.layers, restored.layers):
+        assert np.array_equal(np.signbit(layer.shift.params), np.signbit(back.shift.params))
 
 
 def test_mlp_shift_weights_serialized_row_major():
