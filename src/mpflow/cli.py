@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -174,31 +175,15 @@ def cmd_train(config, out_dir, seed):
     if not ds_path.exists():
         _fail(f"dataset file not found: {ds_path}")
     ds = dataset_from_csv(ds_path.read_text())
-    tc = TrainConfig(
-        n_layers=cfg["n_layers"],
-        s=cfg["s"],
-        width=cfg["width"],
-        activation=cfg["activation"],
-        lr=cfg["lr"],
-        epochs=cfg["epochs"],
-        seed=used_seed,
-        log_stride=cfg["log_stride"],
-    )
+    tc = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name != "seed"},
+                     seed=used_seed)
     net, metrics = train(ds, tc)
     save_net(net, out_dir / "model.json")
     metrics_doc = {
         "loss_curve": [[e, v] for e, v in metrics.loss_curve],
         "final_loss": metrics.final_loss,
         "seed": used_seed,
-        "config": {
-            "n_layers": tc.n_layers,
-            "s": tc.s,
-            "width": tc.width,
-            "activation": tc.activation,
-            "lr": tc.lr,
-            "epochs": tc.epochs,
-            "log_stride": tc.log_stride,
-        },
+        "config": {k: v for k, v in asdict(tc).items() if k != "seed"},
     }
     _write(out_dir / "metrics.json", dump_json(metrics_doc))
     outputs = ["model.json", "metrics.json"]

@@ -21,12 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupling import (
+    LOWER,
+    SHEAR,
+    UPPER,
     Layer,
     MPNet,
-    SHEAR,
     lower_layer,
     net_apply_batch,
     shear_layer,
+    shift_dims,
     upper_layer,
 )
 from .dynamics import FD_STEP, VectorField, field_from_params, rk4_flow
@@ -154,7 +157,8 @@ def shear_pair(pair: PairField, tau, h):
     fid = f"pairshift:{config.field.fid}"
     return tuple(
         shear_layer(pair.dim, pair.d + comp,
-                    fixed_shift(fid, _pair_shift_params(config, pair.d, comp, tau, h), pair.dim - 1, 1))
+                    fixed_shift(fid, _pair_shift_params(config, pair.d, comp, tau, h),
+                                *shift_dims(SHEAR, pair.dim, pair.d + comp)))
         for comp in (0, 1)
     )
 
@@ -225,8 +229,7 @@ def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:
             "by relabeling coordinates first"
         )
     dim = shear.dim
-    if not 2 <= s <= dim:
-        raise ConfigError(f"split must satisfy 2 <= s <= {dim}, got {s}")
+    d_in, d_out = shift_dims(LOWER, dim, s)  # the linear shears' widths; checks s
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     shift = shear.shift
@@ -247,17 +250,18 @@ def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:
         raise ConfigError(
             f"degenerate delta: K[w][{s - 1}] + delta vanishes for some hidden unit"
         )
+    sig_dims = shift_dims(UPPER, dim, 2)
     layers = []
     for w in range(width):
-        mat = np.zeros((dim - s + 1, s - 1))
+        mat = np.zeros((d_out, d_in))
         mat[0, 1 : s - 1] = K[w, : s - 2] / denom[w]
         w_vec = K[w].copy()
         w_vec[: s - 2] = 0.0
         w_vec[s - 2] += delta
         sig_params = np.concatenate([[a_vec[w], b_vec[w]], w_vec])
-        layers.append(lower_layer(dim, s, fixed_shift("linear", mat.reshape(-1), s - 1, dim - s + 1)))
-        layers.append(upper_layer(dim, 2, fixed_shift("scaled_sigmoid", sig_params, dim - 1, 1)))
-        layers.append(lower_layer(dim, s, fixed_shift("linear", (-mat).reshape(-1), s - 1, dim - s + 1)))
+        layers.append(lower_layer(dim, s, fixed_shift("linear", mat.reshape(-1), d_in, d_out)))
+        layers.append(upper_layer(dim, 2, fixed_shift("scaled_sigmoid", sig_params, *sig_dims)))
+        layers.append(lower_layer(dim, s, fixed_shift("linear", (-mat).reshape(-1), d_in, d_out)))
     return MPNet(dim, tuple(layers))
 
 

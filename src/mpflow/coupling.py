@@ -8,6 +8,12 @@ function of the other D-1 coordinates to component i. Each update touches a
 block the shift does not read, so the Jacobian is unit-triangular and the
 inverse is the same subtraction in closed form.
 
+This module alone knows which columns a layer reads and writes. Every `Layer`,
+however built (a constructor, `Layer(...)`, `dataclasses.replace`), checks its
+kind, dim, split or target and its shift's widths on construction and stores
+its columns; layers of one geometry share them. Other modules take a shift's
+widths from `shift_dims(kind, dim, pos)` instead of deriving them.
+
 Layers and nets are immutable after construction; forward, inverse, and
 backward are pure functions and safe for concurrent callers.
 
@@ -24,7 +30,7 @@ by the forward that computed the output (None for a FixedShift).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,73 +43,77 @@ LOWER = "lower"
 SHEAR = "shear"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Layer:
+    """One layer; construction checks its geometry and its shift's widths and
+    stores the columns the shift reads and the columns it writes."""
+
     kind: str
     dim: int
     s: int = 0  # split, upper/lower only
     i: int = 0  # target coordinate, shear only
     shift: object = None
+    read: object = field(init=False, compare=False, repr=False)
+    written: object = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        pos = self.i if self.kind == SHEAR else self.s
+        read, written, in_dim, out_dim = _geometry(self.kind, self.dim, pos)
+        got = (getattr(self.shift, "in_dim", None), getattr(self.shift, "out_dim", None))
+        if got != (in_dim, out_dim):
+            raise ConfigError(
+                f"{self.kind} shift must map dim {in_dim} -> {out_dim}, got {got[0]} -> {got[1]}"
+            )
+        object.__setattr__(self, "read", read)
+        object.__setattr__(self, "written", written)
+
+
+@functools.lru_cache(maxsize=256, typed=True)  # typed: pos 2.0 must not share pos 2's columns
+def _geometry(kind, dim, pos):
+    """(read, written, in_dim, out_dim) of a layer of this kind, dim and split
+    or target: the shift reads x[..., read] and its output is added to
+    x[..., written]. Cached, so layers of one geometry share their columns."""
+    if kind == SHEAR:
+        if dim < 2:
+            raise ConfigError(f"shear layers need dim >= 2, got {dim}")
+        if not 1 <= pos <= dim:
+            raise ConfigError(f"shear target must satisfy 1 <= i <= {dim}, got {pos}")
+        read = np.delete(np.arange(dim), pos - 1)  # an int array indexes far faster than a list
+        read.flags.writeable = False  # shared by every layer of this geometry
+        return read, slice(pos - 1, pos), dim - 1, 1
+    if kind not in (UPPER, LOWER):
+        raise ConfigError(f"layer kind must be {UPPER!r}, {LOWER!r} or {SHEAR!r}, got {kind!r}")
+    if dim < 2:
+        raise ConfigError(f"coupling layers need dim >= 2, got {dim}")
+    if not 2 <= pos <= dim:
+        raise ConfigError(f"split must satisfy 2 <= s <= {dim}, got {pos}")
+    first, rest = slice(0, pos - 1), slice(pos - 1, dim)
+    if kind == UPPER:
+        return rest, first, dim - pos + 1, pos - 1
+    return first, rest, pos - 1, dim - pos + 1
+
+
+def shift_dims(kind, dim, pos):
+    """(in_dim, out_dim) of the shift of a layer of this kind and dim, with
+    split s (upper, lower) or target i (shear) pos; ConfigError if the layer
+    cannot exist."""
+    return _geometry(kind, dim, pos)[2:]
 
 
 def upper_layer(dim, s, shift) -> Layer:
-    _check_split(dim, s)
-    _check_shift_dims(shift, dim - s + 1, s - 1, "upper")
     return Layer(UPPER, dim, s=s, shift=shift)
 
 
 def lower_layer(dim, s, shift) -> Layer:
-    _check_split(dim, s)
-    _check_shift_dims(shift, s - 1, dim - s + 1, "lower")
     return Layer(LOWER, dim, s=s, shift=shift)
 
 
 def shear_layer(dim, i, shift) -> Layer:
-    if dim < 2:
-        raise ConfigError(f"shear layers need dim >= 2, got {dim}")
-    if not 1 <= i <= dim:
-        raise ConfigError(f"shear target must satisfy 1 <= i <= {dim}, got {i}")
-    _check_shift_dims(shift, dim - 1, 1, "shear")
     return Layer(SHEAR, dim, i=i, shift=shift)
-
-
-def _check_split(dim, s):
-    if dim < 2:
-        raise ConfigError(f"coupling layers need dim >= 2, got {dim}")
-    if not 2 <= s <= dim:
-        raise ConfigError(f"split must satisfy 2 <= s <= {dim}, got {s}")
-
-
-def _check_shift_dims(shift, in_dim, out_dim, kind):
-    if shift.in_dim != in_dim or shift.out_dim != out_dim:
-        raise ConfigError(
-            f"{kind} shift must map dim {in_dim} -> {out_dim}, "
-            f"got {shift.in_dim} -> {shift.out_dim}"
-        )
 
 
 def layer_forward(layer: Layer, x) -> np.ndarray:
     return _layer_apply_cached(layer, _check_point(layer.dim, x))[0]
-
-
-@functools.lru_cache(maxsize=256)
-def _shear_read(dim, j):
-    # built once per (dim, j); an int array indexes far faster than a list
-    read = np.delete(np.arange(dim), j)
-    read.flags.writeable = False  # shared by every caller
-    return read
-
-
-def _columns(layer):
-    """(read, written) 0-based columns: the shift reads x[..., read] and its
-    output is added to x[..., written]."""
-    k = layer.s - 1
-    if layer.kind == UPPER:
-        return slice(k, layer.dim), slice(0, k)
-    if layer.kind == LOWER:
-        return slice(0, k), slice(k, layer.dim)
-    j = layer.i - 1
-    return _shear_read(layer.dim, j), slice(j, j + 1)
 
 
 def _layer_apply_cached(layer: Layer, x, inverse=False):
@@ -113,17 +123,16 @@ def _layer_apply_cached(layer: Layer, x, inverse=False):
     x = np.asarray(x, float)
     if x.ndim not in (1, 2) or x.shape[-1] != layer.dim:
         raise ConfigError(f"expected ({layer.dim},) point or (n, {layer.dim}) batch, got {x.shape}")
-    read, written = _columns(layer)
-    u = x[..., read]
+    u = x[..., layer.read]
     if isinstance(layer.shift, MlpShift):
         shifted, cache = forward_cached(layer.shift.mlp, u)
     else:
         shifted, cache = layer.shift.apply_batch(u), None
     out = x.copy()
     if inverse:
-        out[..., written] -= shifted
+        out[..., layer.written] -= shifted
     else:
-        out[..., written] += shifted
+        out[..., layer.written] += shifted
     return out, cache
 
 
@@ -177,12 +186,11 @@ def layer_backward_batch(layer: Layer, x, cache, upstream):
     cannot propagate gradients and raise UnsupportedError.
     """
     g = np.asarray(upstream, float)
-    read, written = _columns(layer)
-    g_out = g[:, written]
+    g_out = g[:, layer.written]
     if isinstance(layer.shift, MlpShift):
         grads, du = backward_batch(layer.shift.mlp, cache, g_out)
     elif isinstance(layer.shift, FixedShift):
-        jac = layer.shift.jacobian(np.asarray(x, float)[:, read])
+        jac = layer.shift.jacobian(np.asarray(x, float)[:, layer.read])
         if jac is None:
             raise UnsupportedError(
                 f"fixed shift {layer.shift.id!r} has no registered analytic Jacobian; "
@@ -193,7 +201,7 @@ def layer_backward_batch(layer: Layer, x, cache, upstream):
     else:
         raise ConfigError(f"unknown shift type {type(layer.shift)!r}")
     dx = g.copy()
-    dx[:, read] += du
+    dx[:, layer.read] += du
     return grads, dx
 
 

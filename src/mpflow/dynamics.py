@@ -292,13 +292,13 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
     and for poly fields an array square is exact where a scalar one goes
     through pow, so rows can differ from single-point runs by an ulp or so.
 
-    Finiteness is checked once, at the end of the hop: an inf or nan entry
-    stays non-finite through every later substep. If the end state is not
-    finite, or the float path raises ZeroDivisionError where numpy would give
-    inf or nan, the hop is rerun on the array state with a check after every
-    substep, which raises NumericError naming the first non-finite substep
-    (and row of a batch). numpy's floating-point warnings are silenced on the
-    array state, so that error is the one report.
+    The float path checks finiteness once, at the end of the hop: an inf or
+    nan entry stays non-finite through every later substep. If its end state
+    is not finite, or it raises ZeroDivisionError where numpy would give inf
+    or nan, the hop is rerun on the array state. The array state is checked
+    after every substep, so a non-finite one raises NumericError naming the
+    first non-finite substep (and row of a batch). numpy's floating-point
+    warnings are silenced on the array state, so that error is the one report.
     """
     x = np.asarray(x, float)
     if x.shape != (field.dim,) and (x.ndim != 2 or x.shape[1] != field.dim):
@@ -310,17 +310,12 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
     if x.ndim == 1 and field.func is _lorentz4d:  # a replaced func keeps the array loop
         try:
             y = np.array(_rk4_point(_lorentz4d_point, tau, n, h, x.tolist()))
+            if np.isfinite(y).all():
+                return y
         except ZeroDivisionError:
-            y = np.array(np.nan)  # numpy would have gone non-finite: rerun below
-    else:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = x.T
-            for k in range(n):
-                y = _rk4_single(field.func, tau + k * h, h, y)
-    if not np.isfinite(y).all():
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = _rk4_substeps(field.func, tau, n, h, x.T)
-    return y.T.copy()
+            pass  # numpy would have gone non-finite: the checked loop reports it
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _rk4_substeps(field.func, tau, n, h, x.T).T.copy()
 
 
 @dataclass(frozen=True)

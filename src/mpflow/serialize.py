@@ -29,8 +29,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .coupling import LOWER, SHEAR, UPPER, MPNet, lower_layer, shear_layer, upper_layer
-from .errors import ParseError
+from .coupling import LOWER, SHEAR, UPPER, MPNet, lower_layer, shear_layer, shift_dims, upper_layer
+from .errors import ConfigError, ParseError
 from .mlp import ACTIVATIONS, Mlp
 from .shifts import FixedShift, MlpShift, fixed_shift
 
@@ -192,8 +192,16 @@ def _parse_shift(doc, where, in_dim, out_dim):
     if kind == "fixed":
         sid = _expect(doc, "id", str, where)
         params = _float_list(_expect(doc, "params", list, where), f"{where}.params")
-        return fixed_shift(sid, params, in_dim, out_dim)
+        shift = fixed_shift(sid, params, in_dim, out_dim)
+        finite = np.isfinite(shift.params)
+        if not finite.all():
+            raise ParseError(f"field {where}.params[{finite.argmin()}] must be a finite number")
+        return shift
     raise ParseError(f"field {where}.type must be 'mlp' or 'fixed'")
+
+
+# the constructors store the module's kind strings, not one parsed copy per layer
+_CONSTRUCTORS = {UPPER: upper_layer, LOWER: lower_layer, SHEAR: shear_layer}
 
 
 def net_from_doc(doc) -> MPNet:
@@ -212,27 +220,18 @@ def net_from_doc(doc) -> MPNet:
         if not isinstance(entry, dict):
             raise ParseError(f"field {where} must be an object")
         kind = _expect(entry, "kind", str, where)
+        if kind not in _CONSTRUCTORS:
+            raise ParseError(f"field {where}.kind must be 'upper', 'lower' or 'shear'")
+        key = "i" if kind == SHEAR else "s"
+        pos = _expect(entry, key, int, where)
         try:
-            if kind in (UPPER, LOWER):
-                s = _expect(entry, "s", int, where)
-                if not 2 <= s <= dim:
-                    raise ParseError(f"field {where}.s must be in [2, {dim}]")
-                if kind == UPPER:
-                    shift = _parse_shift(entry["shift"], f"{where}.shift", dim - s + 1, s - 1)
-                    layers.append(upper_layer(dim, s, shift))
-                else:
-                    shift = _parse_shift(entry["shift"], f"{where}.shift", s - 1, dim - s + 1)
-                    layers.append(lower_layer(dim, s, shift))
-            elif kind == SHEAR:
-                i = _expect(entry, "i", int, where)
-                if not 1 <= i <= dim:
-                    raise ParseError(f"field {where}.i must be in [1, {dim}]")
-                shift = _parse_shift(entry["shift"], f"{where}.shift", dim - 1, 1)
-                layers.append(shear_layer(dim, i, shift))
-            else:
-                raise ParseError(f"field {where}.kind must be 'upper', 'lower' or 'shear'")
-        except KeyError as exc:
-            raise ParseError(f"missing field {where}.{exc.args[0]}") from exc
+            in_dim, out_dim = shift_dims(kind, dim, pos)
+        except ConfigError as exc:
+            raise ParseError(f"field {where}.{key}: {exc}") from None
+        if "shift" not in entry:
+            raise ParseError(f"missing field {where}.shift")
+        shift = _parse_shift(entry["shift"], f"{where}.shift", in_dim, out_dim)
+        layers.append(_CONSTRUCTORS[kind](dim, pos, shift))
     return MPNet(dim, tuple(layers))
 
 

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coupling import (
+    LOWER,
+    UPPER,
+    Layer,
     MPNet,
-    lower_layer,
     net_apply_batch,
     net_backward_collected,
     net_forward,
     net_forward_collect,
     net_trainable_params,
-    upper_layer,
+    shift_dims,
 )
 from .dynamics import PairDataset, Trajectory
 from .errors import ConfigError, NumericError, TrainingError
@@ -64,22 +66,13 @@ class TrainMetrics:
 
 def build_training_net(dim, config: TrainConfig) -> MPNet:
     """Alternating upper/lower stack (upper first) with freshly seeded shifts."""
-    if dim < 2:
-        raise ConfigError(f"training nets need dim >= 2, got {dim}")
-    if not 2 <= config.s <= dim:
-        raise ConfigError(f"split must satisfy 2 <= s <= {dim}, got {config.s}")
     seeder = Xoshiro256(config.seed)
     layers = []
     for l in range(config.n_layers):
-        seed = seeder.next_u64()
-        if l % 2 == 0:
-            mlp = mlp_init((dim - config.s + 1, config.width, config.s - 1),
-                           config.activation, seed)
-            layers.append(upper_layer(dim, config.s, MlpShift(mlp)))
-        else:
-            mlp = mlp_init((config.s - 1, config.width, dim - config.s + 1),
-                           config.activation, seed)
-            layers.append(lower_layer(dim, config.s, MlpShift(mlp)))
+        kind = (UPPER, LOWER)[l % 2]
+        d_in, d_out = shift_dims(kind, dim, config.s)
+        mlp = mlp_init((d_in, config.width, d_out), config.activation, seeder.next_u64())
+        layers.append(Layer(kind, dim, s=config.s, shift=MlpShift(mlp)))
     return MPNet(dim, tuple(layers))
 
 

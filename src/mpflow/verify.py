@@ -28,11 +28,11 @@ def as_box(box):
     return lo, hi
 
 
-def sample_points(box, n, rng, exclude=None) -> np.ndarray:
-    """n uniform points in the box, resampling any that `exclude` flags."""
+def sample_points(box, n, seed, exclude=None) -> np.ndarray:
+    """n uniform points in the box from a Xoshiro256 stream seeded with seed,
+    resampling any that `exclude` flags."""
     lo, hi = as_box(box)
-    if isinstance(rng, (int, np.integer)):
-        rng = Xoshiro256(rng)
+    rng = Xoshiro256(seed)
     dim = lo.size
     out = np.empty((n, dim))
     for row in range(n):
@@ -104,7 +104,7 @@ def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     lo, hi = as_box(box)
     volume = float(np.prod(hi - lo))
-    pts = sample_points((lo, hi), n_samples, Xoshiro256(seed))
+    pts = sample_points((lo, hi), n_samples, seed)
     diff = np.asarray(map_a(pts), float) - np.asarray(map_b(pts), float)
     if diff.shape != pts.shape:
         raise ConfigError(f"lp_error maps must return {pts.shape} batches, got {diff.shape}")

@@ -488,6 +488,35 @@ def test_verify_model_number_beyond_float_range_exits_2(tmp_path):
     assert "field layers[0].shift.params[0] is beyond float range" in manifest["error"]
 
 
+def _verify_exits_2_with(tmp_path, doc, message):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))  # writes NaN and Infinity, as json reads them
+    code, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert message in manifest["error"]
+
+
+@pytest.mark.parametrize(
+    "sid, params, slot",
+    [("constant", [float("nan")], 0), ("linear", [1.0, float("inf")], 1)],
+    ids=["constant-nan", "linear-inf"],
+)
+def test_verify_non_finite_fixed_params_exit_2_naming_the_slot(tmp_path, sid, params, slot):
+    shift = {"type": "fixed", "id": sid, "params": params}
+    doc = {"dim": 3, "layers": [{"kind": "shear", "i": 1, "shift": shift}]}
+    _verify_exits_2_with(tmp_path, doc, f"field layers[0].shift.params[{slot}] must be a finite number")
+
+
+def test_verify_non_finite_pairshift_tau_exits_2_naming_the_slot(tmp_path):
+    code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG, out=tmp_path / "compiled")
+    assert code == 0
+    doc = json.loads((compiled / "model.json").read_text())
+    doc["layers"][3]["shift"]["params"][2] = float("nan")  # tau
+    _verify_exits_2_with(tmp_path, doc, "field layers[3].shift.params[2] must be a finite number")
+
+
 def test_compiled_model_format_is_pinned(tmp_path):
     # model.json holds config numbers and Python float arithmetic only
     # (tau = k*h, h = T/n), so its bytes do not depend on the platform

@@ -1,9 +1,14 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mpflow.coupling import (
+    LOWER,
+    SHEAR,
+    UPPER,
+    Layer,
     MPNet,
     layer_apply_batch,
     layer_forward,
@@ -13,6 +18,7 @@ from mpflow.coupling import (
     net_forward,
     net_forward_collect,
     shear_layer,
+    shift_dims,
     upper_layer,
 )
 from mpflow.errors import ConfigError, UnsupportedError
@@ -172,6 +178,71 @@ def test_layer_dim_validation():
     layer = upper_layer(3, 2, MlpShift(mlp))
     with pytest.raises(ConfigError):
         layer_forward(layer, np.zeros(4))
+
+
+GEOMETRIES = [
+    (kind, dim, pos)
+    for dim in range(2, 6)
+    for kind, first in ((UPPER, 2), (LOWER, 2), (SHEAR, 1))
+    for pos in range(first, dim + 1)
+]
+
+
+def _layer(kind, dim, pos, shift):
+    return Layer(kind, dim, shift=shift, **{"i" if kind == SHEAR else "s": pos})
+
+
+@pytest.mark.parametrize("kind, dim, pos", GEOMETRIES)
+def test_every_geometry_keeps_its_shift_widths_and_inverts_exactly(kind, dim, pos):
+    d_in, d_out = shift_dims(kind, dim, pos)
+    # eighths and small integers: every sum and product below is exact
+    rng = Xoshiro256(100 * dim + pos)
+    mat = np.floor(rng.uniform_array(d_out * d_in, -4, 4))
+    x = np.floor(rng.uniform_array((7, dim), -16, 16)) / 8
+    layer = _layer(kind, dim, pos, fixed_shift("linear", mat, d_in, d_out))
+    cols = np.arange(dim)
+    read, written = cols[layer.read], cols[layer.written]
+    assert (read.size, written.size) == (d_in, d_out)
+    assert sorted(read.tolist() + written.tolist()) == cols.tolist()
+    # layers of one geometry share their column objects
+    twin = _layer(kind, dim, pos, fixed_shift("constant", np.zeros(d_out), d_in, d_out))
+    assert twin.read is layer.read and twin.written is layer.written
+    y = layer_apply_batch(layer, x)
+    assert np.array_equal(y[:, read], x[:, read])
+    assert np.array_equal(y[:, written], x[:, written] + x[:, read] @ mat.reshape(d_out, d_in).T)
+    assert np.array_equal(layer_apply_batch(layer, y, inverse=True), x)
+
+
+@pytest.mark.parametrize(
+    "kind, dim, pos, message",
+    [
+        (UPPER, 4, 1, "split must satisfy 2 <= s <= 4, got 1"),
+        (LOWER, 4, 5, "split must satisfy 2 <= s <= 4, got 5"),
+        (SHEAR, 3, 0, "shear target must satisfy 1 <= i <= 3, got 0"),
+        (SHEAR, 3, 4, "shear target must satisfy 1 <= i <= 3, got 4"),
+        (UPPER, 1, 2, "coupling layers need dim >= 2, got 1"),
+        (SHEAR, 1, 1, "shear layers need dim >= 2, got 1"),
+        ("diag", 3, 2, "layer kind must be 'upper', 'lower' or 'shear', got 'diag'"),
+    ],
+)
+def test_bad_geometry_raises_config_error(kind, dim, pos, message):
+    with pytest.raises(ConfigError, match=message):
+        shift_dims(kind, dim, pos)
+    with pytest.raises(ConfigError, match=message):
+        _layer(kind, dim, pos, fixed_shift("constant", [0.0], 1, 1))
+
+
+def test_direct_construction_and_replace_check_the_shift_widths():
+    # a lower layer at s=3 of dim 4 writes two columns; a 1-wide shift must
+    # not broadcast into both
+    narrow = fixed_shift("linear", [1.0, 1.0], 2, 1)
+    with pytest.raises(ConfigError, match="lower shift must map dim 2 -> 2, got 2 -> 1"):
+        Layer(LOWER, 4, s=3, shift=narrow)
+    layer = lower_layer(4, 3, fixed_shift("linear", np.ones(4), 2, 2))
+    with pytest.raises(ConfigError, match="lower shift must map dim 2 -> 2, got 2 -> 1"):
+        replace(layer, shift=narrow)
+    with pytest.raises(ConfigError, match="lower shift must map dim 1 -> 3, got 2 -> 2"):
+        replace(layer, s=2)
 
 
 # --- nets ------------------------------------------------------------------

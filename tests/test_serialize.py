@@ -98,6 +98,22 @@ def test_bad_kind_and_missing_fields():
         deserialize(json.dumps({"layers": []}))
 
 
+@pytest.mark.parametrize(
+    "kind, key, pos",
+    [("upper", "s", 1), ("lower", "s", 4), ("shear", "i", 0), ("shear", "i", 4)],
+)
+def test_out_of_range_split_or_target_names_the_field(kind, key, pos):
+    shift = {"type": "fixed", "id": "constant", "params": [0.0]}
+    doc = {"dim": 3, "layers": [{"kind": kind, key: pos, "shift": shift}]}
+    with pytest.raises(ParseError, match=rf"^field layers\[0\]\.{key}: "):
+        deserialize(json.dumps(doc))
+
+
+def test_bad_kind_is_reported_as_the_kind():
+    with pytest.raises(ParseError, match=r"field layers\[0\]\.kind must be"):
+        deserialize(json.dumps({"dim": 3, "layers": [{"kind": "diag"}]}))
+
+
 def test_weight_count_validation():
     doc = {
         "dim": 2,
