@@ -57,6 +57,7 @@ class Layer:
     written: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        _check_ints(dim=self.dim, s=self.s, i=self.i)
         pos = self.i if self.kind == SHEAR else self.s
         read, written, in_dim, out_dim = _geometry(self.kind, self.dim, pos)
         got = (getattr(self.shift, "in_dim", None), getattr(self.shift, "out_dim", None))
@@ -68,10 +69,21 @@ class Layer:
         object.__setattr__(self, "written", written)
 
 
-@functools.lru_cache(maxsize=256, typed=True)  # typed: pos 2.0 must not share pos 2's columns
+_INT_NAMES = {"dim": "layer dim", "s": "split s", "i": "target i"}
+
+
+def _check_ints(**values):
+    """ConfigError naming the first of dim, s or i that is not an integer; a
+    float split would build a layer whose first apply fails on its slices."""
+    for name, v in values.items():
+        if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            raise ConfigError(f"{_INT_NAMES[name]} must be an integer, got {v!r}")
+
+
+@functools.lru_cache(maxsize=256)
 def _geometry(kind, dim, pos):
-    """(read, written, in_dim, out_dim) of a layer of this kind, dim and split
-    or target: the shift reads x[..., read] and its output is added to
+    """(read, written, in_dim, out_dim) of a layer of this kind, integer dim and
+    split or target: the shift reads x[..., read] and its output is added to
     x[..., written]. Cached, so layers of one geometry share their columns."""
     if kind == SHEAR:
         if dim < 2:
@@ -97,6 +109,7 @@ def shift_dims(kind, dim, pos):
     """(in_dim, out_dim) of the shift of a layer of this kind and dim, with
     split s (upper, lower) or target i (shear) pos; ConfigError if the layer
     cannot exist."""
+    _check_ints(dim=dim, **{"i" if kind == SHEAR else "s": pos})
     return _geometry(kind, dim, pos)[2:]
 
 

@@ -12,17 +12,18 @@ Registered fields:
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
 lorentz4d writes its arithmetic once, as a body over the coordinates that
-takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, `_lorentz4d_point` with
+takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, and `_rk4_point` with
 `math.sqrt` on Python floats, so the two agree bit for bit.
 
 `rk4_flow` takes one point (dim,) or a batch (n, dim). A lorentz4d point (a
-field whose func is `_lorentz4d`) runs its substeps on Python floats, which
-costs a fraction of numpy's per-call overhead on four elements; every other
-input is integrated as one (dim, n) array state. Either way finiteness is
-checked once per hop, at its end. A non-finite end state, or a
-ZeroDivisionError that Python raises where numpy gives inf or nan, reruns the
-hop on the array state with a check after every substep, so the NumericError
-names the substep (and row) where the state first became non-finite.
+field whose func is `_lorentz4d`) runs its substeps in `_rk4_point` on four
+Python floats, which costs a fraction of numpy's per-call overhead on four
+elements; every other input is integrated as one (dim, n) array state.
+Either way finiteness is checked once per hop, at its end. A non-finite end
+state, or a ZeroDivisionError that Python raises where numpy gives inf or
+nan, reruns the hop on the array state with a check after every substep, so
+the NumericError names the substep (and row) where the state first became
+non-finite.
 `partial_divergence_fd` takes a point or columns (dim, ...) and sends every
 shifted copy through one field call. `field_eval`, `divergence_fd` and
 `generate_trajectory` take single points.
@@ -66,10 +67,6 @@ def _lorentz4d_body(y0, y1, y2, y3, sqrt):
 
 def _lorentz4d(t, y):
     return np.array(_lorentz4d_body(y[0], y[1], y[2], y[3], np.sqrt))  # indexing beats unpacking
-
-
-def _lorentz4d_point(t, y):
-    return _lorentz4d_body(*y, math.sqrt)
 
 
 def _harmonic2d(t, y):
@@ -241,18 +238,22 @@ def _rk4_single(func, t, h, y):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _rk4_point(point, tau, n, h, y):
-    """n substeps of _rk4_single on one point held as Python floats, in its
-    operation order, so the end state has its bits; returns a list."""
+def _rk4_point(n, h, y0, y1, y2, y3):
+    """n substeps of _rk4_single on one lorentz4d point held as four Python
+    floats, in its operation order, so the end state has its bits. lorentz4d
+    is autonomous, so no time is kept. k1..k4 are (a0..a3) .. (d0..d3)."""
     hh, h6 = 0.5 * h, h / 6.0
-    for k in range(n):
-        t = tau + k * h
-        k1 = point(t, y)
-        k2 = point(t + hh, [a + hh * b for a, b in zip(y, k1)])
-        k3 = point(t + hh, [a + hh * b for a, b in zip(y, k2)])
-        k4 = point(t + h, [a + h * b for a, b in zip(y, k3)])
-        y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    return y
+    body, sqrt = _lorentz4d_body, math.sqrt
+    for _ in range(n):
+        a0, a1, a2, a3 = body(y0, y1, y2, y3, sqrt)
+        b0, b1, b2, b3 = body(y0 + hh * a0, y1 + hh * a1, y2 + hh * a2, y3 + hh * a3, sqrt)
+        c0, c1, c2, c3 = body(y0 + hh * b0, y1 + hh * b1, y2 + hh * b2, y3 + hh * b3, sqrt)
+        d0, d1, d2, d3 = body(y0 + h * c0, y1 + h * c1, y2 + h * c2, y3 + h * c3, sqrt)
+        y0 = y0 + h6 * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
+        y1 = y1 + h6 * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
+        y2 = y2 + h6 * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
+        y3 = y3 + h6 * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
+    return y0, y1, y2, y3
 
 
 def _rk4_plan(T, h_ref):
@@ -283,7 +284,7 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
     """Classic fourth-order Runge-Kutta flow over [tau, tau+T] with substep h_ref.
 
     x is one point (dim,) or a batch (n, dim). A lorentz4d point runs on
-    Python floats through `_lorentz4d_point`, in the array loop's operation
+    four Python floats through `_rk4_point`, in the array loop's operation
     order, so it has the array loop's bits. Any other point, and every batch,
     is integrated as one (dim, n) array state; a batch returns as (n, dim).
     Each row then has exactly the bits of its own single-point run for fields
@@ -309,7 +310,7 @@ def rk4_flow(field: VectorField, tau, T, h_ref, x) -> np.ndarray:
     n, h = _rk4_plan(T, h_ref)
     if x.ndim == 1 and field.func is _lorentz4d:  # a replaced func keeps the array loop
         try:
-            y = np.array(_rk4_point(_lorentz4d_point, tau, n, h, x.tolist()))
+            y = np.array(_rk4_point(n, h, *x.tolist()))
             if np.isfinite(y).all():
                 return y
         except ZeroDivisionError:

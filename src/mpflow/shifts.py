@@ -48,7 +48,7 @@ def resolve_fixed(shift_id, params, in_dim, out_dim):
     raise ConfigError(f"unknown fixed-shift id {shift_id!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hash: the params are arrays
 class MlpShift:
     mlp: Mlp
 
@@ -64,7 +64,7 @@ class MlpShift:
         return forward_cached(self.mlp, u)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity ==, hash: params is an array
 class FixedShift:
     """A registry shift. Calling it, or `apply_batch` (the same method), maps a
     point (in_dim,) to (out_dim,) and a batch (n, in_dim) to (n, out_dim) with
@@ -74,8 +74,8 @@ class FixedShift:
     params: np.ndarray
     in_dim: int
     out_dim: int
-    _fn: object = field(repr=False, compare=False)
-    _jac: object = field(repr=False, compare=False)
+    _fn: object = field(repr=False)
+    _jac: object = field(repr=False)
 
     def __call__(self, u):
         u = np.asarray(u, float)

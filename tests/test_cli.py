@@ -52,6 +52,17 @@ def test_gen_data_deterministic_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_lorentz_gen_data_bytes_are_pinned(tmp_path):
+    # a lorentz4d point integrates on Python floats, whose arithmetic does not
+    # depend on the numpy or BLAS build, so the dataset's bytes are fixed
+    cfg = {"field": {"id": "lorentz4d"}, "x0": [0.1, 1.0, 1.1, 0.5], "h_data": 0.2, "n_pairs": 199}
+    code, out = run(tmp_path, "gen-data", cfg)
+    assert code == 0
+    assert hashlib.sha256((out / "dataset.csv").read_bytes()).hexdigest() == (
+        "ad8045a525d3e16471beb8d099f02bbf77efb896cf740b8c788faabc245afdf1"
+    )
+
+
 def test_gen_data_zero_pairs_exits_2(tmp_path):
     cfg = dict(GEN_CFG, n_pairs=0)
     code, out = run(tmp_path, "gen-data", cfg)

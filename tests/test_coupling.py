@@ -1,4 +1,6 @@
+import copy
 import functools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -230,6 +232,60 @@ def test_bad_geometry_raises_config_error(kind, dim, pos, message):
         shift_dims(kind, dim, pos)
     with pytest.raises(ConfigError, match=message):
         _layer(kind, dim, pos, fixed_shift("constant", [0.0], 1, 1))
+
+
+@pytest.mark.parametrize(
+    "kind, name, value",
+    [
+        (UPPER, "s", 2.0),
+        (LOWER, "s", True),
+        (SHEAR, "i", 1.0),
+        (SHEAR, "i", "1"),
+        (UPPER, "dim", 4.0),
+        (SHEAR, "dim", False),
+        (UPPER, "i", 0.5),  # unused by the kind
+        (SHEAR, "s", np.float64(3.0)),
+    ],
+)
+def test_non_integer_geometry_raises_config_error_naming_the_value(kind, name, value):
+    label = {"dim": "layer dim", "s": "split s", "i": "target i"}[name]
+    message = f"{label} must be an integer, got {value!r}"
+    geometry = {"dim": 4, "s": 0 if kind == SHEAR else 2, "i": 1 if kind == SHEAR else 0}
+    pos_name = "i" if kind == SHEAR else "s"
+    d_in, d_out = shift_dims(kind, 4, geometry[pos_name])
+    shift = fixed_shift("constant", np.zeros(d_out), d_in, d_out)
+    good = Layer(kind, shift=shift, **geometry)
+    bad = dict(geometry, **{name: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        replace(good, **{name: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        Layer(kind, shift=shift, **bad)
+    if name in ("dim", pos_name):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            shift_dims(kind, bad["dim"], bad[pos_name])
+
+
+def test_numpy_integer_geometry_builds_a_working_layer():
+    layer = upper_layer(np.int64(4), np.int64(2), fixed_shift("linear", [1.0, 0.0, 0.0], 3, 1))
+    assert shift_dims(UPPER, np.int64(4), np.int64(2)) == (3, 1)
+    assert np.array_equal(layer_forward(layer, np.array([1.0, 2.0, 3.0, 4.0])), [3.0, 2.0, 3.0, 4.0])
+
+
+def test_layers_and_nets_compare_and_hash_without_raising():
+    # shifts compare by identity: their params are arrays, which have no
+    # single truth value and no hash
+    mlp = mlp_init((1, 4, 1), "sigmoid", seed=0)
+    for make in (lambda: upper_layer(2, 2, MlpShift(mlp)),
+                 lambda: shear_layer(3, 1, fixed_shift("linear", [1.0, 2.0], 2, 1))):
+        layer = make()
+        for twin in (copy.deepcopy(layer), make()):
+            assert layer == layer and layer != twin
+            assert hash(layer) == hash(layer) and isinstance(hash(twin), int)
+            net = MPNet(layer.dim, (layer,))
+            assert net == MPNet(layer.dim, (layer,)) and net != MPNet(layer.dim, (twin,))
+            assert net != copy.deepcopy(net)
+            assert len({net, MPNet(layer.dim, (layer,)), MPNet(layer.dim, (twin,))}) == 2
+            assert layer.shift == layer.shift and layer.shift != twin.shift
 
 
 def test_direct_construction_and_replace_check_the_shift_widths():

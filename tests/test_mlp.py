@@ -140,6 +140,23 @@ def _sigmoid_masked_reference(z):
     return out
 
 
+def _sigmoid_select_reference(z):
+    """The earlier one-exp form with a masked select, kept as the bit-exact
+    reference for nan bits too: the masked form yields a nan of the other sign."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _assert_sigmoid_bits(got, z):
+    # bit patterns, so the nan and signed-zero bits count
+    bits = got.view(np.int64)
+    assert np.array_equal(bits, _sigmoid_select_reference(z).view(np.int64))
+    masked = _sigmoid_masked_reference(z)
+    nan = np.isnan(masked)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(bits[~nan], masked.view(np.int64)[~nan])
+
+
 def test_sigmoid_bit_exact_against_masked_form():
     specials = [0.0, 1e-300, 36.0, 700.0, 745.0, 1e308, np.inf]
     grid = np.concatenate([
@@ -148,9 +165,17 @@ def test_sigmoid_bit_exact_against_masked_form():
         Xoshiro256(11).uniform_array(1000, -800.0, 800.0),
     ])
     assert np.signbit(grid[len(specials)])  # -0.0 is in the grid
+    batch = Xoshiro256(12).uniform_array((199, 64), -40.0, 40.0)  # a training batch's shape
+    batch.reshape(-1)[: grid.size] = grid
     with np.errstate(over="raise"):  # exp(-|z|) cannot overflow
-        got = _sigmoid(grid)
-    assert np.array_equal(got, _sigmoid_masked_reference(grid), equal_nan=True)
+        points = [_sigmoid(z) for z in grid]  # 0-d inputs
+        got_1d = _sigmoid(grid)
+        got_batch = _sigmoid(batch)
+    assert all(isinstance(p, np.ndarray) and p.shape == () for p in points)
+    _assert_sigmoid_bits(np.array(points), grid)
+    _assert_sigmoid_bits(got_1d, grid)
+    assert got_batch.shape == batch.shape
+    _assert_sigmoid_bits(got_batch, batch)
 
 
 # --- backward ---------------------------------------------------------------
