@@ -37,8 +37,8 @@ def _sigmoid(z):
     # z < 0 it is exp(z)/(1+exp(z)), the usual stable form for each sign, with
     # one exp. The steps run in place, so a batch never holds more than two
     # temporaries the size of z. The numerator, 1 where z >= 0 and e elsewhere,
-    # is max(e, [z >= 0]): e lies in [0, 1] or is nan, and with e first a nan
-    # keeps its bits. That has the bits of a masked select at half its cost
+    # is max(e, [z >= 0]), since e lies in [0, 1] or is nan (which maximum
+    # returns as it is): the bits of a masked select at a fraction of its cost
     z = np.asarray(z, float)
     e = np.abs(z, out=np.empty(z.shape))  # an array even for 0-d z
     np.negative(e, out=e)
