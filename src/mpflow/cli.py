@@ -22,6 +22,7 @@ from . import __version__
 from .compiler import compile_flow, convergence_study
 from .coupling import net_apply_batch
 from .dynamics import (
+    FIELDS,
     dataset_from_csv,
     dataset_from_trajectory,
     dataset_to_csv,
@@ -63,6 +64,8 @@ def _check_keys(doc, where, required, optional):
 
 
 def _coerce(val, typ, where):
+    if typ is np.ndarray:
+        return _numbers(_coerce(val, list, where), where)
     if typ is float:
         if isinstance(val, bool) or not isinstance(val, (int, float)):
             _fail(f"{where} must be a number")
@@ -104,23 +107,14 @@ def _box_from_config(doc, where="box"):
 
 
 def _field_from_config(doc, where="field"):
-    cfg = _check_keys(
-        doc, where, {"id": str}, {"dim": (int, None), "matrix": (list, None), "components": (list, None)}
-    )
-    fid = cfg["id"]
-    if fid in ("lorentz4d", "harmonic2d"):
-        if cfg["matrix"] is not None or cfg["components"] is not None:
-            _fail(f"{where}: {fid} takes no parameters")
-        return make_field(fid)
-    if fid == "linear":
-        if cfg["matrix"] is None:
-            _fail(f"{where}: linear field needs a matrix")
-        return make_field("linear", params=_numbers(cfg["matrix"], f"{where}.matrix"), dim=cfg["dim"])
-    if fid == "poly":
-        if cfg["dim"] is None or cfg["components"] is None:
-            _fail(f"{where}: poly field needs dim and components")
-        return make_field("poly", params=cfg["components"], dim=cfg["dim"])
-    _fail(f"{where}: unknown field id {fid!r}")
+    """The field a config names; its keys are "id" and those its FIELDS entry reads."""
+    if "id" not in doc:
+        _fail(f"missing key {where}.id")
+    fid = _coerce(doc["id"], str, f"{where}.id")
+    spec = FIELDS.get(fid) or _fail(f"{where}: unknown field id {fid!r}")
+    cfg = _check_keys(doc, where, {"id": str, **spec.config}, {})
+    params = [cfg[key] for key in spec.config if key != "dim"]  # at most one key
+    return make_field(fid, *params, dim=cfg.get("dim"))
 
 
 def _write(path: Path, text: str):
@@ -167,7 +161,6 @@ def cmd_train(config, out_dir, seed):
             "lr": (float, 0.001),
             "seed": (int, 0),
             "log_stride": (int, 500),
-            "loss_csv": (bool, True),
         },
     )
     used_seed = seed if seed is not None else cfg["seed"]
@@ -186,13 +179,11 @@ def cmd_train(config, out_dir, seed):
         "config": {k: v for k, v in asdict(tc).items() if k != "seed"},
     }
     _write(out_dir / "metrics.json", dump_json(metrics_doc))
-    outputs = ["model.json", "metrics.json"]
-    if cfg["loss_csv"]:
-        lines = ["epoch,mse"] + [f"{e},{dump_json(v)}" for e, v in metrics.loss_curve]
-        _write(out_dir / "loss_curve.csv", "\n".join(lines) + "\n")
-        outputs.append("loss_curve.csv")
+    lines = ["epoch,mse"] + [f"{e},{dump_json(v)}" for e, v in metrics.loss_curve]
+    _write(out_dir / "loss_curve.csv", "\n".join(lines) + "\n")
     print(f"train: epochs={tc.epochs} final_loss={metrics.final_loss:.6e}")
-    return {"final_loss": metrics.final_loss, "epochs": tc.epochs, "outputs": outputs}
+    return {"final_loss": metrics.final_loss, "epochs": tc.epochs,
+            "outputs": ["model.json", "metrics.json", "loss_curve.csv"]}
 
 
 def cmd_predict(config, out_dir, seed):

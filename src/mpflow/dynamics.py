@@ -1,13 +1,14 @@
 """Time-dependent vector fields, reference integrators, and pair datasets.
 
-Registered fields:
-  lorentz4d   charged-particle benchmark in 4 dimensions, divergence-free,
-              singular on the line y1 = y2 = 0 (evaluation there still
-              computes, sampling excludes the disk of radius 0.05)
-  harmonic2d  f = (-y2, y1)
-  linear      f = A y for a caller-supplied square matrix
-  poly        per-component polynomial, params = list of (coefficient,
-              multi-index) terms per component
+Registered fields, one `FIELDS` entry per id, with the config keys each reads
+(a field config is {"id": ..., <keys>}; any other key is rejected):
+  lorentz4d   no keys. Charged-particle benchmark in 4 dimensions,
+              divergence-free, singular on the line y1 = y2 = 0 (evaluation
+              there still computes, sampling excludes the disk of radius 0.05)
+  harmonic2d  no keys. f = (-y2, y1)
+  linear      matrix. f = A y for a square matrix A, which fixes the dim
+  poly        dim, components. Per-component polynomial: one list of
+              (coefficient, multi-index) terms per component
 
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
@@ -37,6 +38,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +57,6 @@ class VectorField:
     func: object  # (t, y) -> array shaped like y: (dim,) or (dim, n) columns
     params: tuple = ()  # flat float encoding, see field_from_params
     singular: object = None  # (y) -> bool, or None
-    jacobian: object = None  # (t, y) -> ndarray(dim, dim), or None
 
 
 def _lorentz4d_body(y0, y1, y2, y3, sqrt):
@@ -71,10 +72,6 @@ def _lorentz4d(t, y):
 
 def _harmonic2d(t, y):
     return np.array([-y[1], y[0]])
-
-
-def _linear_field(mat):
-    return lambda t, y: mat @ y
 
 
 def _is_real(v):
@@ -130,70 +127,81 @@ def _poly_eval(terms):
     return fn
 
 
+def _linear_build(params, dim):
+    mat = np.asarray(params, float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ConfigError(f"linear field needs a square matrix, got shape {mat.shape}")
+    return mat.shape[0], lambda t, y: mat @ y, tuple(mat.reshape(-1).tolist())
+
+
+def _poly_build(params, dim):
+    if dim is None:
+        raise ConfigError("poly field needs an explicit dim")
+    terms = _poly_terms(params, dim)
+    flat = [len(terms)]
+    for comp_terms in terms:
+        flat.append(len(comp_terms))
+        for coef, exps in comp_terms:
+            flat += (coef, *exps)
+    return dim, _poly_eval(terms), tuple(map(float, flat))
+
+
+def _poly_decode(vals, dim):
+    def count():
+        n = next(vals)
+        if not (n >= 0 and float(n).is_integer()):
+            raise ConfigError(f"field 'poly' params hold a bad count {n}")
+        return int(n)
+
+    return [[(next(vals), [next(vals) for _ in range(dim)]) for _ in range(count())]
+            for _ in range(count())]
+
+
+class FieldSpec(NamedTuple):
+    """One registered field id: see make_field and field_from_params."""
+
+    build: object  # (params, dim) -> (dim, func, flat params); dim is None where params fix it
+    decode: object  # (iterator over flat params, dim) -> build's params
+    config: dict  # config key -> type: "dim" is the dim, any other key the params
+    singular: object = None  # (y) -> bool, or None
+
+
+FIELDS = {
+    "lorentz4d": FieldSpec(lambda params, dim: (4, _lorentz4d, ()), lambda vals, dim: None, {},
+                           lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS),
+    "harmonic2d": FieldSpec(lambda params, dim: (2, _harmonic2d, ()), lambda vals, dim: None, {}),
+    "linear": FieldSpec(_linear_build,
+                        lambda vals, dim: [[next(vals) for _ in range(dim)] for _ in range(dim)],
+                        {"matrix": np.ndarray}),
+    "poly": FieldSpec(_poly_build, _poly_decode, {"dim": int, "components": list}),
+}
+
+
+def _spec(fid) -> FieldSpec:
+    if fid not in FIELDS:
+        raise ConfigError(f"unknown field id {fid!r}")
+    return FIELDS[fid]
+
+
 def make_field(fid, params=None, dim=None) -> VectorField:
     """Construct a registered vector field; unknown ids raise ConfigError."""
-    if fid == "lorentz4d":
-        return VectorField(
-            4, fid, _lorentz4d,
-            singular=lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS,
-        )
-    if fid == "harmonic2d":
-        mat = np.array([[0.0, -1.0], [1.0, 0.0]])
-        return VectorField(2, fid, _harmonic2d, jacobian=lambda t, y: mat)
-    if fid == "linear":
-        mat = np.asarray(params, float)
-        if dim is not None and mat.size == dim * dim:
-            mat = mat.reshape(dim, dim)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ConfigError(f"linear field needs a square matrix, got shape {mat.shape}")
-        d = mat.shape[0]
-        return VectorField(d, fid, _linear_field(mat), params=tuple(mat.reshape(-1).tolist()),
-                           jacobian=lambda t, y: mat)
-    if fid == "poly":
-        if dim is None:
-            raise ConfigError("poly field needs an explicit dim")
-        terms = _poly_terms(params, dim)
-        flat = [float(len(terms))]
-        for comp_terms in terms:
-            flat.append(float(len(comp_terms)))
-            for coef, exps in comp_terms:
-                flat.append(coef)
-                flat.extend(float(e) for e in exps)
-        return VectorField(dim, fid, _poly_eval(terms), params=tuple(flat))
-    raise ConfigError(f"unknown field id {fid!r}")
+    spec = _spec(fid)
+    d, func, flat = spec.build(params, dim)
+    if dim is not None and dim != d:
+        raise ConfigError(f"field {fid!r} has dim {d}, got {dim}")
+    return VectorField(d, fid, func, flat, spec.singular)
 
 
 def field_from_params(fid, dim, params) -> VectorField:
     """Rebuild a field from its flat parameter encoding (see VectorField.params)."""
-    if fid in ("lorentz4d", "harmonic2d"):
-        if len(params):
-            raise ConfigError(f"field {fid!r} params have values left over")
-        return make_field(fid)
-    if fid == "linear":
-        return make_field(fid, params=np.asarray(params, float), dim=dim)
-    if fid == "poly":
-        vals = iter(params)
-
-        def count():
-            n = next(vals)
-            if not (n >= 0 and float(n).is_integer()):
-                raise ConfigError(f"field {fid!r} params hold a bad count {n}")
-            return int(n)
-
-        components = []
-        try:
-            for _ in range(count()):
-                terms = []
-                for _ in range(count()):
-                    coef = next(vals)
-                    terms.append((coef, [next(vals) for _ in range(dim)]))
-                components.append(terms)
-        except StopIteration:
-            raise ConfigError(f"field {fid!r} params are truncated") from None
-        if next(vals, None) is not None:
-            raise ConfigError(f"field {fid!r} params have values left over")
-        return make_field(fid, params=components, dim=dim)
-    raise ConfigError(f"unknown field id {fid!r}")
+    vals = iter(params)
+    try:
+        decoded = _spec(fid).decode(vals, dim)
+    except StopIteration:
+        raise ConfigError(f"field {fid!r} params are truncated") from None
+    if next(vals, None) is not None:
+        raise ConfigError(f"field {fid!r} params have values left over")
+    return make_field(fid, decoded, dim)
 
 
 def field_eval(field: VectorField, t, y) -> np.ndarray:

@@ -589,6 +589,25 @@ def test_bad_field_config_exits_2_naming_the_term(tmp_path, command, config, mes
     assert message in manifest["error"]
 
 
+@pytest.mark.parametrize(
+    "field, key",
+    [
+        ({"id": "lorentz4d", "dim": 3}, "dim"),
+        ({"id": "harmonic2d", "dim": 2}, "dim"),
+        ({"id": "linear", "matrix": [[0.0, -1.0], [1.0, 0.0]], "components": []}, "components"),
+        (dict(POLY_HARMONIC, matrix=[[0.0, -1.0], [1.0, 0.0]]), "matrix"),
+    ],
+    ids=["lorentz4d-dim", "harmonic2d-dim", "linear-components", "poly-matrix"],
+)
+def test_field_key_the_field_does_not_read_exits_2(tmp_path, field, key):
+    x0 = [0.1, 1.0, 1.1, 0.5] if field["id"] == "lorentz4d" else [1.0, 0.0]
+    code, out = run(tmp_path, "gen-data", dict(GEN_CFG, field=field, x0=x0))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert f"field.{key}" in manifest["error"]
+
+
 def test_poly_exponents_may_be_integral_floats(tmp_path):
     as_floats = dict(POLY_HARMONIC, components=[[[-1.0, [0.0, 1.0]]], [[1.0, [1.0, 0.0]]]])
     _, ints = run(tmp_path, "gen-data", dict(GEN_CFG, field=POLY_HARMONIC), out=tmp_path / "i")

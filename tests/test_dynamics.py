@@ -5,6 +5,7 @@ import pytest
 
 from mpflow.coupling import MPNet, net_apply_batch, shear_layer
 from mpflow.dynamics import (
+    FIELDS,
     Trajectory,
     _lorentz4d_body,
     dataset_from_csv,
@@ -98,14 +99,21 @@ def test_unknown_field_id():
         make_field("vortex9000")
 
 
+# make_field arguments of one field per registered id
+FIELD_EXAMPLES = {
+    "lorentz4d": {},
+    "harmonic2d": {},
+    "linear": {"params": np.array([[0.0, 1.0], [-1.0, 0.0]])},
+    "poly": {"params": [[(2.0, (1, 1))], [(-1.0, (0, 2))]], "dim": 2},
+}
+
+
 def test_field_params_roundtrip():
-    for f in [
-        make_field("lorentz4d"),
-        make_field("harmonic2d"),
-        make_field("linear", params=np.array([[0.0, 1.0], [-1.0, 0.0]])),
-        make_field("poly", params=[[(2.0, (1, 1))], [(-1.0, (0, 2))]], dim=2),
-    ]:
+    assert FIELD_EXAMPLES.keys() == FIELDS.keys()  # a new field id needs an example here
+    for fid, kwargs in FIELD_EXAMPLES.items():
+        f = make_field(fid, **kwargs)
         g = field_from_params(f.fid, f.dim, list(f.params))
+        assert g.params == f.params
         y = sample_points((np.full(f.dim, 0.5), np.full(f.dim, 1.5)), 5, 0)[0]
         assert np.array_equal(field_eval(f, 0.3, y), field_eval(g, 0.3, y))
 
@@ -113,6 +121,22 @@ def test_field_params_roundtrip():
 def test_field_from_params_rejects_values_left_over():
     with pytest.raises(ConfigError, match="field 'lorentz4d' params have values left over"):
         field_from_params("lorentz4d", 4, [0.0])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: field_from_params("linear", 2, [0.0, 1.0, -1.0]), "field 'linear' params are truncated"),
+        (lambda: field_from_params("linear", 2, [0.0] * 5), "field 'linear' params have values left over"),
+        (lambda: field_from_params("harmonic2d", 3, []), "field 'harmonic2d' has dim 2, got 3"),
+        (lambda: make_field("lorentz4d", dim=3), "field 'lorentz4d' has dim 4, got 3"),
+        (lambda: make_field("linear", params=np.eye(3), dim=2), "field 'linear' has dim 3, got 2"),
+    ],
+    ids=["linear-truncated", "linear-left-over", "harmonic2d-dim", "lorentz4d-dim", "linear-dim"],
+)
+def test_field_construction_rejects_params_and_dims_that_disagree(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 # --- divergence ---------------------------------------------------------
