@@ -111,9 +111,11 @@ def _field_from_config(doc, where="field"):
     if "id" not in doc:
         _fail(f"missing key {where}.id")
     fid = _coerce(doc["id"], str, f"{where}.id")
-    spec = FIELDS.get(fid) or _fail(f"{where}: unknown field id {fid!r}")
-    cfg = _check_keys(doc, where, {"id": str, **spec.config}, {})
-    params = [cfg[key] for key in spec.config if key != "dim"]  # at most one key
+    if fid not in FIELDS:
+        _fail(f"{where}: unknown field id {fid!r}")
+    keys = FIELDS[fid].config
+    cfg = _check_keys(doc, where, {"id": str, **keys}, {})
+    params = [cfg[key] for key in keys if key != "dim"]  # at most one key
     return make_field(fid, *params, dim=cfg.get("dim"))
 
 

@@ -160,8 +160,8 @@ def _poly_decode(vals, dim):
 class FieldSpec(NamedTuple):
     """One registered field id: see make_field and field_from_params."""
 
-    build: object  # (params, dim) -> (dim, func, flat params); dim is None where params fix it
-    decode: object  # (iterator over flat params, dim) -> build's params
+    build: object  # (params, dim or None) -> (dim, func, flat params); raises on bad params
+    decode: object  # (iterator over the flat params, dim) -> params for build
     config: dict  # config key -> type: "dim" is the dim, any other key the params
     singular: object = None  # (y) -> bool, or None
 
