@@ -107,15 +107,13 @@ def _box_from_config(doc, where="box"):
 
 
 def _field_from_config(doc, where="field"):
-    """The field a config names; its keys are "id" and those its FIELDS entry reads."""
     if "id" not in doc:
         _fail(f"missing key {where}.id")
     fid = _coerce(doc["id"], str, f"{where}.id")
     if fid not in FIELDS:
         _fail(f"{where}: unknown field id {fid!r}")
-    keys = FIELDS[fid].config
-    cfg = _check_keys(doc, where, {"id": str, **keys}, {})
-    params = [cfg[key] for key in keys if key != "dim"]  # at most one key
+    cfg = _check_keys(doc, where, {"id": str, **FIELDS[fid].config}, {})
+    params = [val for key, val in cfg.items() if key not in ("id", "dim")]  # at most one
     return make_field(fid, *params, dim=cfg.get("dim"))
 
 
