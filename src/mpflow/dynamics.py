@@ -162,7 +162,7 @@ class FieldSpec(NamedTuple):
 
     build: object  # (params, dim or None) -> (dim, func, flat params); raises on bad params
     decode: object  # (iterator over the flat params, dim) -> params for build
-    config: dict  # config key -> type: "dim" is the dim, any other key the params
+    config: dict  # config key -> type it is read as; "dim" is the dim, any other key the params
     singular: object = None  # (y) -> bool, or None
 
 
