@@ -14,8 +14,9 @@ kind, dim, split or target and its shift's widths on construction and stores
 its columns; layers of one geometry share them. Other modules take a shift's
 widths from `shift_dims(kind, dim, pos)` instead of deriving them.
 
-Layers and nets are immutable after construction; forward, inverse, and
-backward are pure functions and safe for concurrent callers.
+Layers and nets are immutable after construction. Forward, inverse and
+backward allocate their results and are safe for concurrent callers, except
+when given a workspace (below).
 
 `_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
 (dim,) or a batch (n, dim). `layer_apply_batch` and `net_apply_batch` take
@@ -25,6 +26,12 @@ Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
 by the forward that computed the output (None for a FixedShift).
 `layer_backward_batch` consumes that pair and never recomputes the forward.
+Both take an optional `mlp.Workspace`, which only `training.train` makes and
+which lives for that one call. With it, each layer's output and MLP
+activations land in arrays kept per layer, the shifts' parameter gradients in
+the workspace's gradient views, and the backward overwrites its upstream
+array with the input gradient, so an epoch allocates no batch-sized array
+anew. Every other caller passes none and gets fresh arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, UnsupportedError
-from .mlp import backward_batch, forward_cached, mlp_params
+from .mlp import _backward, _forward, backward_batch, forward_cached, mlp_params
 from .shifts import FixedShift, MlpShift
 
 UPPER = "upper"
@@ -129,19 +136,27 @@ def layer_forward(layer: Layer, x) -> np.ndarray:
     return _layer_apply_cached(layer, _check_point(layer.dim, x))[0]
 
 
-def _layer_apply_cached(layer: Layer, x, inverse=False):
+def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None):
     """The one layer kernel: (output shaped like x, shift cache) for a point
     (dim,) or a batch (n, dim). Adds shift(x[..., read]) to x[..., written],
-    or subtracts it for the closed-form inverse."""
+    or subtracts it for the closed-form inverse. With a workspace, the output
+    is the array it keeps for this layer's tag."""
     x = np.asarray(x, float)
     if x.ndim not in (1, 2) or x.shape[-1] != layer.dim:
         raise ConfigError(f"expected ({layer.dim},) point or (n, {layer.dim}) batch, got {x.shape}")
     u = x[..., layer.read]
     if isinstance(layer.shift, MlpShift):
-        shifted, cache = forward_cached(layer.shift.mlp, u)
+        if ws is None:
+            shifted, cache = forward_cached(layer.shift.mlp, u)
+        else:
+            shifted, cache = _forward(layer.shift.mlp, u, ws, tag)
     else:
         shifted, cache = layer.shift.apply_batch(u), None
-    out = x.copy()
+    if ws is None:
+        out = x.copy()
+    else:
+        out = ws.array(("layer output", tag), x.shape)
+        out[...] = x
     if inverse:
         out[..., layer.written] -= shifted
     else:
@@ -190,18 +205,23 @@ def net_apply_batch(net: MPNet, x, inverse=False) -> np.ndarray:
     return x
 
 
-def layer_backward_batch(layer: Layer, x, cache, upstream):
+def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
     """Chain rule through one layer for a batch of points.
 
     x is the layer's input and cache the shift cache its forward returned.
     Returns (shift parameter grads summed over the batch, gradient wrt x).
-    FixedShift layers have no parameters; ones without an analytic Jacobian
-    cannot propagate gradients and raise UnsupportedError.
+    With a workspace, the grads are `ws.grads[tag]` and the gradient wrt x
+    is upstream itself, overwritten. FixedShift layers have no parameters;
+    ones without an analytic Jacobian cannot propagate gradients and raise
+    UnsupportedError.
     """
     g = np.asarray(upstream, float)
     g_out = g[:, layer.written]
     if isinstance(layer.shift, MlpShift):
-        grads, du = backward_batch(layer.shift.mlp, cache, g_out)
+        if ws is None:
+            grads, du = backward_batch(layer.shift.mlp, cache, g_out)
+        else:
+            grads, du = _backward(layer.shift.mlp, cache, g_out, ws, tag)
     elif isinstance(layer.shift, FixedShift):
         jac = layer.shift.jacobian(np.asarray(x, float)[:, layer.read])
         if jac is None:
@@ -213,28 +233,33 @@ def layer_backward_batch(layer: Layer, x, cache, upstream):
         du = np.einsum("no,noi->ni", g_out, jac)
     else:
         raise ConfigError(f"unknown shift type {type(layer.shift)!r}")
-    dx = g.copy()
+    dx = g.copy() if ws is None else g  # the columns read and written are disjoint
     dx[:, layer.read] += du
     return grads, dx
 
 
-def net_forward_collect(net: MPNet, x):
-    """Batched forward; returns (output, per-layer (input, shift cache) pairs)."""
+def net_forward_collect(net: MPNet, x, ws=None):
+    """Batched forward; returns (output, collected) for `net_backward_collected`:
+    collected holds the per-layer (input, shift cache) pairs and the workspace
+    (layer idx is tagged idx in it)."""
     x = np.asarray(x, float)
-    collected = []
-    for layer in net.layers:
-        out, cache = _layer_apply_cached(layer, x)
-        collected.append((x, cache))
+    pairs = []
+    for idx, layer in enumerate(net.layers):
+        out, cache = _layer_apply_cached(layer, x, ws=ws, tag=idx)
+        pairs.append((x, cache))
         x = out
-    return x, collected
+    return x, (pairs, ws)
 
 
 def net_backward_collected(net: MPNet, collected, upstream):
+    """(per-layer shift parameter grads, gradient wrt the net's input); with the
+    workspace of the forward, upstream is overwritten (see layer_backward_batch)."""
+    pairs, ws = collected
     g = np.asarray(upstream, float)
     per_layer = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
-        x, cache = collected[idx]
-        per_layer[idx], g = layer_backward_batch(net.layers[idx], x, cache, g)
+        x, cache = pairs[idx]
+        per_layer[idx], g = layer_backward_batch(net.layers[idx], x, cache, g, ws, idx)
     return per_layer, g
 
 

@@ -27,7 +27,7 @@ from .coupling import (
 )
 from .dynamics import PairDataset, Trajectory
 from .errors import ConfigError, NumericError, TrainingError
-from .mlp import adam_init, adam_step, mlp_init, mlp_params, mlp_with_params
+from .mlp import Workspace, adam_init, adam_step, mlp_init, mlp_params, mlp_with_params
 from .rng import Xoshiro256
 from .shifts import MlpShift
 from .verify import fd_jacobian_det
@@ -98,13 +98,18 @@ def _flat_layout(net: MPNet):
     return layout
 
 
-def _bind(net: MPNet, flat, layout) -> MPNet:
-    """The net with every MlpShift holding reshaped views into flat."""
+def _views(flat, layout):
+    """{layer index: that layer's [W1, b1, ...] as reshaped views into flat}."""
     views = {}
     for idx, _, span, shape in layout:
         views.setdefault(idx, []).append(flat[span].reshape(shape))
+    return views
+
+
+def _bind(net: MPNet, flat, layout) -> MPNet:
+    """The net with every MlpShift holding reshaped views into flat."""
     layers = list(net.layers)
-    for idx, params in views.items():
+    for idx, params in _views(flat, layout).items():
         mlp = mlp_with_params(layers[idx].shift.mlp, params)
         layers[idx] = replace(layers[idx], shift=MlpShift(mlp))
     return MPNet(net.dim, tuple(layers))
@@ -126,7 +131,10 @@ def train(dataset: PairDataset, config: TrainConfig):
     """Full-batch Adam on the MSE loss; returns (trained net, metrics).
 
     Every trainable weight lives in one flat vector that the training net's
-    MLPs view and Adam updates in place. A non-finite loss aborts with
+    MLPs view and Adam updates in place. One `Workspace`, made here and never
+    returned, holds the arrays every epoch writes again: the layer outputs and
+    activations, shared scratch, the flat gradient that the backward fills
+    through per-layer views, and Adam's moments. A non-finite loss aborts with
     TrainingError carrying the epoch index and the last finite checkpoint; a
     non-finite gradient raises NumericError naming its layer and parameter.
     """
@@ -141,12 +149,14 @@ def train(dataset: PairDataset, config: TrainConfig):
     flat = np.concatenate([p.ravel() for p in net_trainable_params(net)])
     net = _bind(net, flat, layout)
     before = flat.copy()  # the parameters of the last net with a finite loss
-    state = adam_init([flat], lr=config.lr)
+    grad = np.empty_like(flat)
+    ws = Workspace(_views(grad, layout))
+    state = adam_init([flat], lr=config.lr, ws=ws)
     metrics = TrainMetrics()
 
     for epoch in range(config.epochs):
-        out, collected = net_forward_collect(net, x)
-        residual = out - y
+        out, collected = net_forward_collect(net, x, ws)
+        residual = np.subtract(out, y, out=ws.array("residual", y.shape))
         loss = float(np.mean(np.sum(residual**2, axis=1)))
         if not np.isfinite(loss):
             raise TrainingError(
@@ -158,14 +168,13 @@ def train(dataset: PairDataset, config: TrainConfig):
             metrics.loss_curve.append((epoch, loss))
             dev = abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), spot) - 1.0)
             metrics.det_curve.append((epoch, dev))
-        per_layer, _ = net_backward_collected(net, collected, (2.0 / n) * residual)
-        grad = np.concatenate([g.ravel() for grads in per_layer for g in grads])
+        residual *= 2.0 / n  # the loss gradient wrt out
+        net_backward_collected(net, collected, residual)
+        before[:] = flat
         try:
-            (updated,), state = adam_step([flat], [grad], state)
+            _, state = adam_step([flat], [grad], state)
         except NumericError as exc:
             raise _gradient_error(grad, layout, exc.step) from None
-        before[:] = flat
-        flat[:] = updated
 
     final = mse_loss(net, dataset)
     metrics.loss_curve.append((config.epochs, final))
