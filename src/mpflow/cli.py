@@ -95,10 +95,16 @@ def _vector(val, where):
 
 
 def _numbers(val, where):
-    """Nested lists of finite numbers as an array, naming the first bad entry."""
-    if isinstance(val, list):
-        return np.array([_numbers(v, f"{where}[{i}]") for i, v in enumerate(val)])
-    return _coerce(val, float, where)
+    """Nested lists of finite numbers as an array, naming the first bad entry
+    and the first row whose shape differs from the first row's."""
+    if not isinstance(val, list):
+        return _coerce(val, float, where)
+    rows = [_numbers(v, f"{where}[{i}]") for i, v in enumerate(val)]
+    for i, row in enumerate(rows):
+        if np.shape(row) != np.shape(rows[0]):
+            _fail(f"{where}[{i}] must have the shape of {where}[0], "
+                  f"{np.shape(rows[0])}, got {np.shape(row)}")
+    return np.array(rows)
 
 
 def _box_from_config(doc, where="box"):
@@ -113,6 +119,8 @@ def _field_from_config(doc, where="field"):
     if fid not in FIELDS:
         _fail(f"{where}: unknown field id {fid!r}")
     cfg = _check_keys(doc, where, {"id": str, **FIELDS[fid].config}, {})
+    if "dim" in cfg:
+        _at_least_one(cfg, where, "dim")
     params = [val for key, val in cfg.items() if key not in ("id", "dim")]  # at most one
     return make_field(fid, *params, dim=cfg.get("dim"))
 

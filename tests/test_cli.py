@@ -608,6 +608,25 @@ def test_field_key_the_field_does_not_read_exits_2(tmp_path, field, key):
     assert f"field.{key}" in manifest["error"]
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_poly_dim_below_one_exits_2_naming_the_key(tmp_path, dim):
+    field = {"id": "poly", "dim": dim, "components": []}
+    code, out = run(tmp_path, "gen-data", dict(GEN_CFG, field=field))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert f"field.dim must be >= 1, got {dim}" in manifest["error"]
+
+
+def test_ragged_linear_matrix_exits_2_naming_the_row(tmp_path):
+    field = {"id": "linear", "matrix": [[1.0, 0.0], [0.0]]}
+    code, out = run(tmp_path, "gen-data", dict(GEN_CFG, field=field))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert "field.matrix[1] must have the shape of field.matrix[0], (2,), got (1,)" in manifest["error"]
+
+
 def test_poly_exponents_may_be_integral_floats(tmp_path):
     as_floats = dict(POLY_HARMONIC, components=[[[-1.0, [0.0, 1.0]]], [[1.0, [1.0, 0.0]]]])
     _, ints = run(tmp_path, "gen-data", dict(GEN_CFG, field=POLY_HARMONIC), out=tmp_path / "i")
