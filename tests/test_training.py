@@ -192,6 +192,40 @@ def test_train_flat_store_matches_per_array_reference_bitwise():
     assert_params_equal(net, reference_params(ds, cfg, cfg.epochs))
 
 
+@pytest.fixture(scope="module")
+def lorentz_pairs():
+    """The 199 lorentz4d pairs of criterion 6 and the train-lorentz benchmark."""
+    from mpflow.dynamics import dataset_from_trajectory, generate_trajectory
+
+    x0 = np.array([0.1, 1.0, 1.1, 0.5])
+    return dataset_from_trajectory(generate_trajectory(make_field("lorentz4d"), x0, 0.2, 200, 1e-3))
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+def test_train_workspace_matches_allocating_kernels_bitwise_at_benchmark_shape(
+    lorentz_pairs, activation
+):
+    # train runs the kernels with its workspace, reference_params without one
+    cfg = TrainConfig(n_layers=8, s=2, width=64, activation=activation, epochs=30, seed=5,
+                      log_stride=10)
+    net, _ = train(lorentz_pairs, cfg)
+    assert_params_equal(net, reference_params(lorentz_pairs, cfg, cfg.epochs))
+
+
+def test_train_workspace_does_not_outlive_the_call():
+    ds, _ = teacher_student_dataset(seed=10, n_points=16)
+    cfg = TrainConfig(n_layers=3, width=4, epochs=20, seed=1, log_stride=5)
+    net_a, met_a = train(ds, cfg)
+    params_a = [p.copy() for p in net_trainable_params(net_a)]
+    out_a = net_apply_batch(net_a, ds.x)
+    net_b, met_b = train(ds, cfg)
+    assert_params_equal(net_b, params_a)
+    assert met_b.loss_curve == met_a.loss_curve
+    # the second call wrote nothing the first call's net reads
+    assert_params_equal(net_a, params_a)
+    assert np.array_equal(net_apply_batch(net_a, ds.x), out_a)
+
+
 def test_train_passes_one_flat_array_to_adam(monkeypatch):
     import mpflow.training
 
