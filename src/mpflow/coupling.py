@@ -30,8 +30,9 @@ Both take an optional `mlp.Workspace`, which only `training.train` makes and
 which lives for that one call. With it, each layer's output and MLP
 activations land in arrays kept per layer, the shifts' parameter gradients in
 the workspace's gradient views, and the backward overwrites its upstream
-array with the input gradient, so an epoch allocates no batch-sized array
-anew. Every other caller passes none and gets fresh arrays.
+array with the input gradient. Every other caller passes none, gets fresh
+arrays and goes through the public `forward_cached` and `backward_batch`,
+whose signatures the benchmark's tracer wraps.
 """
 
 from __future__ import annotations

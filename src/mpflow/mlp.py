@@ -44,13 +44,13 @@ def _sigmoid(z):
 
 def _sigmoid_into(z, e):
     # Writes sigmoid(z) over z, using e (z's shape) as scratch. e = exp(-|z|)
-    # never overflows. For z >= 0 this is 1/(1+exp(-z)), for z < 0 it is
-    # exp(z)/(1+exp(z)), the usual stable form for each sign, with one exp.
-    # The numerator, 1 where z >= 0 and e elsewhere, is max(e, [z >= 0]),
-    # since e lies in [0, 1] or is nan (which maximum returns as it is): the
-    # bits of a masked select at a fraction of its cost
-    np.abs(z, out=e)
-    np.negative(e, out=e)
+    # never overflows; copysign(z, -1) is -|z| bit for bit, nan included. For
+    # z >= 0 this is 1/(1+exp(-z)), for z < 0 it is exp(z)/(1+exp(z)), the
+    # usual stable form for each sign, with one exp. The numerator, 1 where
+    # z >= 0 and e elsewhere, is max(e, [z >= 0]), since e lies in [0, 1] or
+    # is nan (which maximum returns as it is): the bits of a masked select at
+    # a fraction of its cost
+    np.copysign(z, -1.0, out=e)
     np.exp(e, out=e)
     np.greater_equal(z, 0.0, out=z, casting="unsafe")
     np.maximum(e, z, out=z)
