@@ -146,13 +146,12 @@ def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None):
     if x.ndim not in (1, 2) or x.shape[-1] != layer.dim:
         raise ConfigError(f"expected ({layer.dim},) point or (n, {layer.dim}) batch, got {x.shape}")
     u = x[..., layer.read]
-    if isinstance(layer.shift, MlpShift):
-        if ws is None:
-            shifted, cache = forward_cached(layer.shift.mlp, u)
-        else:
-            shifted, cache = _forward(layer.shift.mlp, u, ws, tag)
-    else:
+    if not isinstance(layer.shift, MlpShift):
         shifted, cache = layer.shift.apply_batch(u), None
+    elif ws is None:
+        shifted, cache = forward_cached(layer.shift.mlp, u)
+    else:
+        shifted, cache = _forward(layer.shift.mlp, u, ws, tag)
     if ws is None:
         out = x.copy()
     else:
@@ -241,8 +240,8 @@ def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
 
 def net_forward_collect(net: MPNet, x, ws=None):
     """Batched forward; returns (output, collected) for `net_backward_collected`:
-    collected holds the per-layer (input, shift cache) pairs and the workspace
-    (layer idx is tagged idx in it)."""
+    collected holds the per-layer (input, shift cache) pairs and the workspace,
+    which keeps layer idx's arrays under the tag idx."""
     x = np.asarray(x, float)
     pairs = []
     for idx, layer in enumerate(net.layers):
