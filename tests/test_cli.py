@@ -627,6 +627,69 @@ def test_ragged_linear_matrix_exits_2_naming_the_row(tmp_path):
     assert "field.matrix[1] must have the shape of field.matrix[0], (2,), got (1,)" in manifest["error"]
 
 
+REFERENCE_VERIFY = {"model": "identity.json", "n_points": 2}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("gen-data", [1], "config must be a JSON object"),
+        ("gen-data", {k: v for k, v in GEN_CFG.items() if k != "n_pairs"}, "missing key config.n_pairs"),
+        ("gen-data", dict(GEN_CFG, field="harmonic2d"), "config.field must be of type dict"),
+        ("decompose", dict(DECOMPOSE_CFG, box=[-1, 1]), "config.box must be of type dict"),
+        ("gen-data", dict(GEN_CFG, x0=1.0), "config.x0 must be of type list"),
+        ("convergence", dict(CONVERGENCE_CFG, step_counts=2), "config.step_counts must be of type list"),
+        ("train", {"dataset": 1, "epochs": 2}, "config.dataset must be of type str"),
+        # types are checked before the dataset file
+        ("train", {"dataset": "missing.csv", "epochs": 2, "activation": 1},
+         "config.activation must be of type str"),
+        ("gen-data", dict(GEN_CFG, n_pairs=1.5), "config.n_pairs must be an integer"),
+        ("train", {"dataset": "missing.csv", "epochs": 2, "width": "8"}, "config.width must be an integer"),
+        ("gen-data", dict(GEN_CFG, h_data="0.1"), "config.h_data must be a number"),
+        ("gen-data", dict(GEN_CFG, field={"id": "nope"}), "field: unknown field id 'nope'"),
+        ("gen-data", dict(GEN_CFG, field={}), "missing key field.id"),
+        ("gen-data", dict(GEN_CFG, x0=[]), "config.x0 must be a non-empty list of numbers"),
+        # types are checked before values
+        ("gen-data", dict(GEN_CFG, seed="a", n_pairs=0), "config.seed must be an integer"),
+        ("decompose", dict(DECOMPOSE_CFG, box={"lo": [-1, -1]}), "missing key box.hi"),
+        ("train", {"dataset": "missing.csv", "epochs": 2}, "dataset file not found: missing.csv"),
+        ("predict", {"model": "missing.json", "x0": [1.0, 0.0], "n_steps": 2},
+         "model file not found: missing.json"),
+        ("verify", {"model": "missing.json"}, "model file not found: missing.json"),
+        ("verify", {"model": "missing.json", "reference": 1}, "config.reference must be of type dict"),
+        ("verify", dict(REFERENCE_VERIFY, reference={"field": {"id": "harmonic2d"}}),
+         "missing key config.reference.T"),
+        ("verify", dict(REFERENCE_VERIFY, reference={"field": {"id": "nope"}, "T": 0.1}),
+         "config.reference.field: unknown field id 'nope'"),
+        ("verify", dict(REFERENCE_VERIFY, reference={"field": {"id": "harmonic2d"}, "T": 0.1,
+                                                     "lp_samples": 0}),
+         "config.reference.lp_samples must be >= 1, got 0"),
+        ("gen-data", "nope", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ("gen-data", None, "config file not found: missing.json"),
+    ],
+    ids=["not-an-object", "missing-key", "dict-field", "dict-box", "list-x0", "list-step-counts",
+         "str-dataset", "str-activation", "int-n-pairs", "int-width", "number-h-data",
+         "unknown-field-id", "missing-field-id", "empty-x0", "seed-before-n-pairs", "missing-box-hi",
+         "train-dataset-file", "predict-model-file", "verify-model-file", "dict-reference",
+         "missing-reference-key", "reference-field-id", "reference-lp-samples", "invalid-json",
+         "missing-config-file"],
+)
+def test_config_faults_exit_2_with_the_pinned_message(tmp_path, monkeypatch, capsys, command, config,
+                                                      message):
+    monkeypatch.chdir(tmp_path)  # the paths in the configs and the messages are relative
+    save_net(MPNet(2, ()), tmp_path / "identity.json")
+    argv = [command, "--config", "missing.json", "--out", "out"]
+    if config is not None:
+        text = config if isinstance(config, str) else json.dumps(config)
+        (tmp_path / "config.json").write_text(text)
+        argv[2] = "config.json"
+    assert main(argv) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == message
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_poly_exponents_may_be_integral_floats(tmp_path):
     as_floats = dict(POLY_HARMONIC, components=[[[-1.0, [0.0, 1.0]]], [[1.0, [1.0, 0.0]]]])
     _, ints = run(tmp_path, "gen-data", dict(GEN_CFG, field=POLY_HARMONIC), out=tmp_path / "i")
