@@ -1,11 +1,14 @@
 """Command-line pipeline: data generation, training, prediction, flow
 compilation, decomposition, convergence studies, and model verification.
 
-Every command reads one JSON config (unknown keys rejected), takes the seed
-from --seed or the config, and writes its artifacts plus a manifest.json into
-the output directory. Outputs are a pure function of (config, seed): no
-timestamps or wall-clock values are ever written. Exit codes: 0 ok, 2 config
-error, 3 numeric failure, 4 unsupported construction, 5 verification failure.
+Each command reads one JSON config against its key table, {key: (JSON type,
+default or REQUIRED, optional value check)}, plus "seed" (an integer, default
+0), which --seed replaces; `train`'s keys and defaults are TrainConfig's
+fields, with epochs required. It writes its artifacts plus a manifest.json
+into the output directory. Outputs are a pure function of (config, seed): no
+timestamps or wall-clock values are ever written. `EXIT_CODES` maps each error
+class to its exit code: 0 ok, 2 config error, 3 numeric failure, 4
+unsupported construction, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .dynamics import (
     rk4_flow,
     trajectory_to_csv,
 )
-from .errors import ConfigError, NumericError, ParseError, UnsupportedError, VerificationError
+from .errors import ConfigError, NumericError, UnsupportedError, VerificationError
 from .pair_decomposition import DEFAULT_QUAD_NODES, DEFAULT_TOL, decompose
 from .serialize import dump_json, load_net, save_net
 from .training import TrainConfig, rollout, train
@@ -39,28 +42,50 @@ from .verify import as_box, lp_error, max_det_deviation, roundtrip_error, sample
 
 ROUNDTRIP_TOL = 1e-11
 DET_TOL = 1e-6
+REQUIRED = object()  # the default of a key that the config must give
+
+# the exit code of each error class, checked in this order
+EXIT_CODES = {ValueError: 2, UnsupportedError: 4, VerificationError: 5, NumericError: 3}
 
 
 def _fail(msg):
     raise ConfigError(msg)
 
 
-def _check_keys(doc, where, required, optional):
+def _read_keys(doc, where, keys):
+    """The JSON object `doc` read against its key table {key: (type, default, check?)}.
+
+    Faults are reported in this order: a non-object, the first unknown key,
+    each required key that is missing or of the wrong type, each optional key
+    of the wrong type, then each given value whose check fails, in table order
+    (a command's table lists its keys in the order their values are checked).
+    A check (value, where) -> value returns the value to use.
+    """
     if not isinstance(doc, dict):
         _fail(f"{where} must be a JSON object")
-    known = set(required) | set(optional)
     for key in doc:
-        if key not in known:
+        if key not in keys:
             _fail(f"unknown key {where}.{key}")
     out = {}
-    for key, typ in required.items():
-        if key not in doc:
+    for key, (typ, default, *_) in sorted(keys.items(), key=lambda kv: kv[1][1] is not REQUIRED):
+        if key in doc:
+            out[key] = _coerce(doc[key], typ, f"{where}.{key}")
+        elif default is REQUIRED:
             _fail(f"missing key {where}.{key}")
-        out[key] = _coerce(doc[key], typ, f"{where}.{key}")
-    for key, opt in optional.items():
-        typ, default = opt
-        out[key] = _coerce(doc[key], typ, f"{where}.{key}") if key in doc else default
+        else:
+            out[key] = default
+    for key, (_, _, *check) in keys.items():
+        if check and key in doc:
+            out[key] = check[0](out[key], f"{where}.{key}")
     return out
+
+
+def _read_config(config, seed, keys):
+    """A command's config read against `keys` plus "seed", which --seed replaces."""
+    cfg = _read_keys(config, "config", {**keys, "seed": (int, 0)})
+    if seed is not None:
+        cfg["seed"] = seed
+    return cfg
 
 
 def _coerce(val, typ, where):
@@ -82,16 +107,20 @@ def _coerce(val, typ, where):
     return val
 
 
-def _at_least_one(cfg, where, *keys):
-    for key in keys:
-        if cfg[key] < 1:
-            _fail(f"{where}.{key} must be >= 1, got {cfg[key]}")
+def _count(val, where):
+    if val < 1:
+        _fail(f"{where} must be >= 1, got {val}")
+    return val
 
 
 def _vector(val, where):
-    if not isinstance(val, list) or not val:
+    if not val:
         _fail(f"{where} must be a non-empty list of numbers")
     return np.array([_coerce(v, float, f"{where}[{i}]") for i, v in enumerate(val)])
+
+
+def _ints(val, where):
+    return [_coerce(v, int, f"{where}[{i}]") for i, v in enumerate(val)]
 
 
 def _numbers(val, where):
@@ -107,9 +136,21 @@ def _numbers(val, where):
     return np.array(rows)
 
 
+def _loaded(load):
+    """Check of a file key, "dataset" or "model": the file must exist; the value is load(path)."""
+
+    def check(val, where):
+        path = Path(val)
+        if not path.exists():
+            _fail(f"{where.rpartition('.')[2]} file not found: {path}")
+        return load(path)
+
+    return check
+
+
 def _box_from_config(doc, where="box"):
-    cfg = _check_keys(doc, where, {"lo": list, "hi": list}, {})
-    return as_box((_vector(cfg["lo"], f"{where}.lo"), _vector(cfg["hi"], f"{where}.hi")))
+    box = _read_keys(doc, where, {"lo": (list, REQUIRED, _vector), "hi": (list, REQUIRED, _vector)})
+    return as_box((box["lo"], box["hi"]))
 
 
 def _field_from_config(doc, where="field"):
@@ -118,11 +159,17 @@ def _field_from_config(doc, where="field"):
     fid = _coerce(doc["id"], str, f"{where}.id")
     if fid not in FIELDS:
         _fail(f"{where}: unknown field id {fid!r}")
-    cfg = _check_keys(doc, where, {"id": str, **FIELDS[fid].config}, {})
-    if "dim" in cfg:
-        _at_least_one(cfg, where, "dim")
+    keys = {key: (typ, REQUIRED, _count) if key == "dim" else (typ, REQUIRED)
+            for key, typ in {"id": str, **FIELDS[fid].config}.items()}
+    cfg = _read_keys(doc, where, keys)
     params = [val for key, val in cfg.items() if key not in ("id", "dim")]  # at most one
     return make_field(fid, *params, dim=cfg.get("dim"))
+
+
+# a top-level field or box is named by its own key (field.dim, box.lo[1]), a
+# nested one by its path (config.reference.field)
+FIELD = (dict, REQUIRED, lambda doc, where: _field_from_config(doc))
+BOX = (dict, REQUIRED, lambda doc, where: _box_from_config(doc))
 
 
 def _write(path: Path, text: str):
@@ -134,16 +181,12 @@ def _field_doc(field):
 
 
 def cmd_gen_data(config, out_dir, seed):
-    cfg = _check_keys(
-        config,
-        "config",
-        {"field": dict, "x0": list, "h_data": float, "n_pairs": int},
-        {"h_ref": (float, 1e-3), "seed": (int, 0)},
-    )
-    field = _field_from_config(cfg["field"])
-    x0 = _vector(cfg["x0"], "config.x0")
-    _at_least_one(cfg, "config", "n_pairs")
-    traj = generate_trajectory(field, x0, cfg["h_data"], cfg["n_pairs"] + 1, cfg["h_ref"])
+    cfg = _read_config(config, seed, {
+        "field": FIELD, "x0": (list, REQUIRED, _vector), "h_data": (float, REQUIRED),
+        "n_pairs": (int, REQUIRED, _count), "h_ref": (float, 1e-3),
+    })
+    field = cfg["field"]
+    traj = generate_trajectory(field, cfg["x0"], cfg["h_data"], cfg["n_pairs"] + 1, cfg["h_ref"])
     ds = dataset_from_trajectory(traj)
     _write(out_dir / "trajectory.csv", trajectory_to_csv(traj))
     _write(out_dir / "dataset.csv", dataset_to_csv(ds))
@@ -157,33 +200,19 @@ def cmd_gen_data(config, out_dir, seed):
 
 
 def cmd_train(config, out_dir, seed):
-    cfg = _check_keys(
-        config,
-        "config",
-        {"dataset": str, "epochs": int},
-        {
-            "n_layers": (int, 8),
-            "s": (int, 2),
-            "width": (int, 64),
-            "activation": (str, "sigmoid"),
-            "lr": (float, 0.001),
-            "seed": (int, 0),
-            "log_stride": (int, 500),
-        },
-    )
-    used_seed = seed if seed is not None else cfg["seed"]
-    ds_path = Path(cfg["dataset"])
-    if not ds_path.exists():
-        _fail(f"dataset file not found: {ds_path}")
-    ds = dataset_from_csv(ds_path.read_text())
-    tc = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name != "seed"},
-                     seed=used_seed)
-    net, metrics = train(ds, tc)
+    # TrainConfig's fields and defaults, except that epochs must be given
+    cfg = _read_config(config, seed, {
+        "dataset": (str, REQUIRED, _loaded(lambda path: dataset_from_csv(path.read_text()))),
+        **{f.name: (type(f.default), REQUIRED if f.name == "epochs" else f.default)
+           for f in fields(TrainConfig)},
+    })
+    tc = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+    net, metrics = train(cfg["dataset"], tc)
     save_net(net, out_dir / "model.json")
     metrics_doc = {
         "loss_curve": [[e, v] for e, v in metrics.loss_curve],
         "final_loss": metrics.final_loss,
-        "seed": used_seed,
+        "seed": tc.seed,
         "config": {k: v for k, v in asdict(tc).items() if k != "seed"},
     }
     _write(out_dir / "metrics.json", dump_json(metrics_doc))
@@ -195,18 +224,11 @@ def cmd_train(config, out_dir, seed):
 
 
 def cmd_predict(config, out_dir, seed):
-    cfg = _check_keys(
-        config,
-        "config",
-        {"model": str, "x0": list, "n_steps": int},
-        {"h_data": (float, None), "seed": (int, 0)},
-    )
-    model_path = Path(cfg["model"])
-    if not model_path.exists():
-        _fail(f"model file not found: {model_path}")
-    net = load_net(model_path)
-    x0 = _vector(cfg["x0"], "config.x0")
-    traj, truncated_at = rollout(net, x0, cfg["n_steps"], cfg["h_data"])
+    cfg = _read_config(config, seed, {
+        "model": (str, REQUIRED, _loaded(load_net)), "x0": (list, REQUIRED, _vector),
+        "n_steps": (int, REQUIRED), "h_data": (float, None),
+    })
+    traj, truncated_at = rollout(cfg["model"], cfg["x0"], cfg["n_steps"], cfg["h_data"])
     _write(out_dir / "prediction.csv", trajectory_to_csv(traj))
     print(f"predict: steps={cfg['n_steps']} truncated_at={truncated_at}")
     result = {"n_steps": cfg["n_steps"], "truncated_at": truncated_at, "outputs": ["prediction.csv"]}
@@ -218,28 +240,18 @@ def cmd_predict(config, out_dir, seed):
 
 
 def cmd_compile(config, out_dir, seed):
-    cfg = _check_keys(
-        config,
-        "config",
-        {"field": dict, "T": float, "n_steps": int, "box": dict},
-        {
-            "tau": (float, 0.0),
-            "quad_nodes": (int, DEFAULT_QUAD_NODES),
-            "tol": (float, DEFAULT_TOL),
-            "det_points": (int, 20),
-            "seed": (int, 0),
-        },
-    )
-    _at_least_one(cfg, "config", "quad_nodes", "det_points")
-    field = _field_from_config(cfg["field"])
-    box = _box_from_config(cfg["box"])
+    cfg = _read_config(config, seed, {
+        "tau": (float, 0.0), "quad_nodes": (int, DEFAULT_QUAD_NODES, _count),
+        "tol": (float, DEFAULT_TOL), "det_points": (int, 20, _count),
+        "field": FIELD, "T": (float, REQUIRED), "n_steps": (int, REQUIRED), "box": BOX,
+    })
+    field, box = cfg["field"], cfg["box"]
     compiled = compile_flow(
         field, cfg["tau"], cfg["T"], cfg["n_steps"], box,
         quad_nodes=cfg["quad_nodes"], tol=cfg["tol"],
     )
     save_net(compiled.net, out_dir / "model.json")
-    used_seed = seed if seed is not None else cfg["seed"]
-    pts = sample_points(box, cfg["det_points"], used_seed, exclude=field.singular)
+    pts = sample_points(box, cfg["det_points"], cfg["seed"], exclude=field.singular)
     max_dev, _ = max_det_deviation(compiled.net, pts)
     print(f"compile: field={field.fid} n_steps={cfg['n_steps']} det_dev={max_dev:.3e}")
     return {
@@ -255,17 +267,12 @@ def cmd_compile(config, out_dir, seed):
 
 
 def cmd_decompose(config, out_dir, seed):
-    cfg = _check_keys(
-        config,
-        "config",
-        {"field": dict, "box": dict},
-        {"quad_nodes": (int, DEFAULT_QUAD_NODES), "tol": (float, DEFAULT_TOL),
-         "n_samples": (int, 200), "seed": (int, 0)},
-    )
-    _at_least_one(cfg, "config", "quad_nodes", "n_samples")
-    field = _field_from_config(cfg["field"])
-    box = _box_from_config(cfg["box"])
-    deco = decompose(field, box, quad_nodes=cfg["quad_nodes"], tol=cfg["tol"],
+    cfg = _read_config(config, seed, {
+        "quad_nodes": (int, DEFAULT_QUAD_NODES, _count), "tol": (float, DEFAULT_TOL),
+        "n_samples": (int, 200, _count), "field": FIELD, "box": BOX,
+    })
+    field = cfg["field"]
+    deco = decompose(field, cfg["box"], quad_nodes=cfg["quad_nodes"], tol=cfg["tol"],
                      n_residual=cfg["n_samples"])
     report = {
         "pairs": [{"d": p.d, "separable": p.separable} for p in deco.pairs],
@@ -283,28 +290,17 @@ def cmd_decompose(config, out_dir, seed):
 
 
 def cmd_convergence(config, out_dir, seed):
-    cfg = _check_keys(
-        config,
-        "config",
-        {"field": dict, "T": float, "step_counts": list, "box": dict},
-        {
-            "tau": (float, 0.0),
-            "n_samples": (int, 50),
-            "quad_nodes": (int, DEFAULT_QUAD_NODES),
-            "tol": (float, DEFAULT_TOL),
-            "h_ref": (float, 1e-3),
-            "seed": (int, 0),
-        },
-    )
-    _at_least_one(cfg, "config", "n_samples", "quad_nodes")
-    field = _field_from_config(cfg["field"])
-    box = _box_from_config(cfg["box"])
-    counts = [_coerce(v, int, f"config.step_counts[{i}]") for i, v in enumerate(cfg["step_counts"])]
-    used_seed = seed if seed is not None else cfg["seed"]
+    cfg = _read_config(config, seed, {
+        "tau": (float, 0.0), "n_samples": (int, 50, _count),
+        "quad_nodes": (int, DEFAULT_QUAD_NODES, _count), "tol": (float, DEFAULT_TOL),
+        "h_ref": (float, 1e-3), "field": FIELD, "T": (float, REQUIRED),
+        "step_counts": (list, REQUIRED, _ints), "box": BOX,
+    })
+    field = cfg["field"]
     report = convergence_study(
-        field, cfg["tau"], cfg["T"], counts, box,
+        field, cfg["tau"], cfg["T"], cfg["step_counts"], cfg["box"],
         n_samples=cfg["n_samples"], quad_nodes=cfg["quad_nodes"], tol=cfg["tol"],
-        h_ref=cfg["h_ref"], seed=used_seed,
+        h_ref=cfg["h_ref"], seed=cfg["seed"],
     )
     doc = {
         "step_counts": list(report.step_counts),
@@ -321,30 +317,19 @@ def cmd_convergence(config, out_dir, seed):
 
 
 def cmd_verify(config, out_dir, seed):
-    cfg = _check_keys(
-        config,
-        "config",
-        {"model": str},
-        {
-            "box": (dict, None),
-            "n_points": (int, 100),
-            "roundtrip_tol": (float, ROUNDTRIP_TOL),
-            "det_tol": (float, DET_TOL),
-            "reference": (dict, None),
-            "seed": (int, 0),
-        },
-    )
-    _at_least_one(cfg, "config", "n_points")
-    model_path = Path(cfg["model"])
-    if not model_path.exists():
-        _fail(f"model file not found: {model_path}")
-    net = load_net(model_path)
-    if cfg["box"] is not None:
-        box = _box_from_config(cfg["box"])
-    else:
+    reference = {"tau": (float, 0.0), "h_ref": (float, 1e-3), "p": (float, 2.0),
+                 "lp_samples": (int, 2000, _count), "lp_tol": (float, None),
+                 "field": (dict, REQUIRED, _field_from_config), "T": (float, REQUIRED)}
+    cfg = _read_config(config, seed, {
+        "model": (str, REQUIRED, _loaded(load_net)), "box": (dict, None, BOX[2]),
+        "n_points": (int, 100, _count), "roundtrip_tol": (float, ROUNDTRIP_TOL),
+        "det_tol": (float, DET_TOL),
+        "reference": (dict, None, lambda doc, where: _read_keys(doc, where, reference)),
+    })
+    net, box, ref = cfg["model"], cfg["box"], cfg["reference"]
+    if box is None:
         box = (-np.ones(net.dim), np.ones(net.dim))
-    used_seed = seed if seed is not None else cfg["seed"]
-    pts = sample_points(box, cfg["n_points"], used_seed)
+    pts = sample_points(box, cfg["n_points"], cfg["seed"])
 
     rt = roundtrip_error(net, pts)
     if not np.isfinite(rt):
@@ -363,19 +348,10 @@ def cmd_verify(config, out_dir, seed):
             "worst_point": det_worst.tolist(),
         },
     }
-    if cfg["reference"] is not None:
-        ref = _check_keys(
-            cfg["reference"],
-            "config.reference",
-            {"field": dict, "T": float},
-            {"tau": (float, 0.0), "h_ref": (float, 1e-3), "p": (float, 2.0),
-             "lp_samples": (int, 2000), "lp_tol": (float, None)},
-        )
-        _at_least_one(ref, "config.reference", "lp_samples")
-        field = _field_from_config(ref["field"], "config.reference.field")
+    if ref is not None:
         model = lambda xs: net_apply_batch(net, xs)
-        flow = lambda xs: rk4_flow(field, ref["tau"], ref["T"], ref["h_ref"], xs)
-        val = lp_error(model, flow, box, ref["p"], ref["lp_samples"], used_seed)
+        flow = lambda xs: rk4_flow(ref["field"], ref["tau"], ref["T"], ref["h_ref"], xs)
+        val = lp_error(model, flow, box, ref["p"], ref["lp_samples"], cfg["seed"])
         if not np.isfinite(val):
             raise NumericError("lp_error produced non-finite values")
         entry = {"value": val, "p": ref["p"]}
@@ -458,26 +434,13 @@ def main(argv=None) -> int:
         manifest.update(result)
         manifest["status"] = "ok"
         return finish(0)
-    except (ParseError, ConfigError, ValueError) as exc:
-        manifest["error"] = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return finish(2)
-    except UnsupportedError as exc:
-        manifest["error"] = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return finish(4)
-    except VerificationError as exc:
+    except tuple(EXIT_CODES) as exc:
         manifest.update(getattr(exc, "manifest_extra", {}))
         manifest["error"] = str(exc)
-        manifest["status"] = "failed"
+        if isinstance(exc, VerificationError):
+            manifest["status"] = "failed"
         print(f"error: {exc}", file=sys.stderr)
-        return finish(5)
-    except NumericError as exc:
-        manifest.update(getattr(exc, "manifest_extra", {}))
-        manifest["error"] = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return finish(3)
-
+        return finish(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)))
 
 if __name__ == "__main__":
     sys.exit(main())

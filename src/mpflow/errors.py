@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-NumericError -> 3, UnsupportedError -> 4, VerificationError -> 5.
+`mpflow.cli.EXIT_CODES` maps these onto process exit codes: ConfigError (any
+ValueError) -> 2, NumericError -> 3, UnsupportedError -> 4,
+VerificationError -> 5.
 """
 
 
