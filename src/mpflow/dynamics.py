@@ -411,15 +411,34 @@ def dataset_to_csv(ds: PairDataset) -> str:
 
 
 def dataset_from_csv(text: str) -> PairDataset:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    if not lines or not lines[0].startswith("x1,"):
+    """Blank lines are skipped; a row that does not hold one finite number per
+    header column is a ConfigError naming its 1-based line and column."""
+    first = text[: len(text) - len(text.lstrip())].count("\n") + 1  # line of the header
+    lines = [(n, ln) for n, ln in enumerate(text.strip().split("\n"), first) if ln]
+    if not lines or not lines[0][1].startswith("x1,"):
         raise ConfigError("dataset CSV must start with header x1,...,xp1,...")
-    n_cols = len(lines[0].split(","))
+    n_cols = len(lines[0][1].split(","))
     if n_cols % 2:
         raise ConfigError("dataset CSV must have an even number of columns")
     dim = n_cols // 2
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[1:]]
-    arr = np.array(rows)
+    cells = [ln.split(",") for _, ln in lines[1:]]
+    for (n, _), row in zip(lines[1:], cells):
+        if len(row) != n_cols:
+            raise ConfigError(f"dataset CSV line {n}, column {min(len(row), n_cols) + 1}: "
+                              f"the row has {len(row)} columns, the header {n_cols}")
+    arr = np.array([[_csv_number(v) for v in row] for row in cells])
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        i, j = bad[0]
+        raise ConfigError(f"dataset CSV line {lines[i + 1][0]}, column {j + 1} must be a finite "
+                          f"number, got {cells[i][j].strip()!r}")
     if arr.size == 0:
         raise ConfigError("dataset CSV has no rows")
     return PairDataset(arr[:, :dim], arr[:, dim:])
+
+
+def _csv_number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan  # reported with the non-finite values

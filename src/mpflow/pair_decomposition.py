@@ -147,6 +147,8 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, t
     lo, hi = as_box(sample_box)
     if lo.size != dim:
         raise ConfigError(f"sample box has dim {lo.size}, field has dim {dim}")
+    if quad_nodes < 1:
+        raise ConfigError(f"quad_nodes must be >= 1, got {quad_nodes}")
     if quad_nodes > MAX_QUAD_NODES:
         raise ConfigError(f"quad_nodes must be <= {MAX_QUAD_NODES}, got {quad_nodes}")
     nodes, weights = np.polynomial.legendre.leggauss(int(quad_nodes))
@@ -199,6 +201,10 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
     residual max_x |f - sum of pairs| over n_residual samples exceeds tol.
     Every check evaluates the field at t = 0.
     """
+    if not 0 < tol < np.inf:  # a nan fails too
+        raise ConfigError(f"tol must be a positive finite number, got {tol}")
+    if n_residual < 1:
+        raise ConfigError(f"n_residual must be >= 1, got {n_residual}")
     lo, hi = as_box(sample_box)
     div_pts = sample_points((lo, hi), _CHECK_SAMPLES, _DETECT_SEED + 1, exclude=field.singular)
     div = np.abs(partial_divergence_fd(field, 0.0, div_pts.T, field.dim))

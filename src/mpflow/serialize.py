@@ -125,6 +125,12 @@ def serialize(net: MPNet) -> bytes:
     return dump_json(net_to_doc(net)).encode("utf-8")
 
 
+def _reject_unknown(doc, known, prefix):
+    unknown = doc.keys() - known
+    if unknown:
+        raise ParseError(f"unknown field {prefix}{min(unknown)}")
+
+
 def _expect(doc, key, types, where):
     if key not in doc:
         raise ParseError(f"missing field {where}.{key}")
@@ -177,10 +183,18 @@ def _parse_mlp_shift(doc, where) -> MlpShift:
     return MlpShift(Mlp(tuple(dims), tuple(weights), tuple(biases), activation))
 
 
+# the keys of each shift type, as _shift_doc writes them
+_SHIFT_KEYS = {"mlp": ("type", "dims", "activation", "weights", "biases"),
+               "fixed": ("type", "id", "params")}
+
+
 def _parse_shift(doc, where, in_dim, out_dim):
     if not isinstance(doc, dict):
         raise ParseError(f"field {where} must be an object")
     kind = _expect(doc, "type", str, where)
+    if kind not in _SHIFT_KEYS:
+        raise ParseError(f"field {where}.type must be 'mlp' or 'fixed'")
+    _reject_unknown(doc, _SHIFT_KEYS[kind], f"{where}.")
     if kind == "mlp":
         shift = _parse_mlp_shift(doc, where)
         if shift.in_dim != in_dim or shift.out_dim != out_dim:
@@ -189,15 +203,13 @@ def _parse_shift(doc, where, in_dim, out_dim):
                 f"layer requires {in_dim} -> {out_dim}"
             )
         return shift
-    if kind == "fixed":
-        sid = _expect(doc, "id", str, where)
-        params = _float_list(_expect(doc, "params", list, where), f"{where}.params")
-        shift = fixed_shift(sid, params, in_dim, out_dim)
-        finite = np.isfinite(shift.params)
-        if not finite.all():
-            raise ParseError(f"field {where}.params[{finite.argmin()}] must be a finite number")
-        return shift
-    raise ParseError(f"field {where}.type must be 'mlp' or 'fixed'")
+    sid = _expect(doc, "id", str, where)
+    params = _float_list(_expect(doc, "params", list, where), f"{where}.params")
+    shift = fixed_shift(sid, params, in_dim, out_dim)
+    finite = np.isfinite(shift.params)
+    if not finite.all():
+        raise ParseError(f"field {where}.params[{finite.argmin()}] must be a finite number")
+    return shift
 
 
 # the constructors store the module's kind strings, not one parsed copy per layer
@@ -207,9 +219,7 @@ _CONSTRUCTORS = {UPPER: upper_layer, LOWER: lower_layer, SHEAR: shear_layer}
 def net_from_doc(doc) -> MPNet:
     if not isinstance(doc, dict):
         raise ParseError("model document must be an object")
-    unknown = set(doc) - {"dim", "layers"}
-    if unknown:
-        raise ParseError(f"unknown field {sorted(unknown)[0]}")
+    _reject_unknown(doc, ("dim", "layers"), "")
     dim = _expect(doc, "dim", int, "model")
     if dim < 2:
         raise ParseError("field model.dim must be >= 2")
@@ -228,6 +238,7 @@ def net_from_doc(doc) -> MPNet:
             in_dim, out_dim = shift_dims(kind, dim, pos)
         except ConfigError as exc:
             raise ParseError(f"field {where}.{key}: {exc}") from None
+        _reject_unknown(entry, ("kind", key, "shift"), f"{where}.")
         if "shift" not in entry:
             raise ParseError(f"missing field {where}.shift")
         shift = _parse_shift(entry["shift"], f"{where}.shift", in_dim, out_dim)

@@ -690,6 +690,49 @@ def test_config_faults_exit_2_with_the_pinned_message(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # a blank line before the header and one between rows still count
+        ("\nx1,x2,xp1,xp2\n1.0,0.0,0.9,0.1\n\n0.9,0.1,0.8\n",
+         "dataset CSV line 5, column 4: the row has 3 columns, the header 4"),
+        ("x1,x2,xp1,xp2\n1.0,0.0,0.9,0.1,0.5\n",
+         "dataset CSV line 2, column 5: the row has 5 columns, the header 4"),
+        ("x1,x2,xp1,xp2\n1.0,abc,0.9,0.1\n", "dataset CSV line 2, column 2 must be a finite number, got 'abc'"),
+        ("x1,x2,xp1,xp2\n1.0,0.0,0.9,0.1\n0.9,0.1,nan,0.2\n",
+         "dataset CSV line 3, column 3 must be a finite number, got 'nan'"),
+        ("x1,x2,xp1,xp2\n1.0,0.0,0.9,-inf\n", "dataset CSV line 2, column 4 must be a finite number, got '-inf'"),
+    ],
+    ids=["short-row", "long-row", "not-a-number", "nan", "inf"],
+)
+def test_bad_dataset_row_exits_2_naming_line_and_column(tmp_path, rows, message):
+    (tmp_path / "dataset.csv").write_text(rows)
+    code, out = run(tmp_path, "train", {"dataset": str(tmp_path / "dataset.csv"), "epochs": 2})
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == message
+
+
+def test_train_negative_learning_rate_exits_2(tmp_path):
+    _, data_dir = run(tmp_path, "gen-data", GEN_CFG, out=tmp_path / "data")
+    cfg = {"dataset": str(data_dir / "dataset.csv"), "epochs": 2, "width": 2, "lr": -5}
+    code, out = run(tmp_path, "train", cfg)
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "lr must be a positive finite number, got -5.0"
+    assert not (out / "model.json").exists()
+
+
+def test_decompose_zero_tol_exits_2_naming_it(tmp_path):
+    code, out = run(tmp_path, "decompose", dict(DECOMPOSE_CFG, tol=0))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "tol must be a positive finite number, got 0.0"
+
+
 def test_poly_exponents_may_be_integral_floats(tmp_path):
     as_floats = dict(POLY_HARMONIC, components=[[[-1.0, [0.0, 1.0]]], [[1.0, [1.0, 0.0]]]])
     _, ints = run(tmp_path, "gen-data", dict(GEN_CFG, field=POLY_HARMONIC), out=tmp_path / "i")

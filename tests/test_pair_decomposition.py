@@ -1,10 +1,11 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from mpflow.dynamics import divergence_fd, field_eval, make_field
-from mpflow.errors import DecompositionError
+from mpflow.errors import ConfigError, DecompositionError
 from mpflow.pair_decomposition import (
     _DETECT_SEED,
     PairField,
@@ -180,6 +181,28 @@ def test_nan_divergence_is_rejected():
     f = make_field("linear", params=np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(DecompositionError, match="not divergence-free"):
         decompose(f, (np.full(2, -1.0), np.full(2, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"tol": 0.0}, "tol must be a positive finite number, got 0.0"),
+        ({"tol": -1e-6}, "tol must be a positive finite number, got -1e-06"),
+        ({"tol": float("nan")}, "tol must be a positive finite number, got nan"),
+        ({"n_residual": 0}, "n_residual must be >= 1, got 0"),
+        ({"quad_nodes": 0}, "quad_nodes must be >= 1, got 0"),
+    ],
+    ids=["tol=0", "tol<0", "tol=nan", "n_residual=0", "quad_nodes=0"],
+)
+def test_decompose_rejects_bad_arguments_by_name(kwargs, message):
+    harmonic = make_field("harmonic2d")
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        decompose(harmonic, (np.full(2, -1.0), np.full(2, 1.0)), **kwargs)
+
+
+def test_build_pairs_rejects_zero_quad_nodes():
+    with pytest.raises(ConfigError, match=r"^quad_nodes must be >= 1, got 0$"):
+        build_pairs(make_field("harmonic2d"), (np.full(2, -1.0), np.full(2, 1.0)), quad_nodes=0)
 
 
 def test_non_divergence_free_error_names_first_worst_point():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,26 @@ def test_shift_dim_mismatch_names_field():
 def test_unknown_top_level_key_rejected():
     with pytest.raises(ParseError):
         deserialize(json.dumps({"dim": 2, "layers": [], "extra": 1}))
+
+
+MLP_LAYER = net_to_doc(random_net(2, 1, seed=1))["layers"][0]
+
+
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        ({"kind": "upper", "s": 2, "i": 7}, "unknown field layers[0].i"),
+        ({"kind": "shear", "i": 1, "foo": 1}, "unknown field layers[0].foo"),
+        ({"kind": "shear", "i": 1, "shift": {"type": "fixed", "id": "constant", "params": [0.0],
+                                           "bar": 1}}, "unknown field layers[0].shift.bar"),
+        (dict(MLP_LAYER, shift=dict(MLP_LAYER["shift"], bar=1)), "unknown field layers[0].shift.bar"),
+    ],
+    ids=["upper-i", "layer-foo", "fixed-shift-bar", "mlp-shift-bar"],
+)
+def test_unknown_layer_and_shift_keys_rejected(layer, message):
+    layer = dict({"shift": {"type": "fixed", "id": "constant", "params": [0.0]}}, **layer)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        deserialize(json.dumps({"dim": 2, "layers": [layer]}))
 
 
 def test_bad_kind_and_missing_fields():

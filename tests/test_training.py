@@ -106,6 +106,12 @@ def test_config_validation():
         TrainConfig(epochs=0)
 
 
+@pytest.mark.parametrize("lr", [-5.0, 0.0, float("nan"), float("inf")])
+def test_config_rejects_a_learning_rate_that_is_not_positive_and_finite(lr):
+    with pytest.raises(ConfigError, match=rf"^lr must be a positive finite number, got {lr}$"):
+        TrainConfig(lr=lr)
+
+
 # --- train ---------------------------------------------------------------------
 
 
