@@ -9,7 +9,6 @@ Jacobian determinant at every epoch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,7 +49,7 @@ class TrainConfig:
             raise ConfigError(f"n_layers must be >= 1, got {self.n_layers}")
         if self.width < 1:
             raise ConfigError(f"width must be >= 1, got {self.width}")
-        if not 0 < self.lr < math.inf:  # a nan fails too
+        if not 0 < self.lr < np.inf:  # a nan fails too
             raise ConfigError(f"lr must be a positive finite number, got {self.lr}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
