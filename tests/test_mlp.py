@@ -4,7 +4,14 @@ import pytest
 from mpflow.errors import ConfigError, NumericError
 from mpflow.mlp import (
     Mlp,
+    Workspace,
+    _act,
+    _act_grad,
+    _backward,
+    _buffer,
+    _forward,
     _sigmoid,
+    _sigmoid_into,
     adam_init,
     adam_step,
     backward_batch,
@@ -250,6 +257,140 @@ def test_gradient_check_sweep():
         for g, f in zip(grads, fd):
             np.testing.assert_allclose(g, f, rtol=1e-5, atol=1e-8)
         np.testing.assert_allclose(dx[0], fd_input_grad(mlp, x, up), rtol=1e-5, atol=1e-8)
+
+
+# --- the kernels against the earlier matmul and copysign expressions ---------
+
+
+def _ref_sigmoid_into(z, e):
+    # the earlier sigmoid: -|z| taken in one copysign
+    np.copysign(z, -1.0, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(z, 0.0, out=z, casting="unsafe")
+    np.maximum(e, z, out=z)
+    e += 1.0
+    z /= e
+    return z
+
+
+def _ref_forward(mlp, x, ws=None, tag=None):
+    """The earlier forward kernel, its products through np.matmul."""
+    a = np.asarray(x, float)
+    acts = []
+    last = len(mlp.weights) - 1
+    for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        acts.append(a)
+        key = "mlp output" if l == last else (tag, l)
+        z = np.matmul(a, w.T, out=_buffer(ws, key, a.shape[:-1] + w.shape[:1]))
+        z += b
+        if l == last:
+            a = z
+        elif mlp.activation == "sigmoid":
+            a = _ref_sigmoid_into(z, np.empty(z.shape))
+        else:
+            a = _act(mlp.activation, z)
+    return a, acts
+
+
+def _ref_backward(mlp, cache, upstream, ws=None, tag=None):
+    """The earlier backward kernel, its products through np.matmul."""
+    delta = np.asarray(upstream, float)
+    n_layers = len(mlp.weights)
+    grads = [None] * (2 * n_layers) if ws is None else ws.grads[tag]
+    for l in range(n_layers - 1, -1, -1):
+        grads[2 * l] = np.matmul(delta.T, cache[l], out=grads[2 * l])
+        grads[2 * l + 1] = np.add.reduce(delta, axis=0, out=grads[2 * l + 1])
+        w = mlp.weights[l]
+        delta = np.matmul(delta, w, out=_buffer(ws, ("delta", l), (len(delta), w.shape[1])))
+        if l > 0:
+            delta *= _act_grad(mlp.activation, cache[l], _buffer(ws, "act grad", delta.shape))
+    return grads, delta
+
+
+# specials for data and upstream gradients; 5e-324 times a weight below 0.5
+# underflows to a zero whose sign the two forms may give differently
+_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e-300, -1e300,
+             np.nan, -np.nan, np.inf, -np.inf]
+
+
+def _seeded(shape, specials, rng):
+    """Uniform values in [-2, 2) with one entry in five replaced by a special."""
+    out = rng.uniform_array(shape, -2.0, 2.0)
+    flat = out.reshape(-1)
+    for j in range(0, flat.size, 5):
+        flat[j] = specials[rng.next_u64() % len(specials)]
+    return out
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kernel_results(mlp, x, up, forward, backward):
+    """Every array the kernels return on (x, up): a batch forward and its cache,
+    a point forward, the backward, and both again with a workspace."""
+    out, cache = forward(mlp, x)
+    point, _ = forward(mlp, x[0])  # a single point, not a batch of one
+    grads, dx = backward(mlp, cache, up)
+    ws = Workspace({"t": [np.empty(p.shape) for p in mlp_params(mlp)]})
+    # a workspace's output is scratch that the next call overwrites
+    ws_out, ws_cache = forward(mlp, x, ws, "t")
+    ws_out = ws_out.copy()
+    ws_grads, ws_dx = backward(mlp, ws_cache, up.copy(), ws, "t")
+    return [out, *cache, point, *grads, dx, ws_out, *ws_cache, *ws_grads, ws_dx]
+
+
+def _both_kernels(dims, activation, n, weight_specials, bias_specials):
+    rng = Xoshiro256(31)
+    base = mlp_init(dims, activation, 0)
+    specials = [weight_specials, bias_specials] * len(base.weights)  # [W1, b1, ...]
+    mlp = mlp_with_params(base, [_seeded(p.shape, sp, rng)
+                                 for p, sp in zip(mlp_params(base), specials)])
+    x = _seeded((n, dims[0]), _SPECIALS, rng)
+    up = _seeded((n, dims[-1]), _SPECIALS, rng)
+    with np.errstate(all="ignore"):
+        return (_kernel_results(mlp, x, up, _forward, _backward),
+                _kernel_results(mlp, x, up, _ref_forward, _ref_backward))
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+@pytest.mark.parametrize("dims", [(3, 64, 1), (1, 64, 3)])  # the benchmark net's two shifts
+def test_kernels_bit_identical_to_matmul_and_copysign_forms(dims, activation):
+    # the parameters a net can hold: finite (load_net and adam_step refuse
+    # others), and no -0.0 bias, since biases start at +0.0 and Adam's
+    # p - step is -0.0 only for p = -0.0; the data carry every special
+    weights = [v for v in _SPECIALS if np.isfinite(v)]
+    biases = [v for v in weights if not (v == 0.0 and np.signbit(v))]
+    got, want = _both_kernels(dims, activation, 199, weights, biases)
+    assert all(_bits_equal(g, w) for g, w in zip(got, want))
+    # a batch of one at the forward only: its backward contracts over one row
+    # (the test below)
+    got, want = _both_kernels(dims, activation, 1, weights, biases)
+    assert all(_bits_equal(g, w) for g, w in zip(got[:4], want[:4]))
+
+
+@pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
+@pytest.mark.parametrize("dims", [(3, 64, 1), (1, 64, 3)])
+@pytest.mark.parametrize("n", [199, 1])
+def test_kernels_differ_from_matmul_form_only_in_zero_signs_and_nan_bits(n, dims, activation):
+    # with specials in the parameters too (-0.0 biases, nan and inf weights),
+    # and with a backward that contracts over one row, a product with inner
+    # dimension 1 may give an underflowed zero the other sign, and a product
+    # of two nans the other nan; every other bit is the same
+    got, want = _both_kernels(dims, activation, n, _SPECIALS, _SPECIALS)
+    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+
+
+def test_sigmoid_into_bit_identical_to_copysign_form():
+    # random bits cover every class of float64: nans of both signs with many
+    # payloads, subnormals, infinities and both zeros
+    rng = Xoshiro256(21)
+    z = np.array([rng.next_u64() for _ in range(199 * 64)], np.uint64).view(np.float64)
+    z[:10] = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0]
+    with np.errstate(all="ignore"):
+        for zs in (z, z.reshape(199, 64), z[:1].reshape(())):
+            got = _sigmoid_into(zs.copy(), np.empty(zs.shape))
+            assert _bits_equal(got, _ref_sigmoid_into(zs.copy(), np.empty(zs.shape)))
 
 
 # --- adam -------------------------------------------------------------------
