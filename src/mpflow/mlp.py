@@ -19,6 +19,18 @@ forward. Each kernel, and `adam_step`, takes an optional `Workspace`. Only
 the same arrays again. Without a workspace, which is how every other caller
 runs (`forward_cached`, `forward_batch` and `backward_batch` pass none), each
 call allocates its results and leaves its inputs alone.
+
+The kernels' dense products use `np.dot`, not `np.matmul`. numpy's matmul runs
+an unblocked loop when the contracted dimension is 1, as in a lower layer's
+first product, (n, 1) @ (1, width), and in an upper layer's output delta times
+W2; `np.dot` hands those to BLAS at about a third of the cost, and every other
+shape goes to the same BLAS call either way. The bits are matmul's except in
+two cases. BLAS adds a product to +0.0 in one rounding, so a product that
+underflows keeps its sign, where matmul's 0 + u*w gives +0.0; and a product of
+two nans may carry either nan. Neither reaches a result of training, rollout or
+verification: a net's weights are finite, a trained bias is never -0.0
+(biases start at +0.0, and Adam's p - step is -0.0 only for p = -0.0), a BLAS
+sum starts from +0.0, and Adam takes +0.0 and -0.0 gradients alike.
 """
 
 from __future__ import annotations
@@ -44,13 +56,15 @@ def _sigmoid(z):
 
 def _sigmoid_into(z, e):
     # Writes sigmoid(z) over z, using e (z's shape) as scratch. e = exp(-|z|)
-    # never overflows; copysign(z, -1) is -|z| bit for bit, nan included. For
+    # never overflows; abs then negative is -|z| bit for bit, nan payloads
+    # included, and the two passes cost less than one copysign(z, -1). For
     # z >= 0 this is 1/(1+exp(-z)), for z < 0 it is exp(z)/(1+exp(z)), the
     # usual stable form for each sign, with one exp. The numerator, 1 where
     # z >= 0 and e elsewhere, is max(e, [z >= 0]), since e lies in [0, 1] or
     # is nan (which maximum returns as it is): the bits of a masked select at
     # a fraction of its cost
-    np.copysign(z, -1.0, out=e)
+    np.abs(z, out=e)
+    np.negative(e, out=e)
     np.exp(e, out=e)
     np.greater_equal(z, 0.0, out=z, casting="unsafe")
     np.maximum(e, z, out=z)
@@ -196,7 +210,8 @@ def _forward(mlp: Mlp, x, ws=None, tag=None):
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         acts.append(a)
         key = "mlp output" if l == last else (tag, l)
-        z = np.matmul(a, w.T, out=_buffer(ws, key, a.shape[:-1] + w.shape[:1]))
+        # np.dot, not np.matmul: see the module docstring
+        z = np.dot(a, w.T, out=_buffer(ws, key, a.shape[:-1] + w.shape[:1]))
         z += b
         a = z if l == last else _act(mlp.activation, z)
     return a, acts
@@ -226,11 +241,11 @@ def _backward(mlp: Mlp, cache, upstream, ws=None, tag=None):
         raise ConfigError(f"upstream shape {delta.shape} != output shape {out_shape}")
     n_layers = len(mlp.weights)
     grads = [None] * (2 * n_layers) if ws is None else ws.grads[tag]
-    for l in range(n_layers - 1, -1, -1):
-        grads[2 * l] = np.matmul(delta.T, cache[l], out=grads[2 * l])
+    for l in range(n_layers - 1, -1, -1):  # np.dot: see the module docstring
+        grads[2 * l] = np.dot(delta.T, cache[l], out=grads[2 * l])
         grads[2 * l + 1] = np.add.reduce(delta, axis=0, out=grads[2 * l + 1])  # delta.sum(axis=0)
         w = mlp.weights[l]
-        delta = np.matmul(delta, w, out=_buffer(ws, ("delta", l), (out_shape[0], w.shape[1])))
+        delta = np.dot(delta, w, out=_buffer(ws, ("delta", l), (out_shape[0], w.shape[1])))
         if l > 0:
             delta *= _act_grad(mlp.activation, cache[l], _buffer(ws, "act grad", delta.shape))
     return grads, delta
