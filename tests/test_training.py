@@ -218,6 +218,40 @@ def test_train_workspace_matches_allocating_kernels_bitwise_at_benchmark_shape(
     assert_params_equal(net, reference_params(lorentz_pairs, cfg, cfg.epochs))
 
 
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(lorentz_pairs, tmp_path):
+    # BLAS reads its thread count once, at load, so each count needs its own process
+    import hashlib
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from mpflow.dynamics import dataset_to_csv
+
+    data = dataset_to_csv(lorentz_pairs).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == (  # the pinned gen-data dataset
+        "ad8045a525d3e16471beb8d099f02bbf77efb896cf740b8c788faabc245afdf1"
+    )
+    (tmp_path / "dataset.csv").write_bytes(data)
+    config = {"dataset": "dataset.csv", "n_layers": 8, "width": 64, "epochs": 30, "log_stride": 10}
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpflow.cli", "train", "--config", "train.json", "--seed", "1",
+             "--out", out],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(tmp_path / out / name).read_bytes() for name in ("model.json", "metrics.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_train_workspace_does_not_outlive_the_call():
     ds, _ = teacher_student_dataset(seed=10, n_points=16)
     cfg = TrainConfig(n_layers=3, width=4, epochs=20, seed=1, log_stride=5)
