@@ -59,7 +59,9 @@ def _read_keys(doc, where, keys):
     each required key that is missing or of the wrong type, each optional key
     of the wrong type, then each given value whose check fails, in table order
     (a command's table lists its keys in the order their values are checked).
-    A check (value, where) -> value returns the value to use.
+    A check (value, where, read) -> value returns the value to use; `read`
+    holds the values read so far, so a check may compare with a key checked
+    before it.
     """
     if not isinstance(doc, dict):
         _fail(f"{where} must be a JSON object")
@@ -76,7 +78,7 @@ def _read_keys(doc, where, keys):
             out[key] = default
     for key, (_, _, *check) in keys.items():
         if check and key in doc:
-            out[key] = check[0](out[key], f"{where}.{key}")
+            out[key] = check[0](out[key], f"{where}.{key}", out)
     return out
 
 
@@ -107,19 +109,19 @@ def _coerce(val, typ, where):
     return val
 
 
-def _count(val, where):
+def _count(val, where, read):
     if val < 1:
         _fail(f"{where} must be >= 1, got {val}")
     return val
 
 
-def _vector(val, where):
+def _vector(val, where, read):
     if not val:
         _fail(f"{where} must be a non-empty list of numbers")
     return np.array([_coerce(v, float, f"{where}[{i}]") for i, v in enumerate(val)])
 
 
-def _ints(val, where):
+def _ints(val, where, read):
     return [_coerce(v, int, f"{where}[{i}]") for i, v in enumerate(val)]
 
 
@@ -139,7 +141,7 @@ def _numbers(val, where):
 def _loaded(load):
     """Check of a file key, "dataset" or "model": the file must exist; the value is load(path)."""
 
-    def check(val, where):
+    def check(val, where, read):
         path = Path(val)
         if not path.exists():
             _fail(f"{where.rpartition('.')[2]} file not found: {path}")
@@ -166,10 +168,24 @@ def _field_from_config(doc, where="field"):
     return make_field(fid, *params, dim=cfg.get("dim"))
 
 
+def _of_model_dim(check, dim, name="{where}"):
+    """`check`, then dim(value) must be the dim of the model read before it;
+    the fault names `name`, formatted with the key's path `where`."""
+
+    def checked(val, where, read):
+        val = check(val, where, read)
+        if dim(val) != read["model"].dim:
+            _fail(f"{name.format(where=where)} has dim {dim(val)}, "
+                  f"the model has dim {read['model'].dim}")
+        return val
+
+    return checked
+
+
 # a top-level field or box is named by its own key (field.dim, box.lo[1]), a
 # nested one by its path (config.reference.field)
-FIELD = (dict, REQUIRED, lambda doc, where: _field_from_config(doc))
-BOX = (dict, REQUIRED, lambda doc, where: _box_from_config(doc))
+FIELD = (dict, REQUIRED, lambda doc, where, read: _field_from_config(doc))
+BOX = (dict, REQUIRED, lambda doc, where, read: _box_from_config(doc))
 
 
 def _write(path: Path, text: str):
@@ -225,7 +241,8 @@ def cmd_train(config, out_dir, seed):
 
 def cmd_predict(config, out_dir, seed):
     cfg = _read_config(config, seed, {
-        "model": (str, REQUIRED, _loaded(load_net)), "x0": (list, REQUIRED, _vector),
+        "model": (str, REQUIRED, _loaded(load_net)),
+        "x0": (list, REQUIRED, _of_model_dim(_vector, len)),
         "n_steps": (int, REQUIRED), "h_data": (float, None),
     })
     traj, truncated_at = rollout(cfg["model"], cfg["x0"], cfg["n_steps"], cfg["h_data"])
@@ -319,12 +336,16 @@ def cmd_convergence(config, out_dir, seed):
 def cmd_verify(config, out_dir, seed):
     reference = {"tau": (float, 0.0), "h_ref": (float, 1e-3), "p": (float, 2.0),
                  "lp_samples": (int, 2000, _count), "lp_tol": (float, None),
-                 "field": (dict, REQUIRED, _field_from_config), "T": (float, REQUIRED)}
+                 "field": (dict, REQUIRED, lambda doc, where, read: _field_from_config(doc, where)),
+                 "T": (float, REQUIRED)}
     cfg = _read_config(config, seed, {
-        "model": (str, REQUIRED, _loaded(load_net)), "box": (dict, None, BOX[2]),
+        "model": (str, REQUIRED, _loaded(load_net)),
+        "box": (dict, None, _of_model_dim(BOX[2], lambda box: len(box[0]), "box")),
         "n_points": (int, 100, _count), "roundtrip_tol": (float, ROUNDTRIP_TOL),
         "det_tol": (float, DET_TOL),
-        "reference": (dict, None, lambda doc, where: _read_keys(doc, where, reference)),
+        "reference": (dict, None, _of_model_dim(
+            lambda doc, where, read: _read_keys(doc, where, reference),
+            lambda ref: ref["field"].dim, "{where}.field")),
     })
     net, box, ref = cfg["model"], cfg["box"], cfg["reference"]
     if box is None:

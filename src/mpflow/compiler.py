@@ -288,8 +288,10 @@ def convergence_study(field: VectorField, tau, T, step_counts, sample_box,
                       h_ref=1e-3, seed=0xC0DE) -> ConvergenceReport:
     """Sup-norm error of the compiled flow against RK4 across step counts.
 
-    Fits the slope of log2(error) versus log2(h) by least squares; an exact
-    match everywhere (all errors below 1e-12) is flagged instead of fitted.
+    Fits the slope of log2(error) versus log2|h| by least squares (h = T/n is
+    negative for a negative T, and the order depends on the step's magnitude);
+    an exact match everywhere (all errors below 1e-12) is flagged instead of
+    fitted.
     """
     counts = [int(n) for n in step_counts]
     if len(counts) < 2 or any(b <= a for a, b in zip(counts, counts[1:])):
@@ -309,5 +311,5 @@ def convergence_study(field: VectorField, tau, T, step_counts, sample_box,
         errors.append(float(np.max(np.abs(out - refs), initial=0.0)))
     if all(e < 1e-12 for e in errors):
         return ConvergenceReport(tuple(counts), tuple(h_values), tuple(errors), None, True)
-    slope = float(np.polyfit(np.log2(h_values), np.log2(errors), 1)[0])
+    slope = float(np.polyfit(np.log2(np.abs(h_values)), np.log2(errors), 1)[0])
     return ConvergenceReport(tuple(counts), tuple(h_values), tuple(errors), slope, False)

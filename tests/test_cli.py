@@ -83,6 +83,18 @@ def test_gen_data_singular_start_reports_only_the_rk4_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: rk4 state became non-finite at substep 1\n"
 
 
+def test_convergence_negative_T_fits_the_step_magnitude(tmp_path, capfd):
+    # h = T/n < 0: the slope is fitted against log2|h|, with nothing from
+    # numpy or LAPACK on stderr
+    cfg = dict(CONVERGENCE_CFG, T=-1.0, step_counts=[1, 2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run(tmp_path, "convergence", cfg)
+    assert code == 0
+    assert np.isfinite(json.loads((out / "convergence.json").read_text())["slope"])
+    assert capfd.readouterr().err == ""
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = dict(GEN_CFG, extra_knob=1)
     code, _ = run(tmp_path, "gen-data", cfg)
@@ -664,6 +676,16 @@ REFERENCE_VERIFY = {"model": "identity.json", "n_points": 2}
         ("verify", dict(REFERENCE_VERIFY, reference={"field": {"id": "harmonic2d"}, "T": 0.1,
                                                      "lp_samples": 0}),
          "config.reference.lp_samples must be >= 1, got 0"),
+        # box, x0 and reference.field against the model's dim, before any of it runs
+        ("verify", dict(REFERENCE_VERIFY, box={"lo": [-1, -1, -1], "hi": [1, 1, 1]}),
+         "box has dim 3, the model has dim 2"),
+        ("verify", dict(REFERENCE_VERIFY, model="layered.json",
+                        box={"lo": [-1, -1, -1], "hi": [1, 1, 1]}),
+         "box has dim 3, the model has dim 2"),
+        ("verify", dict(REFERENCE_VERIFY, reference={"field": {"id": "lorentz4d"}, "T": 0.1}),
+         "config.reference.field has dim 4, the model has dim 2"),
+        ("predict", {"model": "layered.json", "x0": [1.0, 0.0, 0.5], "n_steps": 2},
+         "config.x0 has dim 3, the model has dim 2"),
         ("gen-data", "nope", "config is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
         ("gen-data", None, "config file not found: missing.json"),
     ],
@@ -671,13 +693,14 @@ REFERENCE_VERIFY = {"model": "identity.json", "n_points": 2}
          "str-dataset", "str-activation", "int-n-pairs", "int-width", "number-h-data",
          "unknown-field-id", "missing-field-id", "empty-x0", "seed-before-n-pairs", "missing-box-hi",
          "train-dataset-file", "predict-model-file", "verify-model-file", "dict-reference",
-         "missing-reference-key", "reference-field-id", "reference-lp-samples", "invalid-json",
-         "missing-config-file"],
+         "missing-reference-key", "reference-field-id", "reference-lp-samples", "box-dim-no-layers",
+         "box-dim", "reference-field-dim", "predict-x0-dim", "invalid-json", "missing-config-file"],
 )
 def test_config_faults_exit_2_with_the_pinned_message(tmp_path, monkeypatch, capsys, command, config,
                                                       message):
     monkeypatch.chdir(tmp_path)  # the paths in the configs and the messages are relative
     save_net(MPNet(2, ()), tmp_path / "identity.json")
+    save_net(random_net(2, 2, 0), tmp_path / "layered.json")
     argv = [command, "--config", "missing.json", "--out", "out"]
     if config is not None:
         text = config if isinstance(config, str) else json.dumps(config)
