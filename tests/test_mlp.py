@@ -327,8 +327,9 @@ def _bits_equal(a, b):
 
 
 def _kernel_results(mlp, x, up, forward, backward):
-    """Every array the kernels return on (x, up): a batch forward and its cache,
-    a point forward, the backward, and both again with a workspace."""
+    """(forward arrays, backward arrays) the kernels return on (x, up): a batch
+    forward and its cache, a point forward, the backward, and both again with
+    a workspace."""
     out, cache = forward(mlp, x)
     point, _ = forward(mlp, x[0])  # a single point, not a batch of one
     grads, dx = backward(mlp, cache, up)
@@ -337,7 +338,7 @@ def _kernel_results(mlp, x, up, forward, backward):
     ws_out, ws_cache = forward(mlp, x, ws, "t")
     ws_out = ws_out.copy()
     ws_grads, ws_dx = backward(mlp, ws_cache, up.copy(), ws, "t")
-    return [out, *cache, point, *grads, dx, ws_out, *ws_cache, *ws_grads, ws_dx]
+    return [out, *cache, point, ws_out, *ws_cache], [*grads, dx, *ws_grads, ws_dx]
 
 
 def _both_kernels(dims, activation, n, weight_specials, bias_specials):
@@ -349,8 +350,10 @@ def _both_kernels(dims, activation, n, weight_specials, bias_specials):
     x = _seeded((n, dims[0]), _SPECIALS, rng)
     up = _seeded((n, dims[-1]), _SPECIALS, rng)
     with np.errstate(all="ignore"):
-        return (_kernel_results(mlp, x, up, _forward, _backward),
-                _kernel_results(mlp, x, up, _ref_forward, _ref_backward))
+        got = _kernel_results(mlp, x, up, _forward, _backward)
+        want = _kernel_results(mlp, x, up, _ref_forward, _ref_backward)
+    # (got, want) pairs of the forward arrays, then of the backward arrays
+    return list(zip(got[0], want[0])), list(zip(got[1], want[1]))
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
@@ -361,12 +364,12 @@ def test_kernels_bit_identical_to_matmul_and_copysign_forms(dims, activation):
     # p - step is -0.0 only for p = -0.0; the data carry every special
     weights = [v for v in _SPECIALS if np.isfinite(v)]
     biases = [v for v in weights if not (v == 0.0 and np.signbit(v))]
-    got, want = _both_kernels(dims, activation, 199, weights, biases)
-    assert all(_bits_equal(g, w) for g, w in zip(got, want))
+    forward, backward = _both_kernels(dims, activation, 199, weights, biases)
+    assert all(_bits_equal(g, w) for g, w in forward + backward)
     # a batch of one at the forward only: its backward contracts over one row
     # (the test below)
-    got, want = _both_kernels(dims, activation, 1, weights, biases)
-    assert all(_bits_equal(g, w) for g, w in zip(got[:4], want[:4]))
+    forward, _ = _both_kernels(dims, activation, 1, weights, biases)
+    assert all(_bits_equal(g, w) for g, w in forward)
 
 
 @pytest.mark.parametrize("activation", ["sigmoid", "tanh", "relu"])
@@ -377,8 +380,8 @@ def test_kernels_differ_from_matmul_form_only_in_zero_signs_and_nan_bits(n, dims
     # and with a backward that contracts over one row, a product with inner
     # dimension 1 may give an underflowed zero the other sign, and a product
     # of two nans the other nan; every other bit is the same
-    got, want = _both_kernels(dims, activation, n, _SPECIALS, _SPECIALS)
-    assert all(np.array_equal(g, w, equal_nan=True) for g, w in zip(got, want))
+    forward, backward = _both_kernels(dims, activation, n, _SPECIALS, _SPECIALS)
+    assert all(np.array_equal(g, w, equal_nan=True) for g, w in forward + backward)
 
 
 def test_sigmoid_into_bit_identical_to_copysign_form():

@@ -248,7 +248,8 @@ def test_train_bytes_do_not_depend_on_the_blas_thread_count(lorentz_pairs, tmp_p
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        outputs.append([(tmp_path / out / name).read_bytes() for name in ("model.json", "metrics.json")])
+        outputs.append([(tmp_path / out / name).read_bytes()
+                        for name in ("model.json", "metrics.json")])
     assert outputs[0] == outputs[1]
 
 
