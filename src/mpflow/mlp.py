@@ -20,17 +20,16 @@ the same arrays again. Without a workspace, which is how every other caller
 runs (`forward_cached`, `forward_batch` and `backward_batch` pass none), each
 call allocates its results and leaves its inputs alone.
 
-The kernels' dense products use `np.dot`, not `np.matmul`. numpy's matmul runs
-an unblocked loop when the contracted dimension is 1, as in a lower layer's
-first product, (n, 1) @ (1, width), and in an upper layer's output delta times
-W2; `np.dot` hands those to BLAS at about a third of the cost, and every other
-shape goes to the same BLAS call either way. The bits are matmul's except in
-two cases. BLAS adds a product to +0.0 in one rounding, so a product that
-underflows keeps its sign, where matmul's 0 + u*w gives +0.0; and a product of
-two nans may carry either nan. Neither reaches a result of training, rollout or
-verification: a net's weights are finite, a trained bias is never -0.0
-(biases start at +0.0, and Adam's p - step is -0.0 only for p = -0.0), a BLAS
-sum starts from +0.0, and Adam takes +0.0 and -0.0 gradients alike.
+The dense products use `np.dot`, not `np.matmul`: numpy's matmul runs an
+unblocked loop when the contracted dimension is 1 (a lower layer's
+(n, 1) @ (1, width), an upper layer's output delta times W2), where np.dot
+hands the product to BLAS at about a third of the cost; other shapes reach the
+same BLAS call either way. BLAS may form u*w + 0.0 in one rounding, so an
+underflowed product can keep its sign where matmul gives +0.0, and a product of
+two nans may carry either nan. No result of train, rollout or verify shows
+either: weights are finite, a trained bias is never -0.0 (biases start at +0.0,
+and Adam's p - step is -0.0 only for p = -0.0), and BLAS sums and Adam absorb
+the sign.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ def _forward(mlp: Mlp, x, ws=None, tag=None):
     for l, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
         acts.append(a)
         key = "mlp output" if l == last else (tag, l)
-        # np.dot, not np.matmul: see the module docstring
+        # np.dot: matmul loops when the contracted dimension is 1 (see above)
         z = np.dot(a, w.T, out=_buffer(ws, key, a.shape[:-1] + w.shape[:1]))
         z += b
         a = z if l == last else _act(mlp.activation, z)
@@ -241,7 +240,7 @@ def _backward(mlp: Mlp, cache, upstream, ws=None, tag=None):
         raise ConfigError(f"upstream shape {delta.shape} != output shape {out_shape}")
     n_layers = len(mlp.weights)
     grads = [None] * (2 * n_layers) if ws is None else ws.grads[tag]
-    for l in range(n_layers - 1, -1, -1):  # np.dot: see the module docstring
+    for l in range(n_layers - 1, -1, -1):  # np.dot, as in _forward
         grads[2 * l] = np.dot(delta.T, cache[l], out=grads[2 * l])
         grads[2 * l + 1] = np.add.reduce(delta, axis=0, out=grads[2 * l + 1])  # delta.sum(axis=0)
         w = mlp.weights[l]
