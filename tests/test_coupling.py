@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mpflow.compiler import compile_flow
 from mpflow.coupling import (
     LOWER,
     SHEAR,
@@ -23,11 +24,13 @@ from mpflow.coupling import (
     shift_dims,
     upper_layer,
 )
+from mpflow.dynamics import dataset_from_trajectory, generate_trajectory, make_field
 from mpflow.errors import ConfigError, UnsupportedError
 from mpflow.mlp import mlp_init
 from mpflow.rng import Xoshiro256
 from mpflow.shifts import MlpShift, fixed_shift, register_fixed_shift
-from mpflow.verify import roundtrip_error
+from mpflow.training import TrainConfig, train
+from mpflow.verify import roundtrip_error, sample_points
 
 
 def _square_factory(params, in_dim, out_dim):
@@ -454,3 +457,39 @@ def test_net_roundtrip_64_layers():
     net = random_net(4, 64, seed=640)
     pts = Xoshiro256(64).uniform_array((50, 4), -2, 2)
     assert roundtrip_error(net, pts) < 1e-11
+
+
+# --- a net pass against its layers -----------------------------------------
+
+# the benchmark's lorentz4d box, clear of the singular line y1 = y2 = 0
+LORENTZ_BOX = (np.array([-0.4, 0.5, 0.6, 0.0]), np.array([0.6, 1.5, 1.6, 1.0]))
+
+
+def trained_lorentz_net():
+    traj = generate_trajectory(make_field("lorentz4d"), [0.1, 1.0, 1.1, 0.5], 0.2, 21)
+    config = TrainConfig(n_layers=4, width=8, epochs=20, log_stride=20, seed=3)
+    return train(dataset_from_trajectory(traj), config)[0]
+
+
+def compiled_lorentz_net():
+    return compile_flow(make_field("lorentz4d"), 0.0, 0.2, 2, LORENTZ_BOX).net
+
+
+def chained_layers(net, x, inverse):
+    for layer in reversed(net.layers) if inverse else net.layers:
+        x = layer_apply_batch(layer, x, inverse=inverse)
+    return x
+
+
+@pytest.mark.parametrize("make_net", [trained_lorentz_net, compiled_lorentz_net])
+def test_net_pass_has_the_bits_of_its_chained_layers(make_net):
+    net = make_net()
+    pts = sample_points(LORENTZ_BOX, 20, 5)
+    for x in (pts, pts[7]):
+        before = x.copy()
+        for inverse in (False, True):
+            got = net_apply_batch(net, x, inverse=inverse)
+            assert got.shape == x.shape
+            assert got.tobytes() == chained_layers(net, x, inverse).tobytes()
+            assert np.array_equal(x, before)
+    assert net_forward(net, pts[7]).tobytes() == chained_layers(net, pts[7], False).tobytes()

@@ -118,6 +118,54 @@ def test_field_params_roundtrip():
         assert np.array_equal(field_eval(f, 0.3, y), field_eval(g, 0.3, y))
 
 
+# every special a coordinate can take: signed zeros, subnormals, infinities, nan
+SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, np.inf, -np.inf, np.nan)
+
+
+def special_columns(dim, seed):
+    """Columns (dim, n): random ones, each special in each coordinate, all
+    specials mixed, and the first two coordinates on the lorentz4d singular line."""
+    rng = Xoshiro256(seed)
+    base = rng.uniform_array((dim, 8), -2.0, 2.0)
+    one_special = np.repeat(rng.uniform_array((dim, 1), -2.0, 2.0), dim * len(SPECIALS), axis=1)
+    for d in range(dim):
+        one_special[d, d * len(SPECIALS) : (d + 1) * len(SPECIALS)] = SPECIALS
+    mixed = np.array([[SPECIALS[rng.next_u64() % len(SPECIALS)] for _ in range(32)]
+                      for _ in range(dim)])
+    singular = rng.uniform_array((dim, 4), -2.0, 2.0)
+    singular[:2] = [[0.0, -0.0, 0.0, -0.0], [0.0, 0.0, -0.0, -0.0]]
+    return np.concatenate([base, one_special, mixed, singular], axis=1)
+
+
+# a poly field with a constant term and a component with no terms
+COMPONENT_EXAMPLES = [(fid, kwargs) for fid, kwargs in FIELD_EXAMPLES.items()] + [
+    ("poly", {"params": [[(2.0, (1, 1, 0)), (0.5, (0, 0, 0))], [], [(-1.5, (0, 2, 1))]],
+              "dim": 3}),
+]
+
+
+def _components(field):
+    # the per-coordinate form build_pairs evaluates
+    return [lambda t, y, j=j: field.func(t, y)[j] for j in range(field.dim)]
+
+
+@pytest.mark.parametrize("fid, kwargs", COMPONENT_EXAMPLES,
+                         ids=[f"{fid}-{k}" for k, (fid, _) in enumerate(COMPONENT_EXAMPLES)])
+def test_components_have_the_bits_of_the_whole_field(fid, kwargs):
+    f = make_field(fid, **kwargs)
+    cols = special_columns(f.dim, 41)
+    components = _components(f)
+    with np.errstate(all="ignore"):
+        for y in [cols] + [cols[:, k] for k in range(cols.shape[1])]:
+            whole = f.func(0.3, y)
+            for j, comp in enumerate(components):
+                got, want = comp(0.3, y), whole[j]
+                assert np.shape(got) == np.shape(want) == y.shape[1:]
+                assert np.asarray(got).dtype == np.asarray(want).dtype
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+                assert not np.shares_memory(got, y)
+
+
 def test_field_from_params_rejects_values_left_over():
     with pytest.raises(ConfigError, match="field 'lorentz4d' params have values left over"):
         field_from_params("lorentz4d", 4, [0.0])

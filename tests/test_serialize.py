@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from mpflow.coupling import MPNet, net_forward
 from mpflow.errors import ParseError
 from mpflow.mlp import Mlp, mlp_init
 from mpflow.rng import Xoshiro256
-from mpflow.serialize import deserialize, dump_json, fmt17, net_to_doc, serialize
+from mpflow.serialize import _float_list, deserialize, dump_json, fmt17, net_to_doc, serialize
 from mpflow.shifts import MlpShift, fixed_shift
 
 from test_coupling import random_net
@@ -243,3 +244,44 @@ def test_mlp_shift_weights_serialized_row_major():
     doc = net_to_doc(MPNet(3, (upper_layer(3, 2, MlpShift(mlp)),)))
     w0 = doc["layers"][0]["shift"]["weights"][0]
     assert w0 == mlp.weights[0].reshape(-1).tolist()
+
+
+def _float_list_reference(val, where):
+    """The reader's per-item number loop, kept as the reference."""
+    out = []
+    for idx, v in enumerate(val):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ParseError(f"field {where}[{idx}] is not a number")
+        if isinstance(v, int) and not abs(v) <= sys.float_info.max:
+            raise ParseError(f"field {where}[{idx}] is beyond float range")
+        out.append(float(v))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("val", [
+    [],
+    [1, 32, 0.5, -0.0, 0, 2**60 + 1, 2**53 + 1, -(2**63) - 1, 2**64 + 3, 2**100, 10**308],
+    [1.7976931348623157e308, 5e-324, -5e-324, 1e-310, 0.1, -7],
+    [0.25, np.float64(-0.0), 3],  # a float subclass
+    json.loads("[1, 32, -0.0, 1e-5, 12345678901234567890123, 0.30000000000000004]"),
+], ids=["empty", "ints-and-floats", "extremes", "subclass", "parsed"])
+def test_float_list_has_the_bits_of_the_per_item_loop(val):
+    got = _float_list(val, "w")
+    want = _float_list_reference(val, "w")
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("val, message", [
+    ([1.0, 10**400], "field w[1] is beyond float range"),
+    ([-(10**400), 0.5], "field w[0] is beyond float range"),
+    ([0.5, True], "field w[1] is not a number"),
+    ([1, 2, "3"], "field w[2] is not a number"),
+    ([None], "field w[0] is not a number"),
+    ([10**400, False], "field w[0] is beyond float range"),
+])
+def test_float_list_names_the_first_bad_entry(val, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        _float_list_reference(val, "w")
+    with pytest.raises(ParseError, match=re.escape(message)):
+        _float_list(val, "w")
