@@ -12,9 +12,18 @@ Registered fields, one `FIELDS` entry per id, with the config keys each reads
 
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
+`VectorField.components` holds one function per coordinate j, (t, y) -> f_j,
+with the bytes and shape of `func(t, y)[j]` and never a view of y; a pair
+shear evaluates one of them where the whole field would compute and stack
+every row. harmonic2d and poly compute only row j (poly sums the same terms
+in the same order), linear takes row j of the product `mat @ y`, lorentz4d
+copies y3 or y4 for its first two rows.
 lorentz4d writes its arithmetic once, as a body over the coordinates that
-takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, and `_rk4_point` with
-`math.sqrt` on Python floats, so the two agree bit for bit.
+takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, `_rk4_point` with
+`math.sqrt` on Python floats, so the two agree bit for bit, and components 3
+and 4 take their row of it. Those two rows share r and c, so either computes
+both; splitting the body into helpers would add Python calls to every RK4
+substep of `_rk4_point` (about 16% more per hop, timeit on a 2-core host).
 
 `rk4_flow` takes one point (dim,) or a batch (n, dim). A lorentz4d point (a
 field whose func is `_lorentz4d`) runs its substeps in `_rk4_point` on four
@@ -55,6 +64,7 @@ class VectorField:
     dim: int
     fid: str
     func: object  # (t, y) -> array shaped like y: (dim,) or (dim, n) columns
+    components: tuple  # per coordinate j, (t, y) -> func(t, y)[j], bit for bit, as a new array
     params: tuple = ()  # flat float encoding, see field_from_params
     singular: object = None  # (y) -> bool, or None
 
@@ -70,8 +80,20 @@ def _lorentz4d(t, y):
     return np.array(_lorentz4d_body(y[0], y[1], y[2], y[3], np.sqrt))  # indexing beats unpacking
 
 
+def _lorentz4d_row(j):
+    # rows 3 and 4 share r and c, so either one computes both
+    return lambda t, y: _lorentz4d_body(y[0], y[1], y[2], y[3], np.sqrt)[j]
+
+
+_LORENTZ4D_COMPONENTS = (lambda t, y: y[2].copy(), lambda t, y: y[3].copy(),
+                         _lorentz4d_row(2), _lorentz4d_row(3))
+
+
 def _harmonic2d(t, y):
     return np.array([-y[1], y[0]])
+
+
+_HARMONIC2D_COMPONENTS = (lambda t, y: -y[1], lambda t, y: y[0].copy())
 
 
 def _is_real(v):
@@ -110,18 +132,33 @@ def _poly_terms(components, dim):
     return tuple(parsed)
 
 
+def _poly_sum(comp_terms, y):
+    # one component's terms summed in order from 0.0: a float while every term
+    # is constant, else a new array (no term is a view of y)
+    acc = 0.0
+    for coef, exps in comp_terms:
+        val = coef
+        for j, e in enumerate(exps):
+            if e:
+                val *= y[j] ** e
+        acc += val
+    return acc
+
+
 def _poly_eval(terms):
     def fn(t, y):
         out = np.zeros(y.shape)  # one term list per coordinate: (dim,) or (dim, n)
         for c, comp_terms in enumerate(terms):
-            acc = 0.0
-            for coef, exps in comp_terms:
-                val = coef
-                for j, e in enumerate(exps):
-                    if e:
-                        val *= y[j] ** e
-                acc += val
-            out[c] = acc
+            out[c] = _poly_sum(comp_terms, y)
+        return out
+
+    return fn
+
+
+def _poly_component(comp_terms):
+    def fn(t, y):
+        out = np.zeros(y.shape[1:])  # the row's shape, also with no terms
+        out[...] = _poly_sum(comp_terms, y)
         return out
 
     return fn
@@ -131,7 +168,9 @@ def _linear_build(params, dim):
     mat = np.asarray(params, float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"linear field needs a square matrix, got shape {mat.shape}")
-    return mat.shape[0], lambda t, y: mat @ y, tuple(mat.reshape(-1).tolist())
+    # a row of the product, not row j of mat times y: a row product can round differently
+    components = tuple((lambda t, y, j=j: (mat @ y)[j]) for j in range(mat.shape[0]))
+    return mat.shape[0], lambda t, y: mat @ y, components, tuple(mat.reshape(-1).tolist())
 
 
 def _poly_build(params, dim):
@@ -143,7 +182,7 @@ def _poly_build(params, dim):
         flat.append(len(comp_terms))
         for coef, exps in comp_terms:
             flat += (coef, *exps)
-    return dim, _poly_eval(terms), tuple(map(float, flat))
+    return dim, _poly_eval(terms), tuple(map(_poly_component, terms)), tuple(map(float, flat))
 
 
 def _poly_decode(vals, dim):
@@ -160,16 +199,18 @@ def _poly_decode(vals, dim):
 class FieldSpec(NamedTuple):
     """One registered field id: see make_field and field_from_params."""
 
-    build: object  # (params, dim or None) -> (dim, func, flat params); raises on bad params
+    build: object  # (params, dim or None) -> (dim, func, components, flat params); raises on bad params
     decode: object  # (iterator over the flat params, dim) -> params for build
     config: dict  # config key -> type it is read as; "dim" is the dim, any other key the params
     singular: object = None  # (y) -> bool, or None
 
 
 FIELDS = {
-    "lorentz4d": FieldSpec(lambda params, dim: (4, _lorentz4d, ()), lambda vals, dim: None, {},
+    "lorentz4d": FieldSpec(lambda params, dim: (4, _lorentz4d, _LORENTZ4D_COMPONENTS, ()),
+                           lambda vals, dim: None, {},
                            lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS),
-    "harmonic2d": FieldSpec(lambda params, dim: (2, _harmonic2d, ()), lambda vals, dim: None, {}),
+    "harmonic2d": FieldSpec(lambda params, dim: (2, _harmonic2d, _HARMONIC2D_COMPONENTS, ()),
+                            lambda vals, dim: None, {}),
     "linear": FieldSpec(_linear_build,
                         lambda vals, dim: [[next(vals) for _ in range(dim)] for _ in range(dim)],
                         {"matrix": np.ndarray}),
@@ -186,10 +227,10 @@ def _spec(fid) -> FieldSpec:
 def make_field(fid, params=None, dim=None) -> VectorField:
     """Construct a registered vector field; unknown ids raise ConfigError."""
     spec = _spec(fid)
-    d, func, flat = spec.build(params, dim)
+    d, func, components, flat = spec.build(params, dim)
     if dim is not None and dim != d:
         raise ConfigError(f"field {fid!r} has dim {d}, got {dim}")
-    return VectorField(d, fid, func, flat, spec.singular)
+    return VectorField(d, fid, func, components, flat, spec.singular)
 
 
 def field_from_params(fid, dim, params) -> VectorField:

@@ -155,7 +155,7 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, t
     detect_pts = sample_points((lo, hi), _DETECT_SAMPLES, _DETECT_SEED, exclude=field.singular)
     config = DecompositionConfig(field, tuple(lo.tolist()), tuple(hi.tolist()), int(quad_nodes), float(tol))
 
-    comp = [(lambda t, y, j=j: field.func(t, y)[j]) for j in range(dim)]
+    comp = field.components
     pairs, u2 = [], _zero_component
     for d0 in range(dim - 1):  # 0-based first active coordinate
         u1 = comp[d0] if u2 is _zero_component else _subtract(comp[d0], u2)
