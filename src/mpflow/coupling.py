@@ -15,12 +15,15 @@ its columns; layers of one geometry share them. Other modules take a shift's
 widths from `shift_dims(kind, dim, pos)` instead of deriving them.
 
 Layers and nets are immutable after construction. Forward, inverse and
-backward allocate their results and are safe for concurrent callers, except
-when given a workspace (below).
+backward allocate their results, never write their inputs, and are safe for
+concurrent callers, except when given a workspace (below). A net pass
+allocates one result: it copies its input once and each layer adds to that
+copy in place.
 
 `_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
 (dim,) or a batch (n, dim). `layer_apply_batch` and `net_apply_batch` take
-either shape; `layer_forward` and `net_forward` first check for one point.
+either shape, and check it once per call; `layer_forward` and `net_forward`
+first check for one point.
 
 Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
@@ -137,14 +140,14 @@ def layer_forward(layer: Layer, x) -> np.ndarray:
     return _layer_apply_cached(layer, _check_point(layer.dim, x))[0]
 
 
-def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None):
+def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None, in_place=False):
     """The one layer kernel: (output shaped like x, shift cache) for a point
     (dim,) or a batch (n, dim). Adds shift(x[..., read]) to x[..., written],
-    or subtracts it for the closed-form inverse. With a workspace, the output
-    is the array it keeps for this layer's tag."""
-    x = np.asarray(x, float)
-    if x.ndim not in (1, 2) or x.shape[-1] != layer.dim:
-        raise ConfigError(f"expected ({layer.dim},) point or (n, {layer.dim}) batch, got {x.shape}")
+    or subtracts it for the closed-form inverse. The output is a new array;
+    with a workspace, the array it keeps for this layer's tag; in place, x
+    itself, a float array of a shape the caller has checked."""
+    if not in_place:
+        x = _check_rows(layer.dim, x)
     u = x[..., layer.read]
     if not isinstance(layer.shift, MlpShift):
         shifted, cache = layer.shift.apply_batch(u), None
@@ -152,7 +155,9 @@ def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None):
         shifted, cache = forward_cached(layer.shift.mlp, u)
     else:
         shifted, cache = _forward(layer.shift.mlp, u, ws, tag)
-    if ws is None:
+    if in_place:
+        out = x  # the read and written columns are disjoint
+    elif ws is None:
         out = x.copy()
     else:
         out = ws.array(("layer output", tag), x.shape)
@@ -172,6 +177,13 @@ def _check_point(dim, x):
     x = np.asarray(x, float)
     if x.shape != (dim,):
         raise ConfigError(f"expected point of dim {dim}, got shape {x.shape}")
+    return x
+
+
+def _check_rows(dim, x):
+    x = np.asarray(x, float)
+    if x.ndim not in (1, 2) or x.shape[-1] != dim:
+        raise ConfigError(f"expected ({dim},) point or (n, {dim}) batch, got {x.shape}")
     return x
 
 
@@ -197,12 +209,12 @@ def net_forward(net: MPNet, x) -> np.ndarray:
 
 
 def net_apply_batch(net: MPNet, x, inverse=False) -> np.ndarray:
-    """The net (or its inverse) applied to a batch (n, dim) or a point (dim,)."""
-    x = np.asarray(x, float)
-    layers = reversed(net.layers) if inverse else net.layers
-    for layer in layers:
-        x = layer_apply_batch(layer, x, inverse=inverse)
-    return x
+    """The net (or its inverse) applied to a batch (n, dim) or a point (dim,):
+    x is checked and copied once, and every layer updates that copy in place."""
+    out = _check_rows(net.dim, x).copy()
+    for layer in reversed(net.layers) if inverse else net.layers:
+        _layer_apply_cached(layer, out, inverse, in_place=True)
+    return out
 
 
 def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):

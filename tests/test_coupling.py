@@ -314,6 +314,19 @@ def test_empty_net_is_identity():
     assert np.array_equal(net_apply_batch(net, x, inverse=True), x)
 
 
+def test_a_net_pass_checks_its_input_and_returns_a_new_array():
+    for net in (MPNet(2, ()), random_net(2, 3, seed=5)):
+        for x in (np.array([0.5, -1.0]), Xoshiro256(4).uniform_array((5, 2), -1, 1)):
+            for inverse in (False, True):
+                y = net_apply_batch(net, x, inverse=inverse)
+                assert y.shape == x.shape and not np.shares_memory(y, x)
+        for bad in (np.zeros(3), np.zeros((5, 3)), np.zeros((2, 2, 2)), 1.0):
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"expected (2,) point or (n, 2) batch, got {np.shape(bad)}")):
+                net_apply_batch(net, bad)
+    assert np.array_equal(net_apply_batch(MPNet(2, ()), [[1.0, 2.0]]), [[1.0, 2.0]])
+
+
 def test_translation_two_layer_construction_exact():
     # Upper layer adds a[:s-1], lower layer adds a[s-1:]: composition is x + a
     for dim, s in [(2, 2), (4, 2), (4, 3), (5, 5)]:
