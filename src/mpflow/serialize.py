@@ -140,9 +140,17 @@ def _expect(doc, key, types, where):
     return val
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def _float_list(val, where):
     if not isinstance(val, list):
         raise ParseError(f"field {where} must be a list of numbers")
+    if set(map(type, val)) <= _NUMBER_TYPES:  # exact types: a bool is an int subclass
+        try:
+            return np.array(val, float)  # float(v) per entry, as the loop below
+        except OverflowError:
+            pass  # an int beyond float range: the loop names it
     out = []
     for idx, v in enumerate(val):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
