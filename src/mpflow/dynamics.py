@@ -81,7 +81,6 @@ def _lorentz4d(t, y):
 
 
 def _lorentz4d_row(j):
-    # rows 3 and 4 share r and c, so either one computes both
     return lambda t, y: _lorentz4d_body(y[0], y[1], y[2], y[3], np.sqrt)[j]
 
 
@@ -199,7 +198,7 @@ def _poly_decode(vals, dim):
 class FieldSpec(NamedTuple):
     """One registered field id: see make_field and field_from_params."""
 
-    build: object  # (params, dim or None) -> (dim, func, components, flat params); raises on bad params
+    build: object  # (params, dim or None) -> (dim, func, components, flat); raises on bad params
     decode: object  # (iterator over the flat params, dim) -> params for build
     config: dict  # config key -> type it is read as; "dim" is the dim, any other key the params
     singular: object = None  # (y) -> bool, or None
