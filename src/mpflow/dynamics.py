@@ -23,7 +23,7 @@ takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, `_rk4_point` with
 `math.sqrt` on Python floats, so the two agree bit for bit, and components 3
 and 4 take their row of it. Those two rows share r and c, so either computes
 both; splitting the body into helpers would add Python calls to every RK4
-substep of `_rk4_point` (about 16% more per hop, timeit on a 2-core host).
+substep of `_rk4_point` (16–22% more per hop, timeit on a 2-core host).
 
 `rk4_flow` takes one point (dim,) or a batch (n, dim). A lorentz4d point (a
 field whose func is `_lorentz4d`) runs its substeps in `_rk4_point` on four
