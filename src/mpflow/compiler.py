@@ -11,6 +11,11 @@ applied for every pair in ascending d, then repeated n_steps times with
 tau' advancing by h. Each shear reads only coordinates it does not write,
 so the stack preserves volume exactly at any step count, even when it is a
 poor approximation of the flow.
+
+A shear's shift is one `_PairShear` holding (component, row, tau, h). It is
+the `pairshift` family's column function: the layer kernel hands it the
+state's columns with the written coordinate zeroed. Its `read` method is the
+registry function of the shift's input, which inserts that zero and calls it.
 """
 
 from __future__ import annotations
@@ -49,23 +54,38 @@ from .shifts import MlpShift, fixed_shift, register_fixed_family
 from .verify import as_box, sample_points
 
 
-def _pair_shift_fn(ufn, j, tau, h):
-    # h * ufn(tau, y), y = u with a zero inserted at coordinate j; a batch
-    # reaches the pair component as columns (D, n). A pinned-zero component
-    # adds h * 0.0 (signed like h) without evaluating the field.
-    if ufn is _zero_component:
-        zero = h * 0.0
-        return lambda u: np.full(u.shape[:-1] + (1,), zero)
+class _PairShear:
+    """The shift of one compiled shear, held as (ufn, row, tau, h); the
+    pairshift family's column function and, through `read`, its registry
+    function.
 
-    def fn(u):
+    Called with y, the state's columns (D, n) or a point (D,) with y[row] =
+    0.0, it returns h * ufn(tau, y) in y's trailing shape, so a shear on
+    coordinate row + 1 adds it without gathering its input. A pinned-zero
+    component gives h * 0.0 (signed like h) without evaluating the field.
+    """
+
+    __slots__ = ("ufn", "row", "tau", "h")
+
+    def __init__(self, ufn, row, tau, h):
+        self.ufn, self.row, self.tau, self.h = ufn, row, tau, h
+
+    def __call__(self, y):
+        if self.ufn is _zero_component:
+            return np.full(y.shape[1:], self.h * 0.0)
+        return self.h * self.ufn(self.tau, y)
+
+    def read(self, u):
+        """The shift of u, the state without coordinate row, (D-1,) or
+        (n, D-1), as (1,) or (n, 1): u's columns with a zero inserted at row,
+        through __call__."""
         cols = u.T
+        row = self.row
         y = np.empty((cols.shape[0] + 1,) + cols.shape[1:])
-        y[:j] = cols[:j]
-        y[j] = 0.0
-        y[j + 1 :] = cols[j:]
-        return (h * ufn(tau, y))[..., None]
-
-    return fn
+        y[:row] = cols[:row]
+        y[row] = 0.0
+        y[row + 1 :] = cols[row:]
+        return self(y)[..., None]
 
 
 def _pair_shift_params(config: DecompositionConfig, d, comp, tau, h):
@@ -104,9 +124,8 @@ def _pair_shift_factory(fid, params, in_dim, out_dim):
         raise ConfigError(f"pairshift comp must be 0 or 1, got {comp}")
     d, comp = int(d), int(comp)
     pair = pairs[d - 1]
-    ufn = pair.u1 if comp == 0 else pair.u2
-    j = (d - 1) + comp
-    return _pair_shift_fn(ufn, j, tau, h), None
+    shear = _PairShear(pair.u1 if comp == 0 else pair.u2, (d - 1) + comp, tau, h)
+    return shear.read, None, shear
 
 
 @functools.lru_cache(maxsize=8)

@@ -23,7 +23,11 @@ copy in place.
 `_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
 (dim,) or a batch (n, dim). `layer_apply_batch` and `net_apply_batch` take
 either shape, and check it once per call; `layer_forward` and `net_forward`
-first check for one point.
+first check for one point. A shear whose fixed shift registers a column
+function for its target (`Layer.cols`, see `shifts.register_fixed_shift`)
+hands it the state's columns, copied once with the target zeroed, and adds
+the result to the target; every other layer gathers its shift's input
+x[..., read] and adds shift(u) to x[..., written].
 
 Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
@@ -57,7 +61,8 @@ SHEAR = "shear"
 @dataclass(frozen=True, slots=True)
 class Layer:
     """One layer; construction checks its geometry and its shift's widths and
-    stores the columns the shift reads and the columns it writes."""
+    stores the columns the shift reads and the columns it writes, and for a
+    shear the shift's column function if it has one for the target."""
 
     kind: str
     dim: int
@@ -66,6 +71,7 @@ class Layer:
     shift: object = None
     read: object = field(init=False, compare=False, repr=False)
     written: object = field(init=False, compare=False, repr=False)
+    cols: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_ints(dim=self.dim, s=self.s, i=self.i)
@@ -78,6 +84,10 @@ class Layer:
             )
         object.__setattr__(self, "read", read)
         object.__setattr__(self, "written", written)
+        cols = getattr(self.shift, "cols", None)
+        if cols is not None and (self.kind != SHEAR or cols.row != self.i - 1):
+            cols = None  # written elsewhere than the function assumes: apply it to u
+        object.__setattr__(self, "cols", cols)
 
 
 _INT_NAMES = {"dim": "layer dim", "s": "split s", "i": "target i"}
@@ -143,18 +153,34 @@ def layer_forward(layer: Layer, x) -> np.ndarray:
 def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None, in_place=False):
     """The one layer kernel: (output shaped like x, shift cache) for a point
     (dim,) or a batch (n, dim). Adds shift(x[..., read]) to x[..., written],
-    or subtracts it for the closed-form inverse. The output is a new array;
-    with a workspace, the array it keeps for this layer's tag; in place, x
-    itself, a float array of a shape the caller has checked."""
+    or subtracts it for the closed-form inverse; a shear with a column
+    function adds cols(y) to its target, y being x's columns with the target
+    zeroed. The output is a new array; with a workspace, the array it keeps
+    for this layer's tag; in place, x itself, a float array of a shape the
+    caller has checked."""
     if not in_place:
         x = _check_rows(layer.dim, x)
-    u = x[..., layer.read]
-    if not isinstance(layer.shift, MlpShift):
-        shifted, cache = layer.shift.apply_batch(u), None
-    elif ws is None:
-        shifted, cache = forward_cached(layer.shift.mlp, u)
+    cols = layer.cols
+    if cols is not None:
+        written = cols.row
+        y = x.T.copy()
+        y[written] = 0.0
+        shifted, cache = cols(y), None
+        if getattr(shifted, "shape", None) != y.shape[1:]:
+            raise ConfigError(
+                f"shift {layer.shift.id!r}: registered cols returned "
+                f"{getattr(shifted, 'shape', type(shifted).__name__)}, expected an array of "
+                f"shape {y.shape[1:]}, the shape of one coordinate of the state"
+            )
     else:
-        shifted, cache = _forward(layer.shift.mlp, u, ws, tag)
+        written = layer.written
+        u = x[..., layer.read]
+        if not isinstance(layer.shift, MlpShift):
+            shifted, cache = layer.shift.apply_batch(u), None
+        elif ws is None:
+            shifted, cache = forward_cached(layer.shift.mlp, u)
+        else:
+            shifted, cache = _forward(layer.shift.mlp, u, ws, tag)
     if in_place:
         out = x  # the read and written columns are disjoint
     elif ws is None:
@@ -163,9 +189,9 @@ def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None, in_pl
         out = ws.array(("layer output", tag), x.shape)
         out[...] = x
     if inverse:
-        out[..., layer.written] -= shifted
+        out[..., written] -= shifted
     else:
-        out[..., layer.written] += shifted
+        out[..., written] += shifted
     return out, cache
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from dataclasses import replace
 
@@ -177,7 +178,7 @@ def test_pinned_zero_shift_adds_h_times_zero_without_the_field():
     pts = sample_points(BOX4, 6, 9, exclude=field.singular)[:, 1:]
     for layer in pinned:
         d, comp, tau, h = layer.shift.params[:4]
-        via_field = compiler._pair_shift_fn(lambda t, y: _zero_component(t, y), int(d), tau, h)
+        via_field = compiler._PairShear(lambda t, y: _zero_component(t, y), int(d), tau, h).read
         for u, shape in ((pts[0], (1,)), (pts, (6, 1))):
             got = layer.shift(u)
             assert got.shape == shape and got.dtype == np.float64
@@ -331,6 +332,88 @@ def test_convergence_validation():
 
 
 # --- one layer kernel for a point and a batch ------------------------------------
+
+
+def _with_signed_zeros(x):
+    # row k holds +0.0 (k even) or -0.0 (k odd) in column k mod D
+    x = x.copy()
+    for k in range(len(x)):
+        x[k, k % x.shape[1]] = -0.0 if k % 2 else 0.0
+    return x
+
+
+def _add_registry_shift(layer, x, inverse):
+    # the layer as its shift's registry function defines it: x with column
+    # i - 1 plus (or minus) apply_batch of the columns the layer reads
+    out = x.copy()
+    v = layer.shift.apply_batch(x[..., layer.read])[..., 0]
+    if inverse:
+        out[..., layer.i - 1] -= v
+    else:
+        out[..., layer.i - 1] += v
+    return out
+
+
+@pytest.mark.parametrize("field, T, n_steps, box, maxulp", COMPILED_FIELDS, ids=COMPILED_IDS)
+def test_compiled_layers_add_their_registry_shift_bit_for_bit(field, T, n_steps, box, maxulp):
+    net = compile_flow(field, 0.0, T, n_steps, box).net
+    x = _with_signed_zeros(sample_points(box, 9, 23, exclude=field.singular))
+    with np.errstate(all="ignore"):  # a lorentz4d row with y1 = 0 may come near its singular line
+        for layer in net.layers:
+            assert layer.cols is not None  # the kernel's column path
+            for pts in (x, x[0], x[1]):
+                for inverse in (False, True):
+                    got = layer_apply_batch(layer, pts, inverse)
+                    assert got.tobytes() == _add_registry_shift(layer, pts, inverse).tobytes()
+
+
+def test_a_pair_shift_on_another_target_applies_its_registry_function():
+    # a model file may put a pairshift on any shear; off the coordinate its
+    # column function zeroes, the layer gathers u and calls apply_batch
+    layer = compile_flow(make_field("lorentz4d"), 0.0, 0.2, 1, BOX4).net.layers[4]
+    assert (layer.i, layer.cols.row) == (3, 2)
+    moved = replace(layer, i=4)
+    assert moved.cols is None
+    x = sample_points(BOX4, 5, 4, exclude=make_field("lorentz4d").singular)
+    for inverse in (False, True):
+        assert np.array_equal(layer_apply_batch(moved, x, inverse), _add_registry_shift(moved, x, inverse))
+
+
+class _WholeStateCols:
+    # a column function that wrongly returns the whole state, not one column
+    row = 0
+
+    def __call__(self, y):
+        return 2.0 * y
+
+
+def test_a_column_result_of_the_wrong_shape_raises_naming_the_shift():
+    register_fixed_shift(
+        "whole_state_cols",
+        lambda params, i, o: ((lambda u: 2.0 * u[..., :1]), None, _WholeStateCols()),
+    )
+    layer = shear_layer(3, 1, fixed_shift("whole_state_cols", [], 2, 1))
+    assert layer.cols is not None
+    for x, shape in ((np.ones(3), r"\(3,\), expected an array of shape \(\)"),
+                     (np.ones((4, 3)), r"\(3, 4\), expected an array of shape \(4,\)")):
+        match = "shift 'whole_state_cols': registered cols returned " + shape
+        with pytest.raises(ConfigError, match=match):
+            layer_apply_batch(layer, x)
+        with pytest.raises(ConfigError, match=match):
+            net_apply_batch(MPNet(3, (layer,)), x, inverse=True)
+
+
+def test_compiled_lorentz4d_images_are_pinned():
+    # only +, -, *, / and sqrt reach these bytes, each correctly rounded, so
+    # they are the same on every platform; pinned before the column path
+    box = ([-0.4, 0.5, 0.6, 0.0], [0.6, 1.5, 1.6, 1.0])  # the README's verify box
+    net = compile_flow(make_field("lorentz4d"), 0.0, 0.2, 2, box).net
+    pts = sample_points(box, 16, 3)
+    images = {inverse: net_apply_batch(net, pts, inverse=inverse).tobytes() for inverse in (False, True)}
+    assert hashlib.sha256(images[False]).hexdigest() == (
+        "a264b43089d1a498bd53cb2bbfae72defdbfd831cc6c4893b57b0f8917043eff")
+    assert hashlib.sha256(images[True]).hexdigest() == (
+        "9d9c83381b98b7c8b5ee12e1df6a65345f3b30cd0e54888e833c53448adc5a71")
 
 
 @pytest.mark.parametrize("field, T, n_steps, box, maxulp", COMPILED_FIELDS, ids=COMPILED_IDS)
