@@ -21,9 +21,11 @@ copies y3 or y4 for its first two rows.
 lorentz4d writes its arithmetic once, as a body over the coordinates that
 takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, `_rk4_point` with
 `math.sqrt` on Python floats, so the two agree bit for bit, and components 3
-and 4 take their row of it. Those two rows share r and c, so either computes
-both; splitting the body into helpers would add Python calls to every RK4
-substep of `_rk4_point` (16–22% more per hop, timeit on a 2-core host).
+and 4 pass None for the coordinate they do not read, so the body computes r,
+c and their own row alone. The None tests keep the body one Python call per
+RK4 substep of `_rk4_point` at the cost it had; helpers for r, c and the two
+rows cost about 36% more per hop, an int selector about 9% (timeit on a
+2-core host).
 
 `rk4_flow` takes one point (dim,) or a batch (n, dim). A lorentz4d point (a
 field whose func is `_lorentz4d`) runs its substeps in `_rk4_point` on four
@@ -70,22 +72,22 @@ class VectorField:
 
 
 def _lorentz4d_body(y0, y1, y2, y3, sqrt):
+    """The four lorentz4d components. Component 3 reads y3 and component 4
+    reads y2; a caller that passes None for one of them gets None for the
+    component that reads it, which is then not computed."""
     r2 = y0 * y0 + y1 * y1
     r = sqrt(r2)
     c = 100.0 * (r2 * r)
-    return y2, y3, y0 / c + r * y3, y1 / c - r * y2
+    return (y2, y3, None if y3 is None else y0 / c + r * y3, None if y2 is None else y1 / c - r * y2)
 
 
 def _lorentz4d(t, y):
     return np.array(_lorentz4d_body(y[0], y[1], y[2], y[3], np.sqrt))  # indexing beats unpacking
 
 
-def _lorentz4d_row(j):
-    return lambda t, y: _lorentz4d_body(y[0], y[1], y[2], y[3], np.sqrt)[j]
-
-
 _LORENTZ4D_COMPONENTS = (lambda t, y: y[2].copy(), lambda t, y: y[3].copy(),
-                         _lorentz4d_row(2), _lorentz4d_row(3))
+                         lambda t, y: _lorentz4d_body(y[0], y[1], None, y[3], np.sqrt)[2],
+                         lambda t, y: _lorentz4d_body(y[0], y[1], y[2], None, np.sqrt)[3])
 
 
 def _harmonic2d(t, y):
