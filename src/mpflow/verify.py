@@ -81,11 +81,13 @@ def _check_points_finite(values, pts, what):
 
 
 def max_det_deviation(net: MPNet, points):
-    """(max |det J - 1|, worst point) over the points, J the finite-difference
-    Jacobian of the net from one batched pass; ties keep the earlier point."""
-    if len(points) == 0:
-        return 0.0, None
+    """(max |det J - 1|, worst point) over the points (n, dim), or a point
+    (dim,) taken as one row, J the finite-difference Jacobian of the net from
+    one batched pass; ties keep the earlier point, and no rows give (0.0, None)."""
     points = np.asarray(points, float)
+    if points.size == 0:
+        return 0.0, None
+    points = np.atleast_2d(points)
     devs = np.abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), points) - 1.0)
     worst = int(np.argmax(devs))
     return float(devs[worst]), points[worst]

@@ -65,6 +65,19 @@ def test_max_det_deviation_of_no_points():
     assert max_det_deviation(random_net(3, 2, seed=1), np.empty((0, 3))) == (0.0, None)
 
 
+def test_max_det_deviation_takes_a_point_as_one_row():
+    net = random_net(3, 2, seed=1)
+    pts = Xoshiro256(4).uniform_array((5, 3), -1, 1)
+    for p in pts:
+        dev, worst = max_det_deviation(net, p)
+        assert (dev, worst.tolist()) == (max_det_deviation(net, p[None])[0], p.tolist())
+
+
+@pytest.mark.parametrize("points", [[], np.empty(0)], ids=["list", "flat"])
+def test_max_det_deviation_of_zero_rows_in_any_form(points):
+    assert max_det_deviation(random_net(3, 2, seed=1), points) == (0.0, None)
+
+
 def test_det_makes_one_map_call_for_all_points():
     calls = []
 
