@@ -12,10 +12,9 @@ tau' advancing by h. Each shear reads only coordinates it does not write,
 so the stack preserves volume exactly at any step count, even when it is a
 poor approximation of the flow.
 
-A shear's shift is one `_PairShear` holding (component, row, tau, h). It is
-the `pairshift` family's column function: the layer kernel hands it the
-state's columns with the written coordinate zeroed. Its `read` method is the
-registry function of the shift's input, which inserts that zero and calls it.
+Each shear's shift is a `_PairShear`, the `pairshift` family's column
+function (see `shifts.register_fixed_shift`), so a shear reads its state's
+columns directly.
 """
 
 from __future__ import annotations

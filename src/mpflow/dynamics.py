@@ -78,7 +78,9 @@ def _lorentz4d_body(y0, y1, y2, y3, sqrt):
     r2 = y0 * y0 + y1 * y1
     r = sqrt(r2)
     c = 100.0 * (r2 * r)
-    return (y2, y3, None if y3 is None else y0 / c + r * y3, None if y2 is None else y1 / c - r * y2)
+    return (y2, y3,
+            None if y3 is None else y0 / c + r * y3,
+            None if y2 is None else y1 / c - r * y2)
 
 
 def _lorentz4d(t, y):
