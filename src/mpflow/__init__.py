@@ -7,7 +7,6 @@ via a pairwise Hamiltonian decomposition and a first-order splitting scheme.
 
 __version__ = "0.1.0"
 
-from . import compiler  # noqa: F401  (registers the pairshift shift family)
 from .compiler import (
     CompiledFlow,
     ConvergenceReport,

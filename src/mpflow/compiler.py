@@ -12,14 +12,14 @@ tau' advancing by h. Each shear reads only coordinates it does not write,
 so the stack preserves volume exactly at any step count, even when it is a
 poor approximation of the flow.
 
-Each shear's shift is a `_PairShear`, the `pairshift` family's column
-function (see `shifts.register_fixed_shift`), so a shear reads its state's
-columns directly.
+Each shear's shift is a `_PairShear`, a column shift (see `coupling`). The
+shears of one `compile_flow` call share one `FlowRecipe`, the call's arguments
+and the layers built from them; a model file stores the recipe, and a load
+calls `compile_flow` on it again (see `serialize`).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +36,7 @@ from .coupling import (
     shift_dims,
     upper_layer,
 )
-from .dynamics import FD_STEP, VectorField, field_from_params, rk4_flow
+from .dynamics import VectorField, field_from_params, rk4_flow
 from .errors import ConfigError, NumericError, UnsupportedError
 from .mlp import ACTIVATION_LIPSCHITZ
 from .pair_decomposition import (
@@ -46,121 +46,56 @@ from .pair_decomposition import (
     DecompositionConfig,
     PairField,
     _zero_component,
-    build_pairs,
+    build_pairs,  # noqa: F401  unused, but bound: perfbench's self-test checks the binding
     decompose,
 )
-from .shifts import MlpShift, fixed_shift, register_fixed_family
+from .shifts import MlpShift, fixed_shift
 from .verify import as_box, sample_points
+
+MAX_LAYERS = 100_000  # about 70 MB and 1 s of shears (tracemalloc at 12,000 layers, 2-core host)
 
 
 class _PairShear:
-    """The shift of one compiled shear, held as (ufn, row, tau, h); the
-    pairshift family's column function and, through `read`, its registry
-    function.
-
-    Called with y, the state's columns (D, n) or a point (D,) with y[row] =
-    0.0, it returns h * ufn(tau, y) in y's trailing shape, so a shear on
-    coordinate row + 1 adds it without gathering its input. A pinned-zero
+    """The shift of one compiled shear, a column shift (see `coupling`):
+    called with y, the state's columns (D, n) or a point (D,) with y[row] =
+    0.0, it returns h * ufn(tau, y) in y's trailing shape. A pinned-zero
     component gives h * 0.0 (signed like h) without evaluating the field.
-    """
+    `recipe` is the FlowRecipe of the flow the shear belongs to, or None."""
 
-    __slots__ = ("ufn", "row", "tau", "h")
+    __slots__ = ("ufn", "row", "tau", "h", "in_dim", "recipe")
+    out_dim = 1
 
-    def __init__(self, ufn, row, tau, h):
+    def __init__(self, ufn, row, tau, h, in_dim, recipe):
         self.ufn, self.row, self.tau, self.h = ufn, row, tau, h
+        self.in_dim, self.recipe = in_dim, recipe
 
     def __call__(self, y):
         if self.ufn is _zero_component:
             return np.full(y.shape[1:], self.h * 0.0)
         return self.h * self.ufn(self.tau, y)
 
-    def read(self, u):
-        """The shift of u, the state without coordinate row, (D-1,) or
-        (n, D-1), as (1,) or (n, 1): u's columns with a zero inserted at row,
-        through __call__."""
-        cols = u.T
-        row = self.row
-        y = np.empty((cols.shape[0] + 1,) + cols.shape[1:])
-        y[:row] = cols[:row]
-        y[row] = 0.0
-        y[row + 1 :] = cols[row:]
-        return self(y)[..., None]
+    def __repr__(self):
+        return f"<pair shear on coordinate {self.row + 1} at tau={self.tau!r}>"
 
 
-def _pair_shift_params(config: DecompositionConfig, d, comp, tau, h):
-    # (d, comp, tau, h, quad_nodes, fd_step, tol, dim, box lo, box hi, field
-    # params); the fd_step slot always holds FD_STEP, and loads require it
-    field = config.field
-    vec = [
-        float(d),
-        float(comp),
-        float(tau),
-        float(h),
-        float(config.quad_nodes),
-        FD_STEP,
-        config.tol,
-        float(field.dim),
-    ]
-    vec.extend(config.box_lo)
-    vec.extend(config.box_hi)
-    vec.extend(field.params)
-    return np.array(vec)
+@dataclass(eq=False)
+class FlowRecipe:
+    """What `compile_flow` builds a compiled net from (config holds the field,
+    box, quad_nodes and tol), and the layers it built, set once they exist."""
+
+    config: DecompositionConfig
+    tau: float
+    T: float
+    n_steps: int
+    layers: tuple = ()
 
 
-def _pair_shift_factory(fid, params, in_dim, out_dim):
-    """Build a pair-field shear shift from its serialized configuration; the
-    only constructor, used by compile (`shear_pair`) and by load alike."""
-    if out_dim != 1:
-        raise ConfigError("pairshift produces a scalar shift (out_dim must be 1)")
-    params = np.asarray(params, float)
-    if params.size < 8:
-        raise ConfigError("pairshift params are truncated")
-    d, comp, tau, h = params[:4].tolist()  # Python floats: cheaper checks, same products
-    pairs = _rebuilt_pairs(fid, in_dim, params[4:].tobytes())
-    if not (d.is_integer() and 1 <= d <= len(pairs)):
-        raise ConfigError(f"pairshift d must be an integer in [1, {len(pairs)}], got {d}")
-    if comp not in (0, 1):
-        raise ConfigError(f"pairshift comp must be 0 or 1, got {comp}")
-    d, comp = int(d), int(comp)
-    pair = pairs[d - 1]
-    shear = _PairShear(pair.u1 if comp == 0 else pair.u2, (d - 1) + comp, tau, h)
-    return shear.read, None, shear
-
-
-@functools.lru_cache(maxsize=8)
-def _rebuilt_pairs(fid, in_dim, config_bits):
-    """build_pairs for the serialized params after (d, comp, tau, h), which
-    every layer of a compiled net shares, so a load builds once. Keyed on exact
-    bits, so 0.0 and -0.0 differ; the immutable pairs are safe to share. A slot
-    that no compile writes (a fractional count, another step) is a ConfigError."""
-    quad_nodes, fd_step, tol, dim, *rest = np.frombuffer(config_bits).tolist()
-    if not (quad_nodes.is_integer() and quad_nodes >= 1):
-        raise ConfigError(f"pairshift quad_nodes must be an integer >= 1, got {quad_nodes}")
-    if fd_step != FD_STEP:
-        raise ConfigError(f"pairshift fd_step must be {FD_STEP}, got {fd_step}")
-    if not 0 < tol < np.inf:
-        raise ConfigError(f"pairshift tol must be a positive finite number, got {tol}")
-    if not dim.is_integer():
-        raise ConfigError(f"pairshift dim must be an integer, got {dim}")
-    dim = int(dim)
-    if in_dim != dim - 1:
-        raise ConfigError(f"pairshift expects in_dim {dim - 1}, got {in_dim}")
-    if len(rest) < 2 * dim:
-        raise ConfigError("pairshift params are missing box bounds")
-    field = field_from_params(fid, dim, rest[2 * dim :])
-    return tuple(build_pairs(field, (rest[:dim], rest[dim : 2 * dim]), int(quad_nodes), tol))
-
-
-register_fixed_family("pairshift", _pair_shift_factory)
-
-
-def shear_pair(pair: PairField, tau, h):
+def shear_pair(pair: PairField, tau, h, recipe=None):
     """Two shear layers realizing one splitting substep of a separable pair.
 
     The first shifts coordinate d by h*g1, the second coordinate d+1 by h*g2
-    evaluated on the post-first-shear state. Requires pair.separable == 'yes'
-    and a decomposition provenance. Each shift is built through the registry
-    from its serialized params, so the layers are the ones a load rebuilds.
+    evaluated on the post-first-shear state. Requires pair.separable == 'yes'.
+    Only shears with a recipe, as `compile_flow` builds them, can be saved.
     """
     if pair.separable != "yes":
         raise UnsupportedError(
@@ -169,14 +104,10 @@ def shear_pair(pair: PairField, tau, h):
             "Hamiltonian pairs needs a polynomial-Hamiltonian reduction that is not "
             "implemented"
         )
-    if not isinstance(pair.provenance, DecompositionConfig):
-        raise ConfigError("shear_pair needs a pair built by decompose (with provenance)")
-    config = pair.provenance
-    fid = f"pairshift:{config.field.fid}"
     return tuple(
         shear_layer(pair.dim, pair.d + comp,
-                    fixed_shift(fid, _pair_shift_params(config, pair.d, comp, tau, h),
-                                *shift_dims(SHEAR, pair.dim, pair.d + comp)))
+                    _PairShear(pair.u2 if comp else pair.u1, pair.d - 1 + comp, tau, h,
+                               pair.dim - 1, recipe))
         for comp in (0, 1)
     )
 
@@ -194,11 +125,18 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
 
     Per step k the layers advance coordinates pair by pair in ascending d at
     frozen time tau + k*h, h = T/n_steps; the resulting net has
-    n_steps * 2 * (D-1) layers. The stack's output must be finite at n_check
-    sampled points; a non-finite one raises NumericError naming the point.
+    n_steps * 2 * (D-1) layers, at most MAX_LAYERS. The field is rebuilt from
+    its flat params, as a load rebuilds it, so a field whose id `dynamics`
+    cannot rebuild is a ConfigError. The stack's output must be finite at
+    n_check sampled points; a non-finite one raises NumericError naming the
+    point.
     """
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
+    n_layers = n_steps * 2 * (field.dim - 1)
+    if n_layers > MAX_LAYERS:
+        raise ConfigError(f"n_steps {n_steps} would build {n_layers} layers, more than {MAX_LAYERS}")
+    field = field_from_params(field.fid, field.dim, field.params)
     if decomposition is None:
         decomposition = decompose(field, sample_box, quad_nodes, tol)
     bad = [p.d for p in decomposition.pairs if p.separable != "yes"]
@@ -208,13 +146,15 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
             "non-separable two-coordinate Hamiltonian pairs needs a "
             "polynomial-Hamiltonian reduction that is not implemented"
         )
-    h = T / n_steps
+    recipe = FlowRecipe(decomposition.config, float(tau), float(T), int(n_steps))
+    h = recipe.T / recipe.n_steps
     layers = []
-    for k in range(n_steps):
-        tau_k = tau + k * h
+    for k in range(recipe.n_steps):
+        tau_k = recipe.tau + k * h
         for pair in decomposition.pairs:
-            layers.extend(shear_pair(pair, tau_k, h))
-    net = MPNet(field.dim, tuple(layers))
+            layers.extend(shear_pair(pair, tau_k, h, recipe))
+    recipe.layers = tuple(layers)
+    net = MPNet(field.dim, recipe.layers)
     _check_finite(net, sample_box, field, n_check)
     return CompiledFlow(net, decomposition)
 

@@ -23,11 +23,15 @@ copy in place.
 `_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
 (dim,) or a batch (n, dim). `layer_apply_batch` and `net_apply_batch` take
 either shape, and check it once per call; `layer_forward` and `net_forward`
-first check for one point. A shear whose fixed shift registers a column
-function for its target (`Layer.cols`, see `shifts.register_fixed_shift`)
+first check for one point. A shear whose shift is a column shift (`Layer.cols`)
 hands it the state's columns, copied once with the target zeroed, and adds
 the result to the target; every other layer gathers its shift's input
 x[..., read] and adds shift(u) to x[..., written].
+
+A column shift, the compiler's shear shift, has int attributes `row`,
+`in_dim` and `out_dim` (1); called on y, the state's columns (dim,) or
+(dim, n) with y[row] = 0.0, it returns the shift in y[0]'s shape. Only a shear
+on coordinate row + 1 may hold one, and no gradient passes it.
 
 Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
@@ -61,8 +65,8 @@ SHEAR = "shear"
 @dataclass(frozen=True, slots=True)
 class Layer:
     """One layer; construction checks its geometry and its shift's widths and
-    stores the columns the shift reads and the columns it writes, and for a
-    shear the shift's column function if it has one for the target."""
+    stores the columns the shift reads and the columns it writes, and in
+    `cols` the shift itself if it is a column shift, else None."""
 
     kind: str
     dim: int
@@ -84,10 +88,11 @@ class Layer:
             )
         object.__setattr__(self, "read", read)
         object.__setattr__(self, "written", written)
-        cols = getattr(self.shift, "cols", None)
-        if cols is not None and (self.kind != SHEAR or cols.row != self.i - 1):
-            cols = None  # written elsewhere than the function assumes: apply it to u
-        object.__setattr__(self, "cols", cols)
+        row = getattr(self.shift, "row", None)
+        if row is not None and (self.kind != SHEAR or row != self.i - 1):
+            raise ConfigError(f"column shift {self.shift!r} writes coordinate {row + 1}; it can only "
+                              f"be the shift of a shear on that coordinate, not of this {self.kind} layer")
+        object.__setattr__(self, "cols", None if row is None else self.shift)
 
 
 _INT_NAMES = {"dim": "layer dim", "s": "split s", "i": "target i"}
@@ -168,7 +173,7 @@ def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None, in_pl
         shifted, cache = cols(y), None
         if getattr(shifted, "shape", None) != y.shape[1:]:
             raise ConfigError(
-                f"shift {layer.shift.id!r}: registered cols returned "
+                f"column shift {cols!r} returned "
                 f"{getattr(shifted, 'shape', type(shifted).__name__)}, expected an array of "
                 f"shape {y.shape[1:]}, the shape of one coordinate of the state"
             )
@@ -250,8 +255,8 @@ def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
     Returns (shift parameter grads summed over the batch, gradient wrt x).
     With a workspace, the grads are `ws.grads[tag]` and the gradient wrt x
     is upstream itself, overwritten. FixedShift layers have no parameters;
-    ones without an analytic Jacobian cannot propagate gradients and raise
-    UnsupportedError.
+    ones without an analytic Jacobian, and any other shift, cannot propagate
+    gradients and raise UnsupportedError.
     """
     g = np.asarray(upstream, float)
     g_out = g[:, layer.written]
@@ -270,7 +275,8 @@ def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
         grads = []
         du = np.einsum("no,noi->ni", g_out, jac)
     else:
-        raise ConfigError(f"unknown shift type {type(layer.shift)!r}")
+        raise UnsupportedError(f"shift {layer.shift!r} has no analytic Jacobian; gradients "
+                               "through it are not supported")
     dx = g.copy() if ws is None else g  # the columns read and written are disjoint
     dx[:, layer.read] += du
     return grads, dx

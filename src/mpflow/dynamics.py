@@ -53,8 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .serialize import fmt17
+from .errors import ConfigError, NumericError, ParseError
 
 SINGULAR_RADIUS = 0.05
 FD_STEP = 1e-5  # central-difference step of every finite-difference check
@@ -435,6 +434,16 @@ def dataset_from_trajectory(traj: Trajectory) -> PairDataset:
 
 
 # --- CSV interfaces --------------------------------------------------------
+
+
+def fmt17(x: float) -> str:
+    """Decimal text for a float with 17 significant digits, which round-trips
+    IEEE doubles exactly; -0.0 keeps its sign. The model writer uses it too."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ParseError(f"cannot serialize non-finite number {x!r}")
+    text = format(v, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

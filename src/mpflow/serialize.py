@@ -7,7 +7,15 @@ Document shape:
                  "shift": {"type": "mlp", "dims": [...], "activation": "...",
                            "weights": [flat row-major per layer],
                            "biases": [per layer]}
-                        | {"type": "fixed", "id": "...", "params": [...]}}]}
+                        | {"type": "fixed", "id": "...", "params": [...]}}
+              | {"kind": "compiled", "field": {"id": "...", "dim": D, "params": [...]},
+                 "tau": x, "T": x, "n_steps": int, "box": {"lo": [...], "hi": [...]},
+                 "quad_nodes": int, "tol": x}]}
+
+A "compiled" entry is a `compiler.FlowRecipe`, written wherever the next
+layers are, by identity, one recipe's layers (a part of them is a ParseError),
+and expanded in place on load by `compile_flow` (n_check=0), whose errors keep
+their class and gain the prefix `layers[k]: `.
 
 Every float is written with 17 significant digits, which round-trips IEEE
 doubles exactly, so serialize(deserialize(serialize(net))) is byte-identical.
@@ -23,25 +31,18 @@ a ParseError.
 from __future__ import annotations
 
 import json
-import math
+import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .compiler import compile_flow
 from .coupling import LOWER, SHEAR, UPPER, MPNet, lower_layer, shear_layer, shift_dims, upper_layer
-from .errors import ConfigError, ParseError
+from .dynamics import field_from_params, fmt17
+from .errors import ConfigError, NumericError, ParseError, UnsupportedError
 from .mlp import ACTIVATIONS, Mlp
 from .shifts import FixedShift, MlpShift, fixed_shift
-
-
-def fmt17(x: float) -> str:
-    """Decimal text for a float with 17 significant digits; -0.0 keeps its sign."""
-    v = float(x)
-    if not math.isfinite(v):
-        raise ParseError(f"cannot serialize non-finite number {x!r}")
-    text = format(v, ".17g")
-    return "-0.0" if text == "-0" else text
 
 
 def dump_json(obj) -> str:
@@ -108,16 +109,35 @@ def _shift_doc(shift):
     raise ParseError(f"cannot serialize shift of type {type(shift).__name__}")
 
 
+def _layer_doc(layer):
+    key, pos = ("i", layer.i) if layer.kind == SHEAR else ("s", layer.s)
+    return {"kind": layer.kind, key: pos, "shift": _shift_doc(layer.shift)}
+
+
+def _recipe_doc(recipe):
+    config, field = recipe.config, recipe.config.field
+    return {"kind": "compiled", "field": {"id": field.fid, "dim": field.dim, "params": list(field.params)},
+            "tau": recipe.tau, "T": recipe.T, "n_steps": recipe.n_steps,
+            "box": {"lo": list(config.box_lo), "hi": list(config.box_hi)},
+            "quad_nodes": config.quad_nodes, "tol": config.tol}
+
+
 def net_to_doc(net: MPNet) -> dict:
-    layers = []
-    for layer in net.layers:
-        doc = {"kind": layer.kind}
-        if layer.kind in (UPPER, LOWER):
-            doc["s"] = layer.s
-        else:
-            doc["i"] = layer.i
-        doc["shift"] = _shift_doc(layer.shift)
-        layers.append(doc)
+    layers, idx = [], 0
+    while idx < len(net.layers):
+        recipe = getattr(net.layers[idx].shift, "recipe", None)  # set on compiled shears
+        if recipe is None:
+            layers.append(_layer_doc(net.layers[idx]))
+            idx += 1
+            continue
+        run = net.layers[idx : idx + len(recipe.layers)]
+        if len(run) != len(recipe.layers) or not all(map(operator.is_, run, recipe.layers)):
+            raise ParseError(
+                f"layers[{idx}] starts only part of a compiled flow; a compiled flow is "
+                "saved whole, as the layers compile_flow built, in their order"
+            )
+        layers.append(_recipe_doc(recipe))
+        idx += len(run)
     return {"dim": net.dim, "layers": layers}
 
 
@@ -211,13 +231,51 @@ def _parse_shift(doc, where, in_dim, out_dim):
                 f"layer requires {in_dim} -> {out_dim}"
             )
         return shift
-    sid = _expect(doc, "id", str, where)
-    params = _float_list(_expect(doc, "params", list, where), f"{where}.params")
-    shift = fixed_shift(sid, params, in_dim, out_dim)
-    finite = np.isfinite(shift.params)
+    return fixed_shift(_expect(doc, "id", str, where), _finite_list(doc, "params", where), in_dim, out_dim)
+
+
+def _finite(doc, key, where):
+    val = _expect(doc, key, (int, float), where)
+    if not abs(val) <= sys.float_info.max:  # a nan fails too; an int may exceed floats
+        raise ParseError(f"field {where}.{key} must be a finite number")
+    return float(val)
+
+
+def _finite_list(doc, key, where, size=None):
+    vals = _float_list(_expect(doc, key, list, where), f"{where}.{key}")
+    finite = np.isfinite(vals)
     if not finite.all():
-        raise ParseError(f"field {where}.params[{finite.argmin()}] must be a finite number")
-    return shift
+        raise ParseError(f"field {where}.{key}[{finite.argmin()}] must be a finite number")
+    if size is not None and vals.size != size:
+        raise ParseError(f"field {where}.{key} must have {size} entries")
+    return vals
+
+
+_RECIPE_KEYS = ("kind", "field", "tau", "T", "n_steps", "box", "quad_nodes", "tol")
+
+
+def _expand_recipe(entry, where, dim):
+    """The layers of a "compiled" entry, built by compile_flow."""
+    _reject_unknown(entry, _RECIPE_KEYS, f"{where}.")
+    field_doc = _expect(entry, "field", dict, where)
+    _reject_unknown(field_doc, ("id", "dim", "params"), f"{where}.field.")
+    fid = _expect(field_doc, "id", str, f"{where}.field")
+    if _expect(field_doc, "dim", int, f"{where}.field") != dim:
+        raise ParseError(f"field {where}.field.dim must be the model's dim {dim}")
+    params = _finite_list(field_doc, "params", f"{where}.field")
+    tau, T = _finite(entry, "tau", where), _finite(entry, "T", where)
+    n_steps = _expect(entry, "n_steps", int, where)
+    box_doc = _expect(entry, "box", dict, where)
+    _reject_unknown(box_doc, ("lo", "hi"), f"{where}.box.")
+    box = [_finite_list(box_doc, key, f"{where}.box", dim) for key in ("lo", "hi")]
+    quad_nodes = _expect(entry, "quad_nodes", int, where)
+    tol = _finite(entry, "tol", where)
+    try:
+        field = field_from_params(fid, dim, params.tolist())
+        return compile_flow(field, tau, T, n_steps, box, quad_nodes, tol, n_check=0).net.layers
+    except (ConfigError, NumericError, UnsupportedError) as exc:
+        exc.args = (f"{where}: {exc}",)  # the same class, exit code and attributes
+        raise
 
 
 # the constructors store the module's kind strings, not one parsed copy per layer
@@ -238,8 +296,11 @@ def net_from_doc(doc) -> MPNet:
         if not isinstance(entry, dict):
             raise ParseError(f"field {where} must be an object")
         kind = _expect(entry, "kind", str, where)
+        if kind == "compiled":
+            layers.extend(_expand_recipe(entry, where, dim))
+            continue
         if kind not in _CONSTRUCTORS:
-            raise ParseError(f"field {where}.kind must be 'upper', 'lower' or 'shear'")
+            raise ParseError(f"field {where}.kind must be 'upper', 'lower', 'shear' or 'compiled'")
         key = "i" if kind == SHEAR else "s"
         pos = _expect(entry, key, int, where)
         try:

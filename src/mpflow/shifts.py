@@ -7,9 +7,8 @@ analytic Jacobian; shifts without one cannot take part in backpropagation.
 
 Fixed shifts, like `mlp.forward_cached` for MLP shifts, take a point (in_dim,)
 or a batch (n, in_dim), so one layer kernel in `coupling` serves both shapes.
-A scalar registry shift may also carry a column function, `cols`, which takes
-the state itself with the written coordinate zeroed; a shear on that
-coordinate then calls it on its state's columns and never gathers the input u.
+The compiler's shears use a third kind, a column shift (see `coupling`), which
+is not serialized shear by shear.
 """
 
 from __future__ import annotations
@@ -22,43 +21,16 @@ from .errors import ConfigError
 from .mlp import Mlp, _sigmoid, forward_cached
 
 _REGISTRY = {}
-_FAMILIES = {}
 
 
 def register_fixed_shift(shift_id, factory):
-    """factory(params, in_dim, out_dim) -> (fn, jac_or_None) or
-    (fn, jac_or_None, cols).
+    """factory(params, in_dim, out_dim) -> (fn, jac_or_None).
 
     fn(u) maps a point (in_dim,) or a batch (n, in_dim) to the same leading
     shape plus (out_dim,); jac(u) returns the leading shape plus (out_dim, in_dim).
     `FixedShift` raises ConfigError on any other result shape.
-
-    The optional cols, for a scalar shift (out_dim 1), is the same function of
-    the whole state: a callable with an int attribute `row`, the coordinate the
-    shift is written to, such that cols(y) is fn(u)[..., 0] when y is the
-    state's columns (in_dim + 1,) or (in_dim + 1, n) with y[row] = 0.0 and u
-    the state without coordinate row. A shear on coordinate row + 1 calls it
-    instead of fn (see `coupling`); a result of another shape than y[0]'s is a
-    ConfigError there.
     """
     _REGISTRY[shift_id] = factory
-
-
-def register_fixed_family(prefix, factory):
-    """factory(suffix, params, in_dim, out_dim) -> (fn, jac_or_None) or
-    (fn, jac_or_None, cols) for ids 'prefix:suffix'; fn, jac and cols as in
-    `register_fixed_shift`."""
-    _FAMILIES[prefix] = factory
-
-
-def resolve_fixed(shift_id, params, in_dim, out_dim):
-    if shift_id in _REGISTRY:
-        return _REGISTRY[shift_id](params, in_dim, out_dim)
-    if ":" in shift_id:
-        prefix, suffix = shift_id.split(":", 1)
-        if prefix in _FAMILIES:
-            return _FAMILIES[prefix](suffix, params, in_dim, out_dim)
-    raise ConfigError(f"unknown fixed-shift id {shift_id!r}")
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hash: the params are arrays
@@ -81,8 +53,7 @@ class MlpShift:
 class FixedShift:
     """A registry shift. Calling it, or `apply_batch` (the same method), maps a
     point (in_dim,) to (out_dim,) and a batch (n, in_dim) to (n, out_dim) with
-    one call of the registered function. `cols` is the registered column
-    function, or None."""
+    one call of the registered function."""
 
     id: str
     params: np.ndarray
@@ -90,7 +61,6 @@ class FixedShift:
     out_dim: int
     _fn: object = field(repr=False)
     _jac: object = field(repr=False)
-    cols: object = field(default=None, repr=False)
 
     def __call__(self, u):
         u = np.asarray(u, float)
@@ -123,9 +93,11 @@ class FixedShift:
 
 
 def fixed_shift(shift_id, params, in_dim, out_dim) -> FixedShift:
+    if shift_id not in _REGISTRY:
+        raise ConfigError(f"unknown fixed-shift id {shift_id!r}")
     params = np.asarray(params, float)
     return FixedShift(shift_id, params, int(in_dim), int(out_dim),
-                      *resolve_fixed(shift_id, params, in_dim, out_dim))
+                      *_REGISTRY[shift_id](params, in_dim, out_dim))
 
 
 # --- built-in registry entries -------------------------------------------

@@ -17,12 +17,18 @@ from .rng import Xoshiro256
 
 
 def as_box(box):
-    """Normalize (lo, hi) into float arrays and reject empty boxes."""
+    """Normalize (lo, hi) into float arrays and reject non-finite bounds and
+    empty boxes."""
     lo, hi = box
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     if lo.shape != hi.shape or lo.ndim != 1:
         raise ConfigError(f"box bounds must be 1-d arrays of equal length, got {lo.shape}, {hi.shape}")
+    for name, bound in (("lo", lo), ("hi", hi)):
+        finite = np.isfinite(bound)
+        if not finite.all():
+            j = int(finite.argmin())
+            raise ConfigError(f"box bound {name}[{j}] must be a finite number, got {bound[j]}")
     if np.any(hi <= lo):
         raise ConfigError("empty box: every upper bound must exceed its lower bound")
     return lo, hi
@@ -116,7 +122,7 @@ def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:
 
 def roundtrip_error(net: MPNet, points) -> float:
     """Max sup-norm error of inverse(forward(x)) - x over the points, each map one
-    net_apply_batch call (inverse=True for the inverse)."""
+    net_apply_batch call (inverse=True for the inverse); 0.0 for zero rows (0, dim)."""
     points = np.atleast_2d(np.asarray(points, float))
     back = net_apply_batch(net, net_apply_batch(net, points), inverse=True)
-    return float(np.max(np.abs(back - points)))
+    return float(np.max(np.abs(back - points), initial=0.0))

@@ -7,7 +7,6 @@ import pytest
 
 from mpflow.cli import main
 from mpflow.coupling import MPNet
-from mpflow.dynamics import FD_STEP
 from mpflow.serialize import save_net, serialize
 
 from test_coupling import random_net
@@ -418,42 +417,72 @@ LORENTZ_COMPILE_CFG = {
 }
 
 
-@pytest.mark.parametrize(
-    "index, value, message",
-    [
-        (0, 4.0, "pairshift d must be an integer in [1, 3], got 4.0"),
-        (0, 0.0, "pairshift d must be an integer in [1, 3], got 0.0"),
-        (0, -1.0, "pairshift d must be an integer in [1, 3], got -1.0"),
-        (0, 1.5, "pairshift d must be an integer in [1, 3], got 1.5"),
-        (1, -1.0, "pairshift comp must be 0 or 1, got -1.0"),
-        (1, 2.0, "pairshift comp must be 0 or 1, got 2.0"),
-        (4, 1.5, "pairshift quad_nodes must be an integer >= 1, got 1.5"),
-        (4, 0.0, "pairshift quad_nodes must be an integer >= 1, got 0.0"),
-        (5, 1e-3, "pairshift fd_step must be 1e-05, got 0.001"),
-        (5, 0.0, "pairshift fd_step must be 1e-05, got 0.0"),
-        (6, -1.0, "pairshift tol must be a positive finite number, got -1.0"),
-        (6, float("inf"), "pairshift tol must be a positive finite number, got inf"),
-        (6, float("nan"), "pairshift tol must be a positive finite number, got nan"),
-        (7, 4.5, "pairshift dim must be an integer, got 4.5"),
-        # rejected before Gauss-Legendre allocates anything for the nodes
-        (4, 1e9, "quad_nodes must be <= 1024, got 1000000000"),
-    ],
-    ids=["d=4", "d=0", "d=-1", "d=1.5", "comp=-1", "comp=2", "quad_nodes=1.5", "quad_nodes=0",
-         "fd_step=1e-3", "fd_step=0", "tol=-1", "tol=inf", "tol=nan", "dim=4.5", "quad_nodes=1e9"],
-)
-def test_verify_bad_pairshift_params_exit_2(tmp_path, index, value, message):
+def _lorentz_recipe(tmp_path):
     code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG, out=tmp_path / "compiled")
     assert code == 0
     doc = json.loads((compiled / "model.json").read_text())
-    assert len(doc["layers"]) == 6
-    doc["layers"][0]["shift"]["params"][index] = value
-    model_path = tmp_path / "edited.json"
-    model_path.write_text(json.dumps(doc))
-    code, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
-    assert code == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "error"
-    assert message in manifest["error"]
+    assert [layer["kind"] for layer in doc["layers"]] == ["compiled"]
+    return doc
+
+
+def _set(path, value):
+    # an edit of the model's compiled entry: sets (or with value DROP, removes) path
+    def edit(entry):
+        *parents, key = path
+        for p in parents:
+            entry = entry[p]
+        if value is DROP:
+            del entry[key]
+        else:
+            entry[key] = value
+
+    return edit
+
+
+DROP = object()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(["tau"], float("nan")), "field layers[0].tau must be a finite number"),
+        (_set(["T"], float("inf")), "field layers[0].T must be a finite number"),
+        (_set(["T"], 10**400), "field layers[0].T must be a finite number"),
+        (_set(["tau"], True), "field layers[0].tau has wrong type bool"),
+        (_set(["tau"], DROP), "missing field layers[0].tau"),
+        (_set(["tol"], float("nan")), "field layers[0].tol must be a finite number"),
+        (_set(["tol"], float("inf")), "field layers[0].tol must be a finite number"),
+        (_set(["tol"], -1.0), "layers[0]: tol must be a positive finite number, got -1.0"),
+        (_set(["n_steps"], 1.5), "field layers[0].n_steps has wrong type float"),
+        (_set(["n_steps"], 0), "layers[0]: n_steps must be >= 1, got 0"),
+        # rejected before a layer is built
+        (_set(["n_steps"], 10**9), "layers[0]: n_steps 1000000000 would build 6000000000 layers, "
+                                   "more than 100000"),
+        (_set(["quad_nodes"], 1.5), "field layers[0].quad_nodes has wrong type float"),
+        (_set(["quad_nodes"], 0), "layers[0]: quad_nodes must be >= 1, got 0"),
+        # rejected before Gauss-Legendre allocates anything for the nodes
+        (_set(["quad_nodes"], 10**9), "layers[0]: quad_nodes must be <= 1024, got 1000000000"),
+        (_set(["box", "lo", 1], float("nan")), "field layers[0].box.lo[1] must be a finite number"),
+        (_set(["box", "hi"], [1.0, 1.0, 1.0]), "field layers[0].box.hi must have 4 entries"),
+        (_set(["box", "hi"], [0.6, 0.5, 1.6, 1.0]), "layers[0]: empty box"),
+        (_set(["box", "mid"], []), "unknown field layers[0].box.mid"),
+        (_set(["field", "dim"], 3), "field layers[0].field.dim must be the model's dim 4"),
+        (_set(["field", "dim"], 4.5), "field layers[0].field.dim has wrong type float"),
+        (_set(["field", "id"], "custom"), "layers[0]: unknown field id 'custom'"),
+        (_set(["field", "params"], [1.0]), "layers[0]: field 'lorentz4d' params have values left over"),
+        (_set(["field", "params"], [float("inf")]), "field layers[0].field.params[0] must be a finite number"),
+        (_set(["field", "foo"], 1), "unknown field layers[0].field.foo"),
+        (_set(["fd_step"], 1e-5), "unknown field layers[0].fd_step"),
+    ],
+    ids=["tau=nan", "T=inf", "T=1e400", "tau=true", "tau-missing", "tol=nan", "tol=inf", "tol=-1",
+         "n_steps=1.5", "n_steps=0", "n_steps=1e9", "quad_nodes=1.5", "quad_nodes=0", "quad_nodes=1e9",
+         "box.lo=nan", "box.hi-short", "box-empty", "box.mid", "field.dim=3", "field.dim=4.5",
+         "field.id=custom", "field.params-left-over", "field.params=inf", "field.foo", "fd_step"],
+)
+def test_verify_bad_recipe_exits_2_naming_the_key(tmp_path, edit, message):
+    doc = _lorentz_recipe(tmp_path)
+    edit(doc["layers"][0])
+    _verify_exits_with(tmp_path, doc, 2, message)
 
 
 CYCLE_POLY = {"id": "poly", "dim": 3,
@@ -463,29 +492,43 @@ CYCLE_POLY = {"id": "poly", "dim": 3,
 @pytest.mark.parametrize(
     "edit, message",
     [
-        # 8 slots, 2 x 3 box bounds, then the 16-value field encoding
-        (lambda params: params[:17], "field 'poly' params are truncated"),
+        # the 16-value encoding: the component count, then per component its
+        # term count and each term's coefficient and three exponents
+        (lambda params: params[:15], "field 'poly' params are truncated"),
         (lambda params: params + [0.0], "field 'poly' params have values left over"),
-        (lambda params: params[:14] + [float("inf")] + params[15:], "field 'poly' params hold a bad count inf"),
+        (lambda params: [1.5] + params[1:], "field 'poly' params hold a bad count 1.5"),
     ],
-    ids=["truncated", "left-over", "count=inf"],
+    ids=["truncated", "left-over", "count=1.5"],
 )
-def test_verify_bad_pairshift_field_params_exit_2(tmp_path, edit, message):
+def test_verify_bad_recipe_field_params_exit_2(tmp_path, edit, message):
     cfg = {"field": CYCLE_POLY, "T": 0.5, "n_steps": 1, "box": {"lo": [-1, -1, -1], "hi": [1, 1, 1]},
            "det_points": 2}
     code, compiled = run(tmp_path, "compile", cfg, out=tmp_path / "compiled")
     assert code == 0
     doc = json.loads((compiled / "model.json").read_text())
-    for layer in doc["layers"]:
-        assert len(layer["shift"]["params"]) == 30
-        layer["shift"]["params"] = edit(layer["shift"]["params"])
-    model_path = tmp_path / "edited.json"
-    model_path.write_text(json.dumps(doc))
-    code, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
-    assert code == 2
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["status"] == "error"
-    assert message in manifest["error"]
+    field = doc["layers"][0]["field"]
+    assert len(field["params"]) == 16
+    field["params"] = edit(field["params"])
+    _verify_exits_with(tmp_path, doc, 2, f"layers[0]: {message}")
+
+
+@pytest.mark.parametrize(
+    "field, code, message",
+    [
+        ({"id": "linear", "dim": 2, "params": [1.0, 0.0, 0.0, 1.0]}, 3,
+         "layers[1]: field 'linear' is not divergence-free: |div|=2.000e+00"),
+        # f = (y1*y2, -y2^2/2, 0.7): pair 1 is not separable
+        ({"id": "poly", "dim": 3, "params": [3, 1, 1, 1, 1, 0, 1, -0.5, 0, 2, 0, 1, 0.7, 0, 0, 0]}, 4,
+         "layers[1]: field 'poly' has non-separable pairs at d=[1]"),
+    ],
+    ids=["not-divergence-free", "non-separable"],
+)
+def test_verify_recipe_that_does_not_compile_keeps_its_exit_code(tmp_path, field, code, message):
+    dim = field["dim"]
+    recipe = {"kind": "compiled", "field": field, "tau": 0.0, "T": 0.5, "n_steps": 1,
+              "box": {"lo": [-1.0] * dim, "hi": [1.0] * dim}, "quad_nodes": 32, "tol": 1e-6}
+    shear = {"kind": "shear", "i": 1, "shift": {"type": "fixed", "id": "constant", "params": [0.0]}}
+    _verify_exits_with(tmp_path, {"dim": dim, "layers": [shear, recipe]}, code, message)
 
 
 @pytest.mark.parametrize(
@@ -511,11 +554,11 @@ def test_verify_model_number_beyond_float_range_exits_2(tmp_path):
     assert "field layers[0].shift.params[0] is beyond float range" in manifest["error"]
 
 
-def _verify_exits_2_with(tmp_path, doc, message):
+def _verify_exits_with(tmp_path, doc, code, message):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(doc))  # writes NaN and Infinity, as json reads them
-    code, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
-    assert code == 2
+    got, out = run(tmp_path, "verify", {"model": str(model_path), "n_points": 4})
+    assert got == code
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
     assert message in manifest["error"]
@@ -529,27 +572,19 @@ def _verify_exits_2_with(tmp_path, doc, message):
 def test_verify_non_finite_fixed_params_exit_2_naming_the_slot(tmp_path, sid, params, slot):
     shift = {"type": "fixed", "id": sid, "params": params}
     doc = {"dim": 3, "layers": [{"kind": "shear", "i": 1, "shift": shift}]}
-    _verify_exits_2_with(tmp_path, doc, f"field layers[0].shift.params[{slot}] must be a finite number")
-
-
-def test_verify_non_finite_pairshift_tau_exits_2_naming_the_slot(tmp_path):
-    code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG, out=tmp_path / "compiled")
-    assert code == 0
-    doc = json.loads((compiled / "model.json").read_text())
-    doc["layers"][3]["shift"]["params"][2] = float("nan")  # tau
-    _verify_exits_2_with(tmp_path, doc, "field layers[3].shift.params[2] must be a finite number")
+    _verify_exits_with(tmp_path, doc, 2, f"field layers[0].shift.params[{slot}] must be a finite number")
 
 
 def test_compiled_model_format_is_pinned(tmp_path):
-    # model.json holds config numbers and Python float arithmetic only
-    # (tau = k*h, h = T/n), so its bytes do not depend on the platform
+    # model.json holds the compile config's numbers only, so its bytes do not
+    # depend on the platform
     code, compiled = run(tmp_path, "compile", LORENTZ_COMPILE_CFG)
     assert code == 0
     data = (compiled / "model.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
-        "0c27cfbc874ba3bf1d3b4f82c819dc9a597aee7814a9bcd088497b9b50c52e18"
+        "56cb091a6fd89bdb3f07ba7bca1980b257e28c1364158d4a341a82ff73b26ecb"
     )
-    assert all(layer["shift"]["params"][5] == FD_STEP for layer in json.loads(data)["layers"])
+    assert len(data) == 322
 
 
 POLY_HARMONIC = {"id": "poly", "dim": 2, "components": [[[-1.0, [0, 1]]], [[1.0, [1, 0]]]]}

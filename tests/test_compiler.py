@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from mpflow.compiler import (
 from mpflow.coupling import (
     MPNet,
     layer_apply_batch,
+    layer_backward_batch,
     layer_forward,
     lower_layer,
     net_apply_batch,
@@ -25,7 +27,7 @@ from mpflow.coupling import (
     upper_layer,
 )
 from mpflow.dynamics import make_field, rk4_flow
-from mpflow.errors import ConfigError, NumericError, UnsupportedError
+from mpflow.errors import ConfigError, NumericError, ParseError, UnsupportedError
 from mpflow.mlp import Mlp
 from mpflow.pair_decomposition import _zero_component, decompose
 from mpflow.rng import Xoshiro256
@@ -159,7 +161,7 @@ def test_compiled_net_invertible():
 def test_compiled_net_serialization_reproduces_bitwise(field, T, n_steps, box, maxulp):
     net = compile_flow(field, 0.0, T, n_steps, box).net
     data = serialize(net)
-    compiler._rebuilt_pairs.cache_clear()  # the restored net builds its own pairs
+    assert [layer["kind"] for layer in json.loads(data)["layers"]] == ["compiled"]
     restored = deserialize(data)
     pts = sample_points(box, 10, 15, exclude=field.singular)
     for inverse in (False, True):
@@ -173,22 +175,25 @@ def test_pinned_zero_shift_adds_h_times_zero_without_the_field():
     # adds h * 0.0 = -0.0, which the field path computed as h * zeros
     field = make_field("lorentz4d")
     net = compile_flow(field, 0.0, -0.2, 2, BOX4).net
-    pinned = [layer for layer in net.layers if layer.shift.params[1] == 1 and layer.shift.params[0] < 3]
-    assert len(pinned) == 4
-    pts = sample_points(BOX4, 6, 9, exclude=field.singular)[:, 1:]
+    pinned = [layer for layer in net.layers if layer.shift.ufn is _zero_component]
+    assert [layer.i for layer in pinned] == [2, 3, 2, 3]  # pairs 1 and 2, second shear
+    cols = sample_points(BOX4, 6, 9, exclude=field.singular).T.copy()
     for layer in pinned:
-        d, comp, tau, h = layer.shift.params[:4]
-        via_field = compiler._PairShear(lambda t, y: _zero_component(t, y), int(d), tau, h).read
-        for u, shape in ((pts[0], (1,)), (pts, (6, 1))):
-            got = layer.shift(u)
+        shift = layer.shift
+        via_field = compiler._PairShear(lambda t, y: _zero_component(t, y), shift.row,
+                                        shift.tau, shift.h, shift.in_dim, None)
+        y = cols.copy()
+        y[shift.row] = 0.0
+        for y, shape in ((y[:, 0], ()), (y, (6,))):
+            got = shift(y)
             assert got.shape == shape and got.dtype == np.float64
             assert np.all(got == 0.0) and np.all(np.signbit(got))
-            assert got.tobytes() == via_field(u).tobytes()
+            assert got.tobytes() == via_field(y).tobytes()
 
 
 def test_compile_rejects_a_field_id_the_registry_cannot_rebuild():
-    # compiled layers are built from their serialized params, so a field that
-    # a load could not rebuild cannot be compiled either
+    # compile_flow rebuilds the field from its params, as a load does, so a
+    # field that a load could not rebuild cannot be compiled either
     field = replace(make_field("harmonic2d"), fid="custom")
     with pytest.raises(ConfigError, match="unknown field id 'custom'"):
         compile_flow(field, 0.0, 1.0, 2, BOXH)
@@ -342,61 +347,57 @@ def _with_signed_zeros(x):
     return x
 
 
-def _add_registry_shift(layer, x, inverse):
-    # the layer as its shift's registry function defines it: x with column
-    # i - 1 plus (or minus) apply_batch of the columns the layer reads
+def _add_column_shift(layer, x, inverse):
+    # the layer as its column shift defines it: x with column i - 1 plus (or
+    # minus) the shift of x's columns with that column zeroed
+    y = x.T.copy()
+    y[layer.i - 1] = 0.0
     out = x.copy()
-    v = layer.shift.apply_batch(x[..., layer.read])[..., 0]
     if inverse:
-        out[..., layer.i - 1] -= v
+        out[..., layer.i - 1] -= layer.shift(y)
     else:
-        out[..., layer.i - 1] += v
+        out[..., layer.i - 1] += layer.shift(y)
     return out
 
 
 @pytest.mark.parametrize("field, T, n_steps, box, maxulp", COMPILED_FIELDS, ids=COMPILED_IDS)
-def test_compiled_layers_add_their_registry_shift_bit_for_bit(field, T, n_steps, box, maxulp):
+def test_compiled_layers_add_their_column_shift_bit_for_bit(field, T, n_steps, box, maxulp):
     net = compile_flow(field, 0.0, T, n_steps, box).net
     x = _with_signed_zeros(sample_points(box, 9, 23, exclude=field.singular))
     with np.errstate(all="ignore"):  # a lorentz4d row with y1 = 0 may come near its singular line
         for layer in net.layers:
-            assert layer.cols is not None  # the kernel's column path
+            assert layer.cols is layer.shift  # the kernel's column path
             for pts in (x, x[0], x[1]):
                 for inverse in (False, True):
                     got = layer_apply_batch(layer, pts, inverse)
-                    assert got.tobytes() == _add_registry_shift(layer, pts, inverse).tobytes()
+                    assert got.tobytes() == _add_column_shift(layer, pts, inverse).tobytes()
 
 
-def test_a_pair_shift_on_another_target_applies_its_registry_function():
-    # a model file may put a pairshift on any shear; off the coordinate its
-    # column function zeroes, the layer gathers u and calls apply_batch
+def test_a_pair_shear_on_another_target_is_a_config_error():
     layer = compile_flow(make_field("lorentz4d"), 0.0, 0.2, 1, BOX4).net.layers[4]
-    assert (layer.i, layer.cols.row) == (3, 2)
-    moved = replace(layer, i=4)
-    assert moved.cols is None
-    x = sample_points(BOX4, 5, 4, exclude=make_field("lorentz4d").singular)
-    for inverse in (False, True):
-        assert np.array_equal(layer_apply_batch(moved, x, inverse), _add_registry_shift(moved, x, inverse))
+    assert (layer.i, layer.shift.row) == (3, 2)
+    for changes in ({"i": 4}, {"kind": "upper", "s": 2, "i": 0}):
+        with pytest.raises(ConfigError, match=r"writes coordinate 3; it can only be the shift of a shear"):
+            replace(layer, **changes)
 
 
 class _WholeStateCols:
-    # a column function that wrongly returns the whole state, not one column
-    row = 0
+    # a column shift that wrongly returns the whole state, not one column
+    row, in_dim, out_dim = 0, 2, 1
 
     def __call__(self, y):
         return 2.0 * y
 
+    def __repr__(self):
+        return "<whole state>"
+
 
 def test_a_column_result_of_the_wrong_shape_raises_naming_the_shift():
-    register_fixed_shift(
-        "whole_state_cols",
-        lambda params, i, o: ((lambda u: 2.0 * u[..., :1]), None, _WholeStateCols()),
-    )
-    layer = shear_layer(3, 1, fixed_shift("whole_state_cols", [], 2, 1))
-    assert layer.cols is not None
+    layer = shear_layer(3, 1, _WholeStateCols())
+    assert layer.cols is layer.shift
     for x, shape in ((np.ones(3), r"\(3,\), expected an array of shape \(\)"),
                      (np.ones((4, 3)), r"\(3, 4\), expected an array of shape \(4,\)")):
-        match = "shift 'whole_state_cols': registered cols returned " + shape
+        match = "column shift <whole state> returned " + shape
         with pytest.raises(ConfigError, match=match):
             layer_apply_batch(layer, x)
         with pytest.raises(ConfigError, match=match):
@@ -428,23 +429,54 @@ def test_compiled_net_batch_rows_match_point_calls(field, T, n_steps, box, maxul
         np.testing.assert_array_max_ulp(layer_apply_batch(layer, pts, inverse=True), rows, maxulp=maxulp)
 
 
-def test_load_rebuilds_pairs_once(tmp_path, monkeypatch):
-    compiled = compile_flow(make_field("harmonic2d"), 0.0, 1.0, 3, BOXH)
-    save_net(compiled.net, tmp_path / "model.json")
-    calls = []
-    build = compiler.build_pairs
-
-    def counting_build(*args, **kwargs):
-        calls.append(1)
-        return build(*args, **kwargs)
-
-    monkeypatch.setattr(compiler, "build_pairs", counting_build)
-    load_net(tmp_path / "model.json")
-    assert len(calls) == 0  # compile built these layers through the same cache
-    compiler._rebuilt_pairs.cache_clear()
+def test_a_net_holding_a_compiled_flow_twice_saves_two_entries(tmp_path):
+    flow = compile_flow(make_field("harmonic2d"), 0.0, 1.0, 3, BOXH).net
+    twice = MPNet(2, flow.layers + flow.layers)
+    save_net(twice, tmp_path / "model.json")
+    data = (tmp_path / "model.json").read_bytes()
+    doc = json.loads(data)
+    assert [layer["kind"] for layer in doc["layers"]] == ["compiled", "compiled"]
+    assert doc["layers"][0] == doc["layers"][1] == json.loads(serialize(flow))["layers"][0]
     restored = load_net(tmp_path / "model.json")
-    assert len(calls) == 1
-    assert serialize(restored) == serialize(compiled.net)
+    assert restored.n_layers == 12 and serialize(restored) == data
+    pts = sample_points(BOXH, 5, 3)
+    assert np.array_equal(net_apply_batch(restored, pts), net_apply_batch(twice, pts))
+
+
+def test_a_net_holding_part_of_a_compiled_flow_cannot_be_saved():
+    flow = compile_flow(make_field("lorentz4d"), 0.0, 0.2, 2, BOX4).net  # 12 layers
+    mlp_layer = shear_layer(4, 1, fixed_shift("constant", [0.5], 3, 1))
+    copied = [replace(layer) for layer in flow.layers]  # equal, but not the layers compile built
+    for layers, first in (((mlp_layer,) + flow.layers[1:], 1), (flow.layers[:11], 0),
+                          ((mlp_layer,) + flow.layers + flow.layers[6:], 13),
+                          (tuple(copied), 0), (flow.layers[::-1], 0)):
+        with pytest.raises(ParseError, match=rf"^layers\[{first}\] starts only part of a compiled flow"):
+            serialize(MPNet(4, layers))
+    shears = shear_pair(decompose(make_field("harmonic2d"), BOXH).pairs[0], 0.0, 0.1)
+    with pytest.raises(ParseError, match="cannot serialize shift of type _PairShear"):
+        serialize(MPNet(2, shears))  # built outside compile_flow: no recipe
+
+
+def test_backward_through_a_compiled_shear_names_the_shift():
+    layer = compile_flow(make_field("lorentz4d"), 0.0, 0.2, 1, BOX4).net.layers[2]
+    x = sample_points(BOX4, 3, 5, exclude=make_field("lorentz4d").singular)
+    with pytest.raises(UnsupportedError, match=r"shift <pair shear on coordinate 2 at tau=0.0> "
+                                               "has no analytic Jacobian"):
+        layer_backward_batch(layer, x, None, np.ones((3, 4)))
+
+
+def test_compile_rejects_more_layers_than_the_cap_before_building_any(monkeypatch):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("decompose called")
+
+    monkeypatch.setattr(compiler, "decompose", no_decompose)
+    field = make_field("lorentz4d")
+    n_steps = compiler.MAX_LAYERS // 6 + 1
+    with pytest.raises(ConfigError, match=rf"n_steps {n_steps} would build {6 * n_steps} layers, "
+                                          rf"more than {compiler.MAX_LAYERS}"):
+        compile_flow(field, 0.0, 0.2, n_steps, BOX4)
+    with pytest.raises(ConfigError, match="n_steps 1000000000 would build 6000000000 layers"):
+        compile_flow(field, 0.0, 0.2, 10**9, BOX4)
 
 
 def test_check_finite_names_first_nonfinite_point():

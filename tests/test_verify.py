@@ -8,7 +8,7 @@ from mpflow.coupling import net_apply_batch, net_forward
 from mpflow.dynamics import FD_STEP, make_field
 from mpflow.errors import ConfigError, NumericError
 from mpflow.rng import Xoshiro256
-from mpflow.verify import fd_jacobian_det, lp_error, max_det_deviation, sample_points
+from mpflow.verify import as_box, fd_jacobian_det, lp_error, max_det_deviation, roundtrip_error, sample_points
 
 from test_coupling import random_net
 from test_pair_decomposition import BOX4
@@ -76,6 +76,7 @@ def test_max_det_deviation_takes_a_point_as_one_row():
 @pytest.mark.parametrize("points", [[], np.empty(0)], ids=["list", "flat"])
 def test_max_det_deviation_of_zero_rows_in_any_form(points):
     assert max_det_deviation(random_net(3, 2, seed=1), points) == (0.0, None)
+    assert roundtrip_error(random_net(3, 2, seed=1), np.empty((0, 3))) == 0.0
 
 
 def test_det_makes_one_map_call_for_all_points():
@@ -188,3 +189,19 @@ def test_sample_points_respects_box_and_exclusion():
     assert pts.shape == (200, 2)
     assert np.all(pts[:, 0] >= -0.5) and np.all(pts[:, 0] <= 1.0)
     assert np.all(pts[:, 1] >= 0.0) and np.all(pts[:, 1] <= 2.0)
+
+
+@pytest.mark.parametrize(
+    "box, message",
+    [(([np.nan, 0.0], [1.0, 1.0]), "box bound lo[0] must be a finite number, got nan"),
+     (([0.0, 0.0], [1.0, np.inf]), "box bound hi[1] must be a finite number, got inf"),
+     (([-np.inf, 0.0], [np.inf, 1.0]), "box bound lo[0] must be a finite number, got -inf")],
+    ids=["lo-nan", "hi-inf", "both-inf"],
+)
+def test_as_box_rejects_non_finite_bounds_naming_the_bound(box, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        as_box(box)
+    # compile_flow used to report a NaN box as "not divergence-free: |div|=nan"
+    lo, hi = (np.resize(np.asarray(b, float), 4) for b in box)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        compile_flow(make_field("lorentz4d"), 0.0, 0.2, 1, (lo, hi))
