@@ -445,10 +445,10 @@ def test_a_net_holding_a_compiled_flow_twice_saves_two_entries(tmp_path):
 
 def test_a_net_holding_part_of_a_compiled_flow_cannot_be_saved():
     flow = compile_flow(make_field("lorentz4d"), 0.0, 0.2, 2, BOX4).net  # 12 layers
-    mlp_layer = shear_layer(4, 1, fixed_shift("constant", [0.5], 3, 1))
+    other = shear_layer(4, 1, fixed_shift("constant", [0.5], 3, 1))
     copied = [replace(layer) for layer in flow.layers]  # equal, but not the layers compile built
-    for layers, first in (((mlp_layer,) + flow.layers[1:], 1), (flow.layers[:11], 0),
-                          ((mlp_layer,) + flow.layers + flow.layers[6:], 13),
+    for layers, first in (((other,) + flow.layers[1:], 1), (flow.layers[:11], 0),
+                          ((other,) + flow.layers + flow.layers[6:], 13),
                           (tuple(copied), 0), (flow.layers[::-1], 0)):
         with pytest.raises(ParseError, match=rf"^layers\[{first}\] starts only part of a compiled flow"):
             serialize(MPNet(4, layers))
