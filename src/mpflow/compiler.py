@@ -52,7 +52,7 @@ from .pair_decomposition import (
 from .shifts import MlpShift, fixed_shift
 from .verify import as_box, sample_points
 
-MAX_LAYERS = 100_000  # about 70 MB and 1 s of shears (tracemalloc at 12,000 layers, 2-core host)
+MAX_LAYERS = 100_000  # about 20 MB and 0.5 s of lorentz4d shears (tracemalloc, 2-core host)
 
 
 class _PairShear:

@@ -425,6 +425,9 @@ def _lorentz_recipe(tmp_path):
     return doc
 
 
+DROP = object()
+
+
 def _set(path, value):
     # an edit of the model's compiled entry: sets (or with value DROP, removes) path
     def edit(entry):
@@ -437,9 +440,6 @@ def _set(path, value):
             entry[key] = value
 
     return edit
-
-
-DROP = object()
 
 
 @pytest.mark.parametrize(
