@@ -2,13 +2,15 @@
 compilation, decomposition, convergence studies, and model verification.
 
 Each command reads one JSON config against its key table, {key: (JSON type,
-default or REQUIRED, optional value check)}, plus "seed" (an integer, default
-0), which --seed replaces; `train`'s keys and defaults are TrainConfig's
-fields, with epochs required. It writes its artifacts plus a manifest.json
-into the output directory. Outputs are a pure function of (config, seed): no
-timestamps or wall-clock values are ever written. `EXIT_CODES` maps each error
-class to its exit code: 0 ok, 2 config error, 3 numeric failure, 4
-unsupported construction, 5 verification failure.
+default or REQUIRED, optional value check)}, through the reader in
+`serialize`, plus "seed" (an integer, default 0), which --seed replaces;
+`train`'s keys and defaults are TrainConfig's fields, with epochs required,
+`compile`'s a model file's `serialize.RECIPE_KEYS`, some with defaults. It
+writes its artifacts plus a manifest.json into the output directory. Outputs
+are a pure function of (config, seed): no timestamps or wall-clock values are
+ever written. `EXIT_CODES` maps each error class to its exit code: 0 ok, 2
+config error, 3 numeric failure, 4 unsupported construction, 5 verification
+failure.
 """
 
 from __future__ import annotations
@@ -25,61 +27,37 @@ from . import __version__
 from .compiler import compile_flow, convergence_study
 from .coupling import net_apply_batch
 from .dynamics import (
-    FIELDS,
     dataset_from_csv,
     dataset_from_trajectory,
     dataset_to_csv,
     generate_trajectory,
-    make_field,
     rk4_flow,
     trajectory_to_csv,
 )
 from .errors import ConfigError, NumericError, UnsupportedError, VerificationError
 from .pair_decomposition import DEFAULT_QUAD_NODES, DEFAULT_TOL, decompose
-from .serialize import dump_json, load_net, save_net
+from .serialize import (
+    RECIPE_KEYS,
+    REQUIRED,
+    _box_from_config,
+    _count,
+    _fail,
+    _field_from_config,
+    _ints,
+    _read_keys,
+    _vector,
+    dump_json,
+    load_net,
+    save_net,
+)
 from .training import TrainConfig, rollout, train
-from .verify import as_box, lp_error, max_det_deviation, roundtrip_error, sample_points
+from .verify import lp_error, max_det_deviation, roundtrip_error, sample_points
 
 ROUNDTRIP_TOL = 1e-11
 DET_TOL = 1e-6
-REQUIRED = object()  # the default of a key that the config must give
 
 # the exit code of each error class, checked in this order
 EXIT_CODES = {ValueError: 2, UnsupportedError: 4, VerificationError: 5, NumericError: 3}
-
-
-def _fail(msg):
-    raise ConfigError(msg)
-
-
-def _read_keys(doc, where, keys):
-    """The JSON object `doc` read against its key table {key: (type, default, check?)}.
-
-    Faults are reported in this order: a non-object, the first unknown key,
-    each required key that is missing or of the wrong type, each optional key
-    of the wrong type, then each given value whose check fails, in table order
-    (a command's table lists its keys in the order their values are checked).
-    A check (value, where, read) -> value returns the value to use; `read`
-    holds the values read so far, so a check may compare with a key checked
-    before it.
-    """
-    if not isinstance(doc, dict):
-        _fail(f"{where} must be a JSON object")
-    for key in doc:
-        if key not in keys:
-            _fail(f"unknown key {where}.{key}")
-    out = {}
-    for key, (typ, default, *_) in sorted(keys.items(), key=lambda kv: kv[1][1] is not REQUIRED):
-        if key in doc:
-            out[key] = _coerce(doc[key], typ, f"{where}.{key}")
-        elif default is REQUIRED:
-            _fail(f"missing key {where}.{key}")
-        else:
-            out[key] = default
-    for key, (_, _, *check) in keys.items():
-        if check and key in doc:
-            out[key] = check[0](out[key], f"{where}.{key}", out)
-    return out
 
 
 def _read_config(config, seed, keys):
@@ -90,54 +68,6 @@ def _read_config(config, seed, keys):
     return cfg
 
 
-def _coerce(val, typ, where):
-    if typ is np.ndarray:
-        return _numbers(_coerce(val, list, where), where)
-    if typ is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            _fail(f"{where} must be a number")
-        # json.loads accepts NaN, Infinity and integers beyond float range
-        if not abs(val) <= sys.float_info.max:
-            _fail(f"{where} must be a finite number")
-        return float(val)
-    if typ is int:
-        if isinstance(val, bool) or not isinstance(val, int):
-            _fail(f"{where} must be an integer")
-        return val
-    if not isinstance(val, typ) or (typ is not bool and isinstance(val, bool)):
-        _fail(f"{where} must be of type {typ.__name__}")
-    return val
-
-
-def _count(val, where, read):
-    if val < 1:
-        _fail(f"{where} must be >= 1, got {val}")
-    return val
-
-
-def _vector(val, where, read):
-    if not val:
-        _fail(f"{where} must be a non-empty list of numbers")
-    return np.array([_coerce(v, float, f"{where}[{i}]") for i, v in enumerate(val)])
-
-
-def _ints(val, where, read):
-    return [_coerce(v, int, f"{where}[{i}]") for i, v in enumerate(val)]
-
-
-def _numbers(val, where):
-    """Nested lists of finite numbers as an array, naming the first bad entry
-    and the first row whose shape differs from the first row's."""
-    if not isinstance(val, list):
-        return _coerce(val, float, where)
-    rows = [_numbers(v, f"{where}[{i}]") for i, v in enumerate(val)]
-    for i, row in enumerate(rows):
-        if np.shape(row) != np.shape(rows[0]):
-            _fail(f"{where}[{i}] must have the shape of {where}[0], "
-                  f"{np.shape(rows[0])}, got {np.shape(row)}")
-    return np.array(rows)
-
-
 def _loaded(load):
     """Check of a file key, "dataset" or "model": the file must exist; the value is load(path)."""
 
@@ -145,27 +75,11 @@ def _loaded(load):
         path = Path(val)
         if not path.exists():
             _fail(f"{where.rpartition('.')[2]} file not found: {path}")
+        if not path.is_file():
+            _fail(f"{where} is not a file: {path}")
         return load(path)
 
     return check
-
-
-def _box_from_config(doc, where="box"):
-    box = _read_keys(doc, where, {"lo": (list, REQUIRED, _vector), "hi": (list, REQUIRED, _vector)})
-    return as_box((box["lo"], box["hi"]))
-
-
-def _field_from_config(doc, where="field"):
-    if "id" not in doc:
-        _fail(f"missing key {where}.id")
-    fid = _coerce(doc["id"], str, f"{where}.id")
-    if fid not in FIELDS:
-        _fail(f"{where}: unknown field id {fid!r}")
-    keys = {key: (typ, REQUIRED, _count) if key == "dim" else (typ, REQUIRED)
-            for key, typ in {"id": str, **FIELDS[fid].config}.items()}
-    cfg = _read_keys(doc, where, keys)
-    params = [val for key, val in cfg.items() if key not in ("id", "dim")]  # at most one
-    return make_field(fid, *params, dim=cfg.get("dim"))
 
 
 def _of_model_dim(check, dim, name="{where}"):
@@ -257,10 +171,12 @@ def cmd_predict(config, out_dir, seed):
 
 
 def cmd_compile(config, out_dir, seed):
+    # the keys a model file stores a compiled flow with, three of them with defaults
+    defaults = {"tau": 0.0, "quad_nodes": DEFAULT_QUAD_NODES, "tol": DEFAULT_TOL}
     cfg = _read_config(config, seed, {
-        "tau": (float, 0.0), "quad_nodes": (int, DEFAULT_QUAD_NODES, _count),
-        "tol": (float, DEFAULT_TOL), "det_points": (int, 20, _count),
-        "field": FIELD, "T": (float, REQUIRED), "n_steps": (int, REQUIRED), "box": BOX,
+        **{key: (typ, defaults.get(key, default), *check)
+           for key, (typ, default, *check) in RECIPE_KEYS.items()},
+        "field": FIELD, "box": BOX, "det_points": (int, 20, _count),
     })
     field, box = cfg["field"], cfg["box"]
     compiled = compile_flow(
@@ -413,9 +329,11 @@ def _load_config(path):
     p = Path(path)
     if not p.exists():
         _fail(f"config file not found: {p}")
+    if not p.is_file():
+        _fail(f"--config is not a file: {p}")
     raw = p.read_bytes()
     try:
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw)  # bytes in UTF-8
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return doc, hashlib.sha256(raw).hexdigest()
@@ -433,7 +351,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way: no manifest can be written
+        print(f"error: --out cannot be made a directory: {out_dir} ({exc.strerror})", file=sys.stderr)
+        return 2
     manifest = {
         "command": args.command,
         "status": "error",

@@ -14,8 +14,9 @@ poor approximation of the flow.
 
 Each shear's shift is a `_PairShear`, a column shift (see `coupling`). The
 shears of one `compile_flow` call share one `FlowRecipe`, the call's arguments
-and the layers built from them; a model file stores the recipe, and a load
-calls `compile_flow` on it again (see `serialize`).
+and the layers built from them; a model file stores the recipe, its field as
+the field's config, and a load calls `compile_flow` on it again (see
+`serialize`).
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .coupling import (
     shift_dims,
     upper_layer,
 )
-from .dynamics import VectorField, field_from_params, rk4_flow
+from .dynamics import VectorField, make_field, rk4_flow
 from .errors import ConfigError, NumericError, UnsupportedError
-from .mlp import ACTIVATION_LIPSCHITZ
+from .mlp import ACTIVATION_LIPSCHITZ, Mlp
 from .pair_decomposition import (
     DEFAULT_QUAD_NODES,
     DEFAULT_TOL,
@@ -125,9 +126,10 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
 
     Per step k the layers advance coordinates pair by pair in ascending d at
     frozen time tau + k*h, h = T/n_steps; the resulting net has
-    n_steps * 2 * (D-1) layers, at most MAX_LAYERS. The field is rebuilt from
-    its flat params, as a load rebuilds it, so a field whose id `dynamics`
-    cannot rebuild is a ConfigError. The stack's output must be finite at
+    n_steps * 2 * (D-1) layers, at most MAX_LAYERS. The field is rebuilt by
+    `make_field` from its id, params and dim, as a load rebuilds it, so a
+    field whose id `dynamics` cannot rebuild is a ConfigError. The stack's
+    output must be finite at
     n_check sampled points; a non-finite one raises NumericError naming the
     point.
     """
@@ -136,7 +138,7 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
     n_layers = n_steps * 2 * (field.dim - 1)
     if n_layers > MAX_LAYERS:
         raise ConfigError(f"n_steps {n_steps} would build {n_layers} layers, more than {MAX_LAYERS}")
-    field = field_from_params(field.fid, field.dim, field.params)
+    field = make_field(field.fid, field.params, field.dim)
     if decomposition is None:
         decomposition = decompose(field, sample_box, quad_nodes, tol)
     bad = [p.d for p in decomposition.pairs if p.separable != "yes"]
@@ -168,6 +170,36 @@ def _check_finite(net: MPNet, sample_box, field, n_check):
         raise NumericError(f"compiled net produced non-finite output at {pts[bad.argmax()].tolist()}")
 
 
+def _rewritable_mlp(shear: Layer, s, delta) -> Mlp:
+    """The sigmoid map of a shear that shear_to_couplings can rewrite with
+    split s and perturbation delta; any other input raises, ConfigError or
+    UnsupportedError, the same for shear_to_couplings and its bound."""
+    if shear.kind != SHEAR:
+        raise ConfigError(f"expected a shear layer, got kind {shear.kind!r}")
+    if shear.i != 1:
+        raise UnsupportedError(
+            "only shears on the first coordinate are supported; reduce other targets "
+            "by relabeling coordinates first"
+        )
+    shift_dims(LOWER, shear.dim, s)  # the linear shears' split: checks s
+    if not 0 < delta < np.inf:
+        raise ConfigError(f"delta must be a positive finite number, got {delta}")
+    if not isinstance(shear.shift, MlpShift):
+        raise UnsupportedError("only MLP-backed sigmoid shears can be rewritten")
+    mlp = shear.shift.mlp
+    if len(mlp.layer_dims) != 3 or mlp.activation != "sigmoid" or mlp.layer_dims[2] != 1:
+        raise UnsupportedError(
+            "shear shift must be a single-hidden-layer sigmoid map with scalar output"
+        )
+    if np.any(mlp.biases[1] != 0.0):
+        raise UnsupportedError("shear shift must have zero output bias")
+    if np.any(mlp.weights[0][:, s - 2] + delta == 0.0):
+        raise ConfigError(
+            f"degenerate delta: K[w][{s - 1}] + delta vanishes for some hidden unit"
+        )
+    return mlp
+
+
 def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:
     """Rewrite a sigmoid shear on coordinate 1 as 3W coupling layers.
 
@@ -179,35 +211,13 @@ def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:
     perturbed by delta * x_s, so the sup error over a box B is at most
     sum_w |a_w| * (1/4) * delta * max_B |x_s|.
     """
-    if shear.kind != SHEAR:
-        raise ConfigError(f"expected a shear layer, got kind {shear.kind!r}")
-    if shear.i != 1:
-        raise UnsupportedError(
-            "only shears on the first coordinate are supported; reduce other targets "
-            "by relabeling coordinates first"
-        )
+    mlp = _rewritable_mlp(shear, s, delta)
     dim = shear.dim
-    d_in, d_out = shift_dims(LOWER, dim, s)  # the linear shears' widths; checks s
-    if delta <= 0:
-        raise ConfigError(f"delta must be positive, got {delta}")
-    shift = shear.shift
-    if not isinstance(shift, MlpShift):
-        raise UnsupportedError("only MLP-backed sigmoid shears can be rewritten")
-    mlp = shift.mlp
-    if len(mlp.layer_dims) != 3 or mlp.activation != "sigmoid" or mlp.layer_dims[2] != 1:
-        raise UnsupportedError(
-            "shear shift must be a single-hidden-layer sigmoid map with scalar output"
-        )
-    if np.any(mlp.biases[1] != 0.0):
-        raise UnsupportedError("shear shift must have zero output bias")
+    d_in, d_out = shift_dims(LOWER, dim, s)  # the linear shears' widths
     K, b_vec = mlp.weights[0], mlp.biases[0]
     a_vec = mlp.weights[1][0]
     width = K.shape[0]
     denom = K[:, s - 2] + delta
-    if np.any(denom == 0.0):
-        raise ConfigError(
-            f"degenerate delta: K[w][{s - 1}] + delta vanishes for some hidden unit"
-        )
     sig_dims = shift_dims(UPPER, dim, 2)
     layers = []
     for w in range(width):
@@ -224,9 +234,10 @@ def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:
 
 
 def shear_rewrite_bound(shear: Layer, s, delta, box) -> float:
-    """Analytic sup-error bound of shear_to_couplings over the box."""
+    """Analytic sup-error bound of shear_to_couplings over the box; the
+    inputs shear_to_couplings rejects raise the same error here."""
+    a_vec = _rewritable_mlp(shear, s, delta).weights[1][0]
     lo, hi = as_box(box)
-    a_vec = shear.shift.mlp.weights[1][0]
     l_sigma = ACTIVATION_LIPSCHITZ["sigmoid"]
     max_xs = max(abs(lo[s - 1]), abs(hi[s - 1]))
     return float(np.sum(np.abs(a_vec)) * l_sigma * delta * max_xs)

@@ -9,6 +9,10 @@ Registered fields, one `FIELDS` entry per id, with the config keys each reads
   linear      matrix. f = A y for a square matrix A, which fixes the dim
   poly        dim, components. Per-component polynomial: one list of
               (coefficient, multi-index) terms per component
+`VectorField.params` holds the params `make_field` normalised (None, the
+matrix or the poly terms, as nested tuples), so {"id": fid} plus each key the
+field reads, "dim" holding the dim and the other key the params, is the
+field's config again: a model file stores a compiled flow's field that way.
 
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
@@ -57,7 +61,9 @@ from .errors import ConfigError, NumericError, ParseError
 
 SINGULAR_RADIUS = 0.05
 FD_STEP = 1e-5  # central-difference step of every finite-difference check
-MAX_EXPONENT = 2**53  # largest poly exponent the flat float encoding holds exactly
+# largest poly exponent: numpy takes y ** e with e as a float, exact up to 2**53,
+# beyond which the parity can be lost: np.float64(-1.0) ** (2**53 + 1) is 1.0
+MAX_EXPONENT = 2**53
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class VectorField:
     fid: str
     func: object  # (t, y) -> array shaped like y: (dim,) or (dim, n) columns
     components: tuple  # per coordinate j, (t, y) -> func(t, y)[j], bit for bit, as a new array
-    params: tuple = ()  # flat float encoding, see field_from_params
+    params: object = None  # what make_field normalised: None or nested tuples
     singular: object = None  # (y) -> bool, or None
 
 
@@ -106,8 +112,7 @@ def _poly_terms(components, dim):
     """Validate [(coef, multi_index), ...] per component; returns nested tuples.
 
     A coefficient must be a finite number and an exponent an integer in
-    [0, MAX_EXPONENT]; integral floats count, since `field_from_params` decodes
-    floats.
+    [0, MAX_EXPONENT]; integral floats count.
     """
     if len(components) != dim:
         raise ConfigError(f"poly field needs {dim} component term lists, got {len(components)}")
@@ -128,7 +133,7 @@ def _poly_terms(components, dim):
                 raise ConfigError(f"{where}: multi-index {exps!r} invalid for dim {dim}")
             if any(e > MAX_EXPONENT for e in exps):
                 raise ConfigError(f"{where}: exponents must be at most 2**53, the largest "
-                                  f"the float parameter encoding holds exactly")
+                                  f"numpy's power takes exactly")
             out.append((float(coef), tuple(int(e) for e in exps)))
         parsed.append(tuple(out))
     return tuple(parsed)
@@ -172,79 +177,43 @@ def _linear_build(params, dim):
         raise ConfigError(f"linear field needs a square matrix, got shape {mat.shape}")
     # a row of the product, not row j of mat times y: a row product can round differently
     components = tuple((lambda t, y, j=j: (mat @ y)[j]) for j in range(mat.shape[0]))
-    return mat.shape[0], lambda t, y: mat @ y, components, tuple(mat.reshape(-1).tolist())
+    return mat.shape[0], lambda t, y: mat @ y, components, tuple(map(tuple, mat.tolist()))
 
 
 def _poly_build(params, dim):
     if dim is None:
         raise ConfigError("poly field needs an explicit dim")
     terms = _poly_terms(params, dim)
-    flat = [len(terms)]
-    for comp_terms in terms:
-        flat.append(len(comp_terms))
-        for coef, exps in comp_terms:
-            flat += (coef, *exps)
-    return dim, _poly_eval(terms), tuple(map(_poly_component, terms)), tuple(map(float, flat))
-
-
-def _poly_decode(vals, dim):
-    def count():
-        n = next(vals)
-        if not (n >= 0 and float(n).is_integer()):
-            raise ConfigError(f"field 'poly' params hold a bad count {n}")
-        return int(n)
-
-    return [[(next(vals), [next(vals) for _ in range(dim)]) for _ in range(count())]
-            for _ in range(count())]
+    return dim, _poly_eval(terms), tuple(map(_poly_component, terms)), terms
 
 
 class FieldSpec(NamedTuple):
-    """One registered field id: see make_field and field_from_params."""
+    """One registered field id: see make_field."""
 
-    build: object  # (params, dim or None) -> (dim, func, components, flat); raises on bad params
-    decode: object  # (iterator over the flat params, dim) -> params for build
+    build: object  # (params, dim or None) -> (dim, func, components, params); raises on bad params
     config: dict  # config key -> type it is read as; "dim" is the dim, any other key the params
     singular: object = None  # (y) -> bool, or None
 
 
 FIELDS = {
-    "lorentz4d": FieldSpec(lambda params, dim: (4, _lorentz4d, _LORENTZ4D_COMPONENTS, ()),
-                           lambda vals, dim: None, {},
+    "lorentz4d": FieldSpec(lambda params, dim: (4, _lorentz4d, _LORENTZ4D_COMPONENTS, None), {},
                            lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS),
-    "harmonic2d": FieldSpec(lambda params, dim: (2, _harmonic2d, _HARMONIC2D_COMPONENTS, ()),
-                            lambda vals, dim: None, {}),
-    "linear": FieldSpec(_linear_build,
-                        lambda vals, dim: [[next(vals) for _ in range(dim)] for _ in range(dim)],
-                        {"matrix": np.ndarray}),
-    "poly": FieldSpec(_poly_build, _poly_decode, {"dim": int, "components": list}),
+    "harmonic2d": FieldSpec(lambda params, dim: (2, _harmonic2d, _HARMONIC2D_COMPONENTS, None), {}),
+    "linear": FieldSpec(_linear_build, {"matrix": np.ndarray}),
+    "poly": FieldSpec(_poly_build, {"dim": int, "components": list}),
 }
 
 
-def _spec(fid) -> FieldSpec:
+def make_field(fid, params=None, dim=None) -> VectorField:
+    """Construct a registered vector field; unknown ids raise ConfigError.
+    make_field(f.fid, f.params, f.dim) rebuilds a field f."""
     if fid not in FIELDS:
         raise ConfigError(f"unknown field id {fid!r}")
-    return FIELDS[fid]
-
-
-def make_field(fid, params=None, dim=None) -> VectorField:
-    """Construct a registered vector field; unknown ids raise ConfigError."""
-    spec = _spec(fid)
-    d, func, components, flat = spec.build(params, dim)
+    spec = FIELDS[fid]
+    d, func, components, params = spec.build(params, dim)
     if dim is not None and dim != d:
         raise ConfigError(f"field {fid!r} has dim {d}, got {dim}")
-    return VectorField(d, fid, func, components, flat, spec.singular)
-
-
-def field_from_params(fid, dim, params) -> VectorField:
-    """Rebuild a field from its flat parameter encoding (see VectorField.params)."""
-    vals = iter(params)
-    try:
-        decoded = _spec(fid).decode(vals, dim)
-    except StopIteration:
-        raise ConfigError(f"field {fid!r} params are truncated") from None
-    if next(vals, None) is not None:
-        raise ConfigError(f"field {fid!r} params have values left over")
-    return make_field(fid, decoded, dim)
+    return VectorField(d, fid, func, components, params, spec.singular)
 
 
 def field_eval(field: VectorField, t, y) -> np.ndarray:

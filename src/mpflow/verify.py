@@ -122,7 +122,11 @@ def lp_error(map_a, map_b, box, p, n_samples, seed) -> float:
 
 def roundtrip_error(net: MPNet, points) -> float:
     """Max sup-norm error of inverse(forward(x)) - x over the points, each map one
-    net_apply_batch call (inverse=True for the inverse); 0.0 for zero rows (0, dim)."""
-    points = np.atleast_2d(np.asarray(points, float))
+    net_apply_batch call (inverse=True for the inverse); 0.0 for zero rows in
+    any form ([], (0,) or (0, dim))."""
+    points = np.asarray(points, float)
+    if points.size == 0:
+        return 0.0
+    points = np.atleast_2d(points)
     back = net_apply_batch(net, net_apply_batch(net, points), inverse=True)
     return float(np.max(np.abs(back - points), initial=0.0))

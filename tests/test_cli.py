@@ -106,6 +106,43 @@ def test_missing_config_exits_2(tmp_path):
     assert (tmp_path / "o" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("gen-data", None, "--config is not a file: {path}"),
+        ("train", {"dataset": "{path}", "epochs": 2}, "config.dataset is not a file: {path}"),
+        ("predict", {"model": "{path}", "x0": [1.0, 0.0], "n_steps": 2}, "config.model is not a file: {path}"),
+        ("verify", {"model": "{path}"}, "config.model is not a file: {path}"),
+    ],
+    ids=["config", "dataset", "predict-model", "verify-model"],
+)
+def test_an_input_path_that_is_not_a_file_exits_2_naming_key_and_path(tmp_path, capsys, command, config,
+                                                                     message):
+    path = tmp_path / "a_directory"
+    path.mkdir()
+    if config is None:
+        cfg_path = path
+    else:
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config).replace("{path}", str(path)))
+    message = message.format(path=path)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert (manifest["status"], manifest["error"]) == ("error", message)
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_out_path_that_is_a_file_exits_2_naming_it(tmp_path, capsys):
+    # no manifest can be written where a file stands
+    out = tmp_path / "out.txt"
+    out.write_text("kept")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(GEN_CFG))
+    assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
+    assert capsys.readouterr().err == f"error: --out cannot be made a directory: {out} (File exists)\n"
+
+
 def test_train_and_predict_roundtrip(tmp_path):
     _, data_dir = run(tmp_path, "gen-data", GEN_CFG, out=tmp_path / "data")
     train_cfg = {
@@ -445,39 +482,46 @@ def _set(path, value):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_set(["tau"], float("nan")), "field layers[0].tau must be a finite number"),
-        (_set(["T"], float("inf")), "field layers[0].T must be a finite number"),
-        (_set(["T"], 10**400), "field layers[0].T must be a finite number"),
-        (_set(["tau"], True), "field layers[0].tau has wrong type bool"),
-        (_set(["tau"], DROP), "missing field layers[0].tau"),
-        (_set(["tol"], float("nan")), "field layers[0].tol must be a finite number"),
-        (_set(["tol"], float("inf")), "field layers[0].tol must be a finite number"),
+        (_set(["tau"], float("nan")), "layers[0].tau must be a finite number"),
+        (_set(["T"], float("inf")), "layers[0].T must be a finite number"),
+        (_set(["T"], 10**400), "layers[0].T must be a finite number"),
+        (_set(["tau"], True), "layers[0].tau must be a number"),
+        (_set(["tau"], DROP), "missing key layers[0].tau"),
+        (_set(["tol"], float("nan")), "layers[0].tol must be a finite number"),
+        (_set(["tol"], float("inf")), "layers[0].tol must be a finite number"),
         (_set(["tol"], -1.0), "layers[0]: tol must be a positive finite number, got -1.0"),
-        (_set(["n_steps"], 1.5), "field layers[0].n_steps has wrong type float"),
+        (_set(["n_steps"], 1.5), "layers[0].n_steps must be an integer"),
         (_set(["n_steps"], 0), "layers[0]: n_steps must be >= 1, got 0"),
         # rejected before a layer is built
         (_set(["n_steps"], 10**9), "layers[0]: n_steps 1000000000 would build 6000000000 layers, "
                                    "more than 100000"),
-        (_set(["quad_nodes"], 1.5), "field layers[0].quad_nodes has wrong type float"),
-        (_set(["quad_nodes"], 0), "layers[0]: quad_nodes must be >= 1, got 0"),
+        (_set(["quad_nodes"], 1.5), "layers[0].quad_nodes must be an integer"),
+        (_set(["quad_nodes"], 0), "layers[0].quad_nodes must be >= 1, got 0"),
         # rejected before Gauss-Legendre allocates anything for the nodes
         (_set(["quad_nodes"], 10**9), "layers[0]: quad_nodes must be <= 1024, got 1000000000"),
-        (_set(["box", "lo", 1], float("nan")), "field layers[0].box.lo[1] must be a finite number"),
-        (_set(["box", "hi"], [1.0, 1.0, 1.0]), "field layers[0].box.hi must have 4 entries"),
-        (_set(["box", "hi"], [0.6, 0.5, 1.6, 1.0]), "layers[0]: empty box"),
-        (_set(["box", "mid"], []), "unknown field layers[0].box.mid"),
-        (_set(["field", "dim"], 3), "field layers[0].field.dim must be the model's dim 4"),
-        (_set(["field", "dim"], 4.5), "field layers[0].field.dim has wrong type float"),
-        (_set(["field", "id"], "custom"), "layers[0]: unknown field id 'custom'"),
-        (_set(["field", "params"], [1.0]), "layers[0]: field 'lorentz4d' params have values left over"),
-        (_set(["field", "params"], [float("inf")]), "field layers[0].field.params[0] must be a finite number"),
-        (_set(["field", "foo"], 1), "unknown field layers[0].field.foo"),
-        (_set(["fd_step"], 1e-5), "unknown field layers[0].fd_step"),
+        (_set(["box", "lo", 1], float("nan")), "layers[0].box.lo[1] must be a finite number"),
+        (_set(["box", "hi"], [1.0, 1.0, 1.0]),
+         "layers[0].box: box bounds must be 1-d arrays of equal length, got (4,), (3,)"),
+        (_set(["box", "hi"], [0.6, 0.5, 1.6, 1.0]), "layers[0].box: empty box"),
+        (_set(["box", "mid"], []), "unknown key layers[0].box.mid"),
+        (_set(["box"], {"lo": [-1.0] * 3, "hi": [1.0] * 3}), "layers[0].box has dim 3, the model has dim 4"),
+        # a lorentz4d field config reads no key but its id
+        (_set(["field", "dim"], 3), "unknown key layers[0].field.dim"),
+        (_set(["field", "dim"], 4.5), "unknown key layers[0].field.dim"),
+        (_set(["field", "id"], "custom"), "layers[0].field: unknown field id 'custom'"),
+        (_set(["field", "id"], 4), "layers[0].field.id must be of type str"),
+        (_set(["field"], "lorentz4d"), "layers[0].field must be of type dict"),
+        (_set(["field"], {"id": "harmonic2d"}), "layers[0].field has dim 2, the model has dim 4"),
+        # the key of the flat encoding that earlier model files held
+        (_set(["field", "params"], []), "unknown key layers[0].field.params"),
+        (_set(["field", "foo"], 1), "unknown key layers[0].field.foo"),
+        (_set(["fd_step"], 1e-5), "unknown key layers[0].fd_step"),
     ],
     ids=["tau=nan", "T=inf", "T=1e400", "tau=true", "tau-missing", "tol=nan", "tol=inf", "tol=-1",
          "n_steps=1.5", "n_steps=0", "n_steps=1e9", "quad_nodes=1.5", "quad_nodes=0", "quad_nodes=1e9",
-         "box.lo=nan", "box.hi-short", "box-empty", "box.mid", "field.dim=3", "field.dim=4.5",
-         "field.id=custom", "field.params-left-over", "field.params=inf", "field.foo", "fd_step"],
+         "box.lo=nan", "box.hi-short", "box-empty", "box.mid", "box-dim", "field.dim=3", "field.dim=4.5",
+         "field.id=custom", "field.id=4", "field-str", "field-dim", "field.params-left-over", "field.foo",
+         "fd_step"],
 )
 def test_verify_bad_recipe_exits_2_naming_the_key(tmp_path, edit, message):
     doc = _lorentz_recipe(tmp_path)
@@ -492,13 +536,23 @@ CYCLE_POLY = {"id": "poly", "dim": 3,
 @pytest.mark.parametrize(
     "edit, message",
     [
-        # the 16-value encoding: the component count, then per component its
-        # term count and each term's coefficient and three exponents
-        (lambda params: params[:15], "field 'poly' params are truncated"),
-        (lambda params: params + [0.0], "field 'poly' params have values left over"),
-        (lambda params: [1.5] + params[1:], "field 'poly' params hold a bad count 1.5"),
+        # the field's params: one term list per component
+        (lambda field: dict(field, components=field["components"][:2]),
+         "layers[0].field.components: poly field needs 3 component term lists, got 2"),
+        (lambda field: dict(field, components=field["components"] + [[]]),
+         "layers[0].field.components: poly field needs 3 component term lists, got 4"),
+        (lambda field: dict(field, components=[[[1.0]]] + field["components"][1:]),
+         "layers[0].field.components: poly component 1 term 1 must be [coefficient, multi-index], "
+         "got [1.0]"),
+        (lambda field: dict(field, components=[[[1.0, [0, 1.5, 0]]]] + field["components"][1:]),
+         "layers[0].field.components: poly component 1 term 1: multi-index [0, 1.5, 0] invalid for dim 3"),
+        (lambda field: dict(field, components={}), "layers[0].field.components must be of type list"),
+        (lambda field: dict(field, dim=0), "layers[0].field.dim must be >= 1, got 0"),
+        (lambda field: dict(field, matrix=[[0.0]]), "unknown key layers[0].field.matrix"),
+        (lambda field: POLY_HARMONIC, "layers[0].field has dim 2, the model has dim 3"),
     ],
-    ids=["truncated", "left-over", "count=1.5"],
+    ids=["truncated", "left-over", "bad-term", "exponent-1.5", "components-dict", "dim=0", "matrix",
+         "other-dim"],
 )
 def test_verify_bad_recipe_field_params_exit_2(tmp_path, edit, message):
     cfg = {"field": CYCLE_POLY, "T": 0.5, "n_steps": 1, "box": {"lo": [-1, -1, -1], "hi": [1, 1, 1]},
@@ -506,25 +560,25 @@ def test_verify_bad_recipe_field_params_exit_2(tmp_path, edit, message):
     code, compiled = run(tmp_path, "compile", cfg, out=tmp_path / "compiled")
     assert code == 0
     doc = json.loads((compiled / "model.json").read_text())
-    field = doc["layers"][0]["field"]
-    assert len(field["params"]) == 16
-    field["params"] = edit(field["params"])
-    _verify_exits_with(tmp_path, doc, 2, f"layers[0]: {message}")
+    entry = doc["layers"][0]
+    assert entry["field"] == CYCLE_POLY  # the compile config's field
+    entry["field"] = edit(entry["field"])
+    _verify_exits_with(tmp_path, doc, 2, message)
 
 
 @pytest.mark.parametrize(
-    "field, code, message",
+    "field, dim, code, message",
     [
-        ({"id": "linear", "dim": 2, "params": [1.0, 0.0, 0.0, 1.0]}, 3,
+        ({"id": "linear", "matrix": [[1.0, 0.0], [0.0, 1.0]]}, 2, 3,
          "layers[1]: field 'linear' is not divergence-free: |div|=2.000e+00"),
         # f = (y1*y2, -y2^2/2, 0.7): pair 1 is not separable
-        ({"id": "poly", "dim": 3, "params": [3, 1, 1, 1, 1, 0, 1, -0.5, 0, 2, 0, 1, 0.7, 0, 0, 0]}, 4,
+        ({"id": "poly", "dim": 3,
+          "components": [[[1.0, [1, 1, 0]]], [[-0.5, [0, 2, 0]]], [[0.7, [0, 0, 0]]]]}, 3, 4,
          "layers[1]: field 'poly' has non-separable pairs at d=[1]"),
     ],
     ids=["not-divergence-free", "non-separable"],
 )
-def test_verify_recipe_that_does_not_compile_keeps_its_exit_code(tmp_path, field, code, message):
-    dim = field["dim"]
+def test_verify_recipe_that_does_not_compile_keeps_its_exit_code(tmp_path, field, dim, code, message):
     recipe = {"kind": "compiled", "field": field, "tau": 0.0, "T": 0.5, "n_steps": 1,
               "box": {"lo": [-1.0] * dim, "hi": [1.0] * dim}, "quad_nodes": 32, "tol": 1e-6}
     shear = {"kind": "shear", "i": 1, "shift": {"type": "fixed", "id": "constant", "params": [0.0]}}
@@ -551,7 +605,7 @@ def test_verify_model_number_beyond_float_range_exits_2(tmp_path):
     assert code == 2
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "error"
-    assert "field layers[0].shift.params[0] is beyond float range" in manifest["error"]
+    assert manifest["error"] == "layers[0].shift.params[0] must be a finite number"
 
 
 def _verify_exits_with(tmp_path, doc, code, message):
@@ -572,7 +626,7 @@ def _verify_exits_with(tmp_path, doc, code, message):
 def test_verify_non_finite_fixed_params_exit_2_naming_the_slot(tmp_path, sid, params, slot):
     shift = {"type": "fixed", "id": sid, "params": params}
     doc = {"dim": 3, "layers": [{"kind": "shear", "i": 1, "shift": shift}]}
-    _verify_exits_with(tmp_path, doc, 2, f"field layers[0].shift.params[{slot}] must be a finite number")
+    _verify_exits_with(tmp_path, doc, 2, f"layers[0].shift.params[{slot}] must be a finite number")
 
 
 def test_compiled_model_format_is_pinned(tmp_path):
@@ -582,9 +636,9 @@ def test_compiled_model_format_is_pinned(tmp_path):
     assert code == 0
     data = (compiled / "model.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
-        "56cb091a6fd89bdb3f07ba7bca1980b257e28c1364158d4a341a82ff73b26ecb"
+        "14f5bb5cc5e91069477c0b4b374914f591def563ec531c5ed40a64edcd31c397"
     )
-    assert len(data) == 322
+    assert len(data) == 298
 
 
 POLY_HARMONIC = {"id": "poly", "dim": 2, "components": [[[-1.0, [0, 1]]], [[1.0, [1, 0]]]]}

@@ -26,12 +26,12 @@ from mpflow.coupling import (
     shear_layer,
     upper_layer,
 )
-from mpflow.dynamics import make_field, rk4_flow
+from mpflow.dynamics import FIELDS, make_field, rk4_flow
 from mpflow.errors import ConfigError, NumericError, ParseError, UnsupportedError
 from mpflow.mlp import Mlp
 from mpflow.pair_decomposition import _zero_component, decompose
 from mpflow.rng import Xoshiro256
-from mpflow.serialize import deserialize, load_net, save_net, serialize
+from mpflow.serialize import dump_json, load_net, save_net, serialize
 from mpflow.shifts import MlpShift, fixed_shift, register_fixed_shift
 from mpflow.verify import fd_jacobian_det, roundtrip_error, sample_points
 
@@ -158,15 +158,20 @@ def test_compiled_net_invertible():
 
 
 @pytest.mark.parametrize("field, T, n_steps, box, maxulp", COMPILED_FIELDS, ids=COMPILED_IDS)
-def test_compiled_net_serialization_reproduces_bitwise(field, T, n_steps, box, maxulp):
+def test_compiled_net_serialization_reproduces_bitwise(tmp_path, field, T, n_steps, box, maxulp):
     net = compile_flow(field, 0.0, T, n_steps, box).net
-    data = serialize(net)
-    assert [layer["kind"] for layer in json.loads(data)["layers"]] == ["compiled"]
-    restored = deserialize(data)
+    save_net(net, tmp_path / "model.json")
+    data = (tmp_path / "model.json").read_bytes()
+    (entry,) = json.loads(data)["layers"]
+    assert entry["kind"] == "compiled"
+    # the field is stored as its config: the id plus each key the field reads
+    keys = {key: field.dim if key == "dim" else field.params for key in FIELDS[field.fid].config}
+    assert entry["field"] == json.loads(dump_json({"id": field.fid, **keys}))
+    restored = load_net(tmp_path / "model.json")
     pts = sample_points(box, 10, 15, exclude=field.singular)
     for inverse in (False, True):
         want = net_apply_batch(net, pts, inverse=inverse)
-        assert np.array_equal(net_apply_batch(restored, pts, inverse=inverse), want)
+        assert net_apply_batch(restored, pts, inverse=inverse).tobytes() == want.tobytes()
     assert serialize(restored) == data
 
 
@@ -293,12 +298,40 @@ def test_rewrite_validation():
         shear_to_couplings(shear_layer(3, 1, tanh_shift), s=2, delta=1e-3)
 
 
+def _fixed_shear():
+    return shear_layer(3, 1, fixed_shift("scaled_sigmoid", [1.0, 0.0, 0.5, 0.5], 2, 1))
+
+
+@pytest.mark.parametrize(
+    "shear, s, delta, error",
+    [
+        (_fixed_shear, 2, 1e-3, UnsupportedError),
+        (lambda: sigmoid_shear(3, 2, seed=10), 1, 1e-3, ConfigError),
+        (lambda: sigmoid_shear(3, 2, seed=10), 4, 1e-3, ConfigError),
+        (lambda: sigmoid_shear(3, 2, seed=10), 2, -1.0, ConfigError),
+        (lambda: sigmoid_shear(3, 2, seed=10), 2, float("nan"), ConfigError),
+        (lambda: sigmoid_shear(3, 2, seed=10), 2, float("inf"), ConfigError),
+        (lambda: shear_layer(3, 2, sigmoid_shear(3, 2, seed=10).shift), 2, 1e-3, UnsupportedError),
+    ],
+    ids=["fixed-shift", "s=1", "s=4", "delta=-1", "delta=nan", "delta=inf", "target-2"],
+)
+def test_rewrite_and_its_bound_reject_the_same_inputs(shear, s, delta, error):
+    box = (np.full(3, -1.0), np.full(3, 1.0))
+    with pytest.raises(error) as rewrite:
+        shear_to_couplings(shear(), s=s, delta=delta)
+    with pytest.raises(error) as bound:
+        shear_rewrite_bound(shear(), s, delta, box)
+    assert type(rewrite.value) is type(bound.value) and str(rewrite.value) == str(bound.value)
+
+
 def test_rewrite_degenerate_delta_rejected():
     K = np.array([[-1e-3, 0.5]])
     mlp = Mlp((2, 1, 1), (K, np.array([[1.0]])), (np.zeros(1), np.zeros(1)), "sigmoid")
     shear = shear_layer(3, 1, MlpShift(mlp))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="degenerate delta"):
         shear_to_couplings(shear, s=2, delta=1e-3)  # K[w][s-1] + delta == 0
+    with pytest.raises(ConfigError, match="degenerate delta"):
+        shear_rewrite_bound(shear, 2, 1e-3, (np.full(3, -1.0), np.full(3, 1.0)))
 
 
 def test_rewrite_net_unit_det_and_invertible():

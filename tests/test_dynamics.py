@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from mpflow.dynamics import (
     dataset_to_csv,
     divergence_fd,
     field_eval,
-    field_from_params,
     generate_trajectory,
     make_field,
     partial_divergence_fd,
@@ -109,11 +109,14 @@ FIELD_EXAMPLES = {
 
 
 def test_field_params_roundtrip():
+    # make_field rebuilds a field from its id, params and dim, as compile_flow
+    # and a model load do; the params are nested tuples, so a field hashes
     assert FIELD_EXAMPLES.keys() == FIELDS.keys()  # a new field id needs an example here
     for fid, kwargs in FIELD_EXAMPLES.items():
         f = make_field(fid, **kwargs)
-        g = field_from_params(f.fid, f.dim, list(f.params))
-        assert g.params == f.params
+        g = make_field(f.fid, f.params, f.dim)
+        assert g.params == f.params and hash(g.params) == hash(f.params)
+        hash(f)
         y = sample_points((np.full(f.dim, 0.5), np.full(f.dim, 1.5)), 5, 0)[0]
         assert np.array_equal(field_eval(f, 0.3, y), field_eval(g, 0.3, y))
 
@@ -162,17 +165,14 @@ def test_components_have_the_bits_of_the_whole_field(fid, kwargs):
                 assert not np.shares_memory(got, y)
 
 
-def test_field_from_params_rejects_values_left_over():
-    with pytest.raises(ConfigError, match="field 'lorentz4d' params have values left over"):
-        field_from_params("lorentz4d", 4, [0.0])
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: field_from_params("linear", 2, [0.0, 1.0, -1.0]), "field 'linear' params are truncated"),
-        (lambda: field_from_params("linear", 2, [0.0] * 5), "field 'linear' params have values left over"),
-        (lambda: field_from_params("harmonic2d", 3, []), "field 'harmonic2d' has dim 2, got 3"),
+        (lambda: make_field("linear", params=[[0.0, 1.0, -1.0]]),
+         re.escape("linear field needs a square matrix, got shape (1, 3)")),
+        (lambda: make_field("linear", params=[[0.0, 1.0], [-1.0, 0.0], [0.0, 0.0]]),
+         re.escape("linear field needs a square matrix, got shape (3, 2)")),
+        (lambda: make_field("harmonic2d", dim=3), "field 'harmonic2d' has dim 2, got 3"),
         (lambda: make_field("lorentz4d", dim=3), "field 'lorentz4d' has dim 4, got 3"),
         (lambda: make_field("linear", params=np.eye(3), dim=2), "field 'linear' has dim 3, got 2"),
     ],

@@ -97,11 +97,11 @@ MLP_LAYER = net_to_doc(random_net(2, 1, seed=1))["layers"][0]
 @pytest.mark.parametrize(
     "layer, message",
     [
-        ({"kind": "upper", "s": 2, "i": 7}, "unknown field layers[0].i"),
-        ({"kind": "shear", "i": 1, "foo": 1}, "unknown field layers[0].foo"),
+        ({"kind": "upper", "s": 2, "i": 7}, "unknown key layers[0].i"),
+        ({"kind": "shear", "i": 1, "foo": 1}, "unknown key layers[0].foo"),
         ({"kind": "shear", "i": 1, "shift": {"type": "fixed", "id": "constant", "params": [0.0],
-                                           "bar": 1}}, "unknown field layers[0].shift.bar"),
-        (dict(MLP_LAYER, shift=dict(MLP_LAYER["shift"], bar=1)), "unknown field layers[0].shift.bar"),
+                                           "bar": 1}}, "unknown key layers[0].shift.bar"),
+        (dict(MLP_LAYER, shift=dict(MLP_LAYER["shift"], bar=1)), "unknown key layers[0].shift.bar"),
     ],
     ids=["upper-i", "layer-foo", "fixed-shift-bar", "mlp-shift-bar"],
 )
@@ -127,12 +127,12 @@ def test_bad_kind_and_missing_fields():
 def test_out_of_range_split_or_target_names_the_field(kind, key, pos):
     shift = {"type": "fixed", "id": "constant", "params": [0.0]}
     doc = {"dim": 3, "layers": [{"kind": kind, key: pos, "shift": shift}]}
-    with pytest.raises(ParseError, match=rf"^field layers\[0\]\.{key}: "):
+    with pytest.raises(ParseError, match=rf"^layers\[0\]\.{key}: "):
         deserialize(json.dumps(doc))
 
 
 def test_bad_kind_is_reported_as_the_kind():
-    with pytest.raises(ParseError, match=r"field layers\[0\]\.kind must be"):
+    with pytest.raises(ParseError, match=r"^layers\[0\]: unknown layer kind 'diag'$"):
         deserialize(json.dumps({"dim": 3, "layers": [{"kind": "diag"}]}))
 
 
@@ -251,9 +251,9 @@ def _float_list_reference(val, where):
     out = []
     for idx, v in enumerate(val):
         if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ParseError(f"field {where}[{idx}] is not a number")
-        if isinstance(v, int) and not abs(v) <= sys.float_info.max:
-            raise ParseError(f"field {where}[{idx}] is beyond float range")
+            raise ParseError(f"{where}[{idx}] must be a number")
+        if not abs(v) <= sys.float_info.max:
+            raise ParseError(f"{where}[{idx}] must be a finite number")
         out.append(float(v))
     return np.array(out)
 
@@ -273,15 +273,18 @@ def test_float_list_has_the_bits_of_the_per_item_loop(val):
 
 
 @pytest.mark.parametrize("val, message", [
-    ([1.0, 10**400], "field w[1] is beyond float range"),
-    ([-(10**400), 0.5], "field w[0] is beyond float range"),
-    ([0.5, True], "field w[1] is not a number"),
-    ([1, 2, "3"], "field w[2] is not a number"),
-    ([None], "field w[0] is not a number"),
-    ([10**400, False], "field w[0] is beyond float range"),
-])
+    ([1.0, 10**400], "w[1] must be a finite number"),
+    ([-(10**400), 0.5], "w[0] must be a finite number"),
+    ([0.5, True], "w[1] must be a number"),
+    ([1, 2, "3"], "w[2] must be a number"),
+    ([None], "w[0] must be a number"),
+    ([10**400, False], "w[0] must be a finite number"),
+    ([0.5, float("nan")], "w[1] must be a finite number"),
+    ([float("-inf"), "x"], "w[0] must be a finite number"),
+], ids=["int-beyond-range", "int-below-range", "bool", "str", "none", "int-beyond-range-first", "nan",
+        "inf-first"])
 def test_float_list_names_the_first_bad_entry(val, message):
-    with pytest.raises(ParseError, match=re.escape(message)):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         _float_list_reference(val, "w")
-    with pytest.raises(ParseError, match=re.escape(message)):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         _float_list(val, "w")

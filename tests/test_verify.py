@@ -76,6 +76,7 @@ def test_max_det_deviation_takes_a_point_as_one_row():
 @pytest.mark.parametrize("points", [[], np.empty(0)], ids=["list", "flat"])
 def test_max_det_deviation_of_zero_rows_in_any_form(points):
     assert max_det_deviation(random_net(3, 2, seed=1), points) == (0.0, None)
+    assert roundtrip_error(random_net(3, 2, seed=1), points) == 0.0
     assert roundtrip_error(random_net(3, 2, seed=1), np.empty((0, 3))) == 0.0
 
 
