@@ -235,9 +235,12 @@ def shear_to_couplings(shear: Layer, s=2, delta=1e-3) -> MPNet:
 
 def shear_rewrite_bound(shear: Layer, s, delta, box) -> float:
     """Analytic sup-error bound of shear_to_couplings over the box; the
-    inputs shear_to_couplings rejects raise the same error here."""
+    inputs shear_to_couplings rejects raise the same error here, and a box
+    of another dim than the shear's raises ConfigError."""
     a_vec = _rewritable_mlp(shear, s, delta).weights[1][0]
     lo, hi = as_box(box)
+    if lo.size != shear.dim:
+        raise ConfigError(f"box has dim {lo.size}, the shear has dim {shear.dim}")
     l_sigma = ACTIVATION_LIPSCHITZ["sigmoid"]
     max_xs = max(abs(lo[s - 1]), abs(hi[s - 1]))
     return float(np.sum(np.abs(a_vec)) * l_sigma * delta * max_xs)

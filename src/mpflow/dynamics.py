@@ -40,9 +40,9 @@ state, or a ZeroDivisionError that Python raises where numpy gives inf or
 nan, reruns the hop on the array state with a check after every substep, so
 the NumericError names the substep (and row) where the state first became
 non-finite.
-`partial_divergence_fd` takes a point or columns (dim, ...) and sends every
-shifted copy through one field call. `field_eval`, `divergence_fd` and
-`generate_trajectory` take single points.
+`partial_divergence_fd` takes a point or columns (dim, ...); each of its terms
+sends one row's two shifted copies through one component call.
+`field_eval`, `divergence_fd` and `generate_trajectory` take single points.
 
 All operations are pure; independent trajectories may be generated
 concurrently.
@@ -227,19 +227,28 @@ def partial_divergence_fd(field: VectorField, t, y, k):
     """Central-difference estimate, step FD_STEP, of sum_{d<k} df_d/dy_d at (t, y).
 
     y is a point (dim,), giving a 0-d array, or columns (dim, ...), giving the
-    trailing shape. The 2k shifted copies of every column go through one
-    `field.func` call as 2-d columns; the k quotients are summed in order from
-    0.0, so a column has the bits of the same point on its own.
+    trailing shape. The columns are copied once, as a +step and a -step copy;
+    term j shifts row j of both in place, sends both through one call of
+    `field.components[j]` as 2-d columns, and restores the row. The k
+    quotients are summed in order from 0, so a column has the bits of the same
+    point on its own, and each term the bits of row j of `field.func` on the
+    shifted copies. Both copies go through one call: a linear component is a
+    row of `mat @ y`, which rounds differently on a single column.
     """
     y = np.asarray(y, float)
     if y.ndim == 0 or y.shape[0] != field.dim:
         raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {y.shape}")
-    shifted = np.repeat(y.reshape(field.dim, 1, -1), 2 * k, axis=1)  # (dim, 2k, N)
-    j = np.arange(k)
-    shifted[j, j] += FD_STEP
-    shifted[j, k + j] -= FD_STEP
-    out = np.asarray(field.func(t, shifted.reshape(field.dim, -1)), float).reshape(shifted.shape)
-    return sum((out[j, j] - out[j, k + j]) / (2.0 * FD_STEP)).reshape(y.shape[1:])
+    cols = y.reshape(field.dim, 1, -1)
+    shifted = np.repeat(cols, 2, axis=1)  # (dim, 2, N): the +step and the -step copy
+    flat = shifted.reshape(field.dim, -1)  # a view: both copies as 2N columns
+    total = 0
+    for j in range(k):
+        shifted[j, 0] += FD_STEP
+        shifted[j, 1] -= FD_STEP
+        out = np.asarray(field.components[j](t, flat), float).reshape(2, -1)
+        total = total + (out[0] - out[1]) / (2.0 * FD_STEP)
+        shifted[j] = cols[j]
+    return total.reshape(y.shape[1:])
 
 
 def divergence_fd(field: VectorField, t, y) -> float:

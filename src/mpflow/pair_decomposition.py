@@ -6,10 +6,13 @@ field (Feng & Shang's splitting): with P_d = sum_{k<=d} df_k/dy_k the partial
 divergence, pair d's second component is u2_d = -int_0^{y_{d+1}} P_d ds
 (y_{d+1} replaced by s), evaluated by Gauss-Legendre quadrature of the
 central-difference P_d; its first component is u1_d = f_d - u2_{d-1}, and the
-last pair's second component is f_D. A component at a point costs at most
-two field calls, whatever D. When P_d is detected to vanish identically (sampled
-below tolerance), u2_d is pinned to exact zero, which keeps every separable
-pair, and so every compilable field, fully closed-form.
+last pair's second component is f_D. P_d has d terms, one per coordinate
+k <= d, and each term is one call of the field's component k on the two
+shifted copies of every quadrature node of a block of columns: u2_d at a point
+makes d component calls and no whole-field call. When P_d is detected to
+vanish identically (sampled below tolerance), u2_d is pinned to exact zero,
+which keeps every separable pair, and so every compilable field, fully
+closed-form; Gauss-Legendre nodes are computed only when a pair needs them.
 
 Pair components, like field functions, take a point (D,) or columns (D, n).
 Construction is single-threaded; the resulting pair fields are immutable and
@@ -35,7 +38,9 @@ DEFAULT_TOL = 1e-6
 _DETECT_SEED = 0x7A1D5EED
 _DETECT_SAMPLES = 32
 _CHECK_SAMPLES = 100  # points of the divergence gate and of each separability check
-_QUAD_BLOCK = 4096  # values of y per integrand call in a quadrature
+# values of the integrand's work array, the (D, 2, Q * columns) shifted copies,
+# per integrand call in a quadrature
+_QUAD_BLOCK = 65536
 
 
 def _zero_component(t, y):
@@ -103,14 +108,16 @@ def _fd_partial(fn, j):
 def _antiderivative(integrand, j, nodes, weights):
     """-int_0^{y[j]} integrand(t, y with coord j replaced by s) ds.
 
-    All nodes of a block of columns go through one integrand call; the block
-    holds _QUAD_BLOCK values of y, which bounds the temporaries at any n.
+    All nodes of a block of columns go through one integrand call, whose two
+    shifted copies of the block's (D, Q, columns) values hold _QUAD_BLOCK
+    values, which bounds the temporaries at any n. Blocks only split columns,
+    so the block size moves no bit.
     """
 
     def u2(t, y):
         cols = y.reshape(y.shape[0], -1)
         out = np.empty(cols.shape[1])
-        step = max(1, _QUAD_BLOCK // (nodes.size * cols.shape[0]))
+        step = max(1, _QUAD_BLOCK // (2 * nodes.size * cols.shape[0]))
         for start in range(0, out.size, step):
             c = cols[:, start : start + step]
             half = 0.5 * c[j]
@@ -151,12 +158,11 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, t
         raise ConfigError(f"quad_nodes must be >= 1, got {quad_nodes}")
     if quad_nodes > MAX_QUAD_NODES:
         raise ConfigError(f"quad_nodes must be <= {MAX_QUAD_NODES}, got {quad_nodes}")
-    nodes, weights = np.polynomial.legendre.leggauss(int(quad_nodes))
     detect_pts = sample_points((lo, hi), _DETECT_SAMPLES, _DETECT_SEED, exclude=field.singular)
     config = DecompositionConfig(field, tuple(lo.tolist()), tuple(hi.tolist()), int(quad_nodes), float(tol))
 
     comp = field.components
-    pairs, u2 = [], _zero_component
+    pairs, u2, quad = [], _zero_component, None
     for d0 in range(dim - 1):  # 0-based first active coordinate
         u1 = comp[d0] if u2 is _zero_component else _subtract(comp[d0], u2)
         if d0 == dim - 2:
@@ -166,7 +172,9 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, t
             if _integrand_vanishes(integrand, detect_pts, tol):
                 u2 = _zero_component
             else:
-                u2 = _antiderivative(integrand, d0 + 1, nodes, weights)
+                if quad is None:  # (nodes, weights), first needed here
+                    quad = np.polynomial.legendre.leggauss(int(quad_nodes))
+                u2 = _antiderivative(integrand, d0 + 1, *quad)
         pairs.append(PairField(dim, d0 + 1, u1, u2, provenance=config))
     return pairs
 

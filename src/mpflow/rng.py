@@ -16,6 +16,12 @@ reproduce every stream bit for bit:
            s3 = rotl(s3, 45)
 
 Doubles in [0, 1) take the top 53 bits: (out >> 11) * 2**-53.
+
+`units(count)` draws count doubles in one loop over the state words held in
+locals, the one copy of the step that `next_u64` and `uniform` also use;
+`uniform_array` scales a batch with one numpy expression, lo + (hi - lo) * u,
+the float64 operations `uniform` makes on each draw, so a batch has the bits
+of the same draws made one at a time.
 """
 
 from __future__ import annotations
@@ -49,26 +55,32 @@ class Xoshiro256:
             state.append(w)
         self._s = state
 
-    def next_u64(self) -> int:
+    def _words(self, count: int) -> list:
+        """The next count 64-bit outputs; the state stays in locals until the end."""
         s0, s1, s2, s3 = self._s
-        out = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
+        words = []
+        for _ in range(count):
+            words.append((_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK)
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = _rotl(s3, 45)
         self._s = [s0, s1, s2, s3]
-        return out
+        return words
+
+    def next_u64(self) -> int:
+        return self._words(1)[0]
+
+    def units(self, count: int) -> np.ndarray:
+        """count doubles in [0, 1), each the top 53 bits of one output."""
+        return (np.array(self._words(count), dtype=np.uint64) >> np.uint64(11)) * 2.0**-53
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         u = (self.next_u64() >> 11) * 2.0**-53
         return lo + (hi - lo) * u
 
     def uniform_array(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        n = int(np.prod(shape))
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = self.uniform(lo, hi)
-        return out.reshape(shape)
+        return (lo + (hi - lo) * self.units(int(np.prod(shape)))).reshape(shape)

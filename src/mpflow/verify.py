@@ -36,20 +36,33 @@ def as_box(box):
 
 def sample_points(box, n, seed, exclude=None) -> np.ndarray:
     """n uniform points in the box from a Xoshiro256 stream seeded with seed,
-    resampling any that `exclude` flags."""
+    resampling any that `exclude` flags.
+
+    Point by point, the stream gives coordinates 1..dim; the points are the
+    first n draws `exclude` accepts, and 10000 rejected draws in a row raise
+    ConfigError. The draws come in batches of as many points as are missing,
+    scaled by one expression, so each point has the bits of one
+    `Xoshiro256.uniform` call per coordinate.
+    """
     lo, hi = as_box(box)
     rng = Xoshiro256(seed)
     dim = lo.size
-    out = np.empty((n, dim))
-    for row in range(n):
-        for _ in range(10000):
-            pt = np.array([rng.uniform(lo[d], hi[d]) for d in range(dim)])
-            if exclude is None or not exclude(pt):
-                out[row] = pt
-                break
-        else:
-            raise ConfigError("box sampling failed: exclusion predicate rejected 10000 draws")
-    return out
+    kept, rejected = [], 0
+    while True:
+        need = n - len(kept)
+        pts = lo + (hi - lo) * rng.units(need * dim).reshape(need, dim)
+        if exclude is None:
+            return pts
+        for pt in pts:
+            if not exclude(pt):
+                kept.append(pt)
+                rejected = 0
+            else:
+                rejected += 1
+                if rejected == 10000:
+                    raise ConfigError("box sampling failed: exclusion predicate rejected 10000 draws")
+        if len(kept) == n:
+            return np.array(kept).reshape(n, dim)
 
 
 def fd_jacobian_det(map_fn, x):

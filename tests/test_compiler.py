@@ -324,6 +324,13 @@ def test_rewrite_and_its_bound_reject_the_same_inputs(shear, s, delta, error):
     assert type(rewrite.value) is type(bound.value) and str(rewrite.value) == str(bound.value)
 
 
+@pytest.mark.parametrize("s", [2, 3])
+def test_bound_rejects_a_box_of_another_dim(s):
+    # a 2-d box gave a bound at s=2 and an IndexError at s=3 for a 3-d shear
+    with pytest.raises(ConfigError, match=r"^box has dim 2, the shear has dim 3$"):
+        shear_rewrite_bound(sigmoid_shear(3, 2, seed=10), s, 1e-3, (np.full(2, -1.0), np.full(2, 1.0)))
+
+
 def test_rewrite_degenerate_delta_rejected():
     K = np.array([[-1e-3, 0.5]])
     mlp = Mlp((2, 1, 1), (K, np.array([[1.0]])), (np.zeros(1), np.zeros(1)), "sigmoid")

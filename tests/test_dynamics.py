@@ -6,6 +6,7 @@ import pytest
 
 from mpflow.coupling import MPNet, net_apply_batch, shear_layer
 from mpflow.dynamics import (
+    FD_STEP,
     FIELDS,
     Trajectory,
     _lorentz4d_body,
@@ -206,6 +207,42 @@ def test_partial_divergence_columns_have_the_bits_of_points():
         assert cols.shape == (6, 4)
         assert np.array_equal(cols.reshape(-1), [partial_divergence_fd(f, 0.0, p, k) for p in pts])
     assert np.array_equal(cols.reshape(-1), [divergence_fd(f, 0.0, p) for p in pts])
+
+
+def _whole_field_partial_divergence(field, t, y, k):
+    # the earlier kernel: all 2k shifted copies of every column through one
+    # field.func call, one row kept from each copy
+    y = np.asarray(y, float)
+    shifted = np.repeat(y.reshape(field.dim, 1, -1), 2 * k, axis=1)  # (dim, 2k, N)
+    j = np.arange(k)
+    shifted[j, j] += FD_STEP
+    shifted[j, k + j] -= FD_STEP
+    out = np.asarray(field.func(t, shifted.reshape(field.dim, -1)), float).reshape(shifted.shape)
+    return sum((out[j, j] - out[j, k + j]) / (2.0 * FD_STEP)).reshape(y.shape[1:])
+
+
+# one field per registered id, plus a 5x5 linear field, where BLAS has room
+# to round a matrix-vector product differently from a matrix product
+DIVERGENCE_EXAMPLES = COMPONENT_EXAMPLES + [
+    ("linear", {"params": Xoshiro256(5).uniform_array((5, 5), -2.0, 2.0)}),
+]
+
+
+@pytest.mark.parametrize("fid, kwargs", DIVERGENCE_EXAMPLES,
+                         ids=[f"{fid}-{k}" for k, (fid, _) in enumerate(DIVERGENCE_EXAMPLES)])
+def test_partial_divergence_has_the_bits_of_the_whole_field_formula(fid, kwargs):
+    # one component call per term gives every byte the whole-field call gave,
+    # on a point, columns (dim, N), one column (dim, 1) and quadrature blocks (dim, Q, N)
+    f = make_field(fid, **kwargs)
+    cols = Xoshiro256(17).uniform_array((f.dim, 12), -2.0, 2.0)
+    inputs = [cols[:, 0], cols, cols[:, :1], cols.reshape(f.dim, 3, 4), special_columns(f.dim, 43)]
+    with np.errstate(all="ignore"):
+        for y in inputs:
+            for k in range(1, f.dim + 1):
+                got = partial_divergence_fd(f, 0.3, y, k)
+                want = _whole_field_partial_divergence(f, 0.3, y, k)
+                assert got.shape == want.shape == y.shape[1:]
+                assert got.tobytes() == want.tobytes()
 
 
 def test_identity_field_divergence_is_dim():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,20 @@ def test_init_deterministic():
         assert np.array_equal(wa, wb)
     c = mlp_init((3, 64, 1), "sigmoid", seed=1)
     assert not np.array_equal(a.weights[0], c.weights[0])
+
+
+def test_init_weights_keep_their_bytes():
+    # the Glorot draws of every layer, one Xoshiro256.uniform call per weight
+    # in row-major order, continuing one stream across layers
+    dims = (3, 16, 16, 2)
+    mlp = mlp_init(dims, "sigmoid", seed=2**64 - 5)
+    rng = Xoshiro256(2**64 - 5)
+    for w, fan_in, fan_out in zip(mlp.weights, dims[:-1], dims[1:]):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        want = np.array([rng.uniform(-bound, bound) for _ in range(fan_out * fan_in)])
+        assert w.tobytes() == want.tobytes()
+    assert hashlib.sha256(b"".join(w.tobytes() for w in mlp.weights)).hexdigest() == (
+        "0b5db205e72ce2de45901f900d96515a7258ab935923962cd48db01c85ce04d7")
 
 
 def test_init_degenerate_dims_rejected():

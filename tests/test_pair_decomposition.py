@@ -58,23 +58,31 @@ def chain_field(coeffs):
     return make_field("poly", params=components, dim=dim)
 
 
-class CountedCalls:
-    """A field function that counts its calls and fails past a budget, so a
+class CallCounter:
+    """Counts the calls of the functions it wraps and fails past a budget, so a
     decomposition whose cost explodes with D fails fast instead of hanging."""
 
-    def __init__(self, func, budget):
-        self.func, self.budget, self.calls = func, budget, 0
+    def __init__(self, budget, what):
+        self.budget, self.what, self.calls = budget, what, 0
 
-    def __call__(self, t, y):
-        self.calls += 1
-        if self.calls > self.budget:
-            raise AssertionError(f"more than {self.budget} field calls")
-        return self.func(t, y)
+    def wrap(self, func):
+        def counted_func(t, y):
+            self.calls += 1
+            if self.calls > self.budget:
+                raise AssertionError(f"more than {self.budget} {self.what} calls")
+            return func(t, y)
+
+        return counted_func
 
 
 def counted(field, budget):
-    counter = CountedCalls(field.func, budget)
-    return replace(field, func=counter), counter
+    """The field with its func and every component counted: (field,
+    whole-field counter, counter shared by the components). A field call
+    computes dim components, so the components share dim times the budget."""
+    whole, parts = CallCounter(budget, "field"), CallCounter(budget * field.dim, "component")
+    field = replace(field, func=whole.wrap(field.func),
+                    components=tuple(map(parts.wrap, field.components)))
+    return field, whole, parts
 
 
 # --- pair_eval ---------------------------------------------------------------
@@ -223,20 +231,24 @@ def test_non_divergence_free_error_names_first_worst_point():
 
 
 @pytest.mark.parametrize("dim", [4, 8])
-def test_one_u2_evaluation_makes_one_field_call_at_any_dim(dim):
-    f, counter = counted(chain_field([1.0] * (dim - 1)), budget=1000)
+def test_one_u2_evaluation_makes_one_component_call_per_term(dim):
+    # u2 of pair d integrates P_d, whose d terms each call one component once
+    f, whole, parts = counted(chain_field([1.0] * (dim - 1)), budget=1000)
     box = (np.full(dim, -1.0), np.full(dim, 1.0))
     pairs = build_pairs(f, box)
     p = np.linspace(-0.9, 0.8, dim)
-    counter.calls = 0
-    pairs[dim - 3].u2(0.0, p)  # the last quadrature pair
-    assert counter.calls == 1
+    assert whole.calls == 0
+    for pair in pairs[:-1]:  # the quadrature pairs
+        parts.calls = 0
+        pair.u2(0.0, p)
+        assert parts.calls == pair.d
+    assert whole.calls == 0
 
 
 @pytest.mark.parametrize("dim", [5, 8])
 def test_chain_field_pairs_match_closed_form(dim):
     coeffs = [0.5 + 0.125 * k for k in range(dim - 1)]
-    f, _ = counted(chain_field(coeffs), budget=1000)
+    f, _, _ = counted(chain_field(coeffs), budget=1000)
     box = (np.full(dim, -1.0), np.full(dim, 1.0))
     deco = decompose(f, box, n_residual=20)
     assert deco.residual_max < 1e-6

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from mpflow.rng import Xoshiro256
 
@@ -51,3 +52,36 @@ def test_uniform_array_shape_and_determinism():
     b = Xoshiro256(9).uniform_array((3, 4), -1, 1)
     assert a.shape == (3, 4)
     assert np.array_equal(a, b)
+
+
+def _uniform_loop(rng, n, lo, hi):
+    return np.array([rng.uniform(lo, hi) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [0, 1, 333])
+@pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-2, 2), (-0.37, 1e3)])
+def test_uniform_array_has_the_bits_of_one_draw_at_a_time(n, lo, hi):
+    got = Xoshiro256(31).uniform_array(n, lo, hi)
+    want = _uniform_loop(Xoshiro256(31), n, lo, hi)
+    assert got.shape == (n,) and got.tobytes() == want.tobytes()
+    assert Xoshiro256(31).uniform_array((3, 4), lo, hi).tobytes() == (
+        _uniform_loop(Xoshiro256(31), 12, lo, hi).tobytes())
+
+
+def test_units_are_the_top_53_bits_of_each_word():
+    rng = Xoshiro256(3)
+    want = [(rng.next_u64() >> 11) * 2.0**-53 for _ in range(64)]
+    assert Xoshiro256(3).units(64).tolist() == want
+    assert Xoshiro256(3).units(0).shape == (0,)
+
+
+def test_next_u64_after_a_batched_draw_continues_the_stream():
+    one_by_one = Xoshiro256(77)
+    stream = [one_by_one.next_u64() for _ in range(40)]
+    rng = Xoshiro256(77)
+    rng.units(5)
+    rng.uniform_array((3, 4), -1.0, 1.0)
+    rng.units(0)
+    rng.uniform()
+    assert rng.next_u64() == stream[18]
+    assert [rng.next_u64() for _ in range(21)] == stream[19:]

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 import numpy as np
@@ -206,3 +207,70 @@ def test_as_box_rejects_non_finite_bounds_naming_the_bound(box, message):
     lo, hi = (np.resize(np.asarray(b, float), 4) for b in box)
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         compile_flow(make_field("lorentz4d"), 0.0, 0.2, 1, (lo, hi))
+
+
+def _sample_one_draw_at_a_time(box, n, seed, exclude=None):
+    # the reference sampler: one Xoshiro256.uniform call per coordinate, and a
+    # rejected point redrawn at once, at most 10000 draws per point
+    lo, hi = as_box(box)
+    rng = Xoshiro256(seed)
+    out = np.empty((n, lo.size))
+    for row in range(n):
+        for _ in range(10000):
+            pt = np.array([rng.uniform(lo[d], hi[d]) for d in range(lo.size)])
+            if exclude is None or not exclude(pt):
+                out[row] = pt
+                break
+        else:
+            raise ConfigError("box sampling failed: exclusion predicate rejected 10000 draws")
+    return out
+
+
+LORENTZ_SINGULAR = make_field("lorentz4d").singular
+# about a fifth of this box lies within the lorentz4d singular radius
+NEAR_SINGULAR_BOX = (np.full(4, -0.1), np.full(4, 0.1))
+
+
+@pytest.mark.parametrize("n", [0, 1, 333])
+@pytest.mark.parametrize(
+    "box, exclude",
+    [((np.array([-1.0, 0.0, 2.0]), np.array([1.0, 2.0, 2.5])), None),
+     ((np.array([-1.0, 0.0, 2.0]), np.array([1.0, 2.0, 2.5])), lambda p: p[0] < -0.5),
+     (NEAR_SINGULAR_BOX, LORENTZ_SINGULAR)],
+    ids=["no-exclusion", "half-box-excluded", "lorentz-singular"],
+)
+def test_sample_points_has_the_bits_of_one_draw_at_a_time(n, box, exclude):
+    got = sample_points(box, n, 29, exclude=exclude)
+    want = _sample_one_draw_at_a_time(box, n, 29, exclude)
+    assert got.shape == want.shape == (n, box[0].size)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_sample_points_bytes_are_pinned():
+    pts = sample_points(NEAR_SINGULAR_BOX, 50, 7, exclude=LORENTZ_SINGULAR)
+    assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+        "268b962f4d5f221ef5614bd2f2e71e3d629bd89cfbf4536036b190c290bb0915")
+
+
+class RejectFirst:
+    """An exclusion predicate that rejects every draw but each period-th."""
+
+    def __init__(self, period):
+        self.period, self.calls = period, 0
+
+    def __call__(self, pt):
+        self.calls += 1
+        return self.calls % self.period != 0
+
+
+def test_sample_points_takes_9999_rejections_in_a_row_per_point():
+    box = (np.zeros(2), np.ones(2))
+    got = sample_points(box, 2, 3, exclude=RejectFirst(10000))
+    assert got.tobytes() == _sample_one_draw_at_a_time(box, 2, 3, RejectFirst(10000)).tobytes()
+
+
+@pytest.mark.parametrize("exclude", [lambda p: True, RejectFirst(10001)], ids=["always", "10000-then-one"])
+def test_sample_points_raises_at_10000_rejections_in_a_row(exclude):
+    message = "box sampling failed: exclusion predicate rejected 10000 draws"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sample_points((np.zeros(2), np.ones(2)), 1, 3, exclude=exclude)
