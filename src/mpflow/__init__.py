@@ -48,7 +48,7 @@ from .mlp import AdamState, Mlp, adam_init, adam_step, mlp_init
 from .pair_decomposition import Decomposition, PairField, decompose, pair_eval, separability_check
 from .rng import Xoshiro256
 from .serialize import deserialize, load_net, save_net, serialize
-from .shifts import FixedShift, MlpShift, fixed_shift, register_fixed_shift
+from .shifts import FixedShift, MlpShift, fixed_shift
 from .training import TrainConfig, TrainMetrics, mse_loss, rollout, train
 from .verify import fd_jacobian_det, lp_error, roundtrip_error, sample_points
 
@@ -96,7 +96,6 @@ __all__ = [
     "mse_loss",
     "net_forward",
     "pair_eval",
-    "register_fixed_shift",
     "rk4_flow",
     "rollout",
     "roundtrip_error",

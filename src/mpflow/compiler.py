@@ -12,10 +12,12 @@ tau' advancing by h. Each shear reads only coordinates it does not write,
 so the stack preserves volume exactly at any step count, even when it is a
 poor approximation of the flow.
 
-Each shear's shift is a `_PairShear`, a column shift (see `coupling`). The
-shears of one `compile_flow` call share one `FlowRecipe`, the call's arguments
-and the layers built from them; a model file stores the recipe, its field as
-the field's config, and a load calls `compile_flow` on it again (see
+Each shear's shift is a `shifts.PairShear`, which `coupling` hands the
+state's columns; a pair component pinned to zero becomes a shear whose `ufn`
+is None and which adds h * 0.0 without evaluating the field. The shears of
+one `compile_flow` call share one `FlowRecipe`, the call's arguments and the
+layers built from them; a model file stores the recipe, its field as the
+field's config, and a load calls `compile_flow` on it again (see
 `serialize`).
 """
 
@@ -50,33 +52,10 @@ from .pair_decomposition import (
     build_pairs,  # noqa: F401  unused, but bound: perfbench's self-test checks the binding
     decompose,
 )
-from .shifts import MlpShift, fixed_shift
+from .shifts import MlpShift, PairShear, fixed_shift
 from .verify import as_box, sample_points
 
 MAX_LAYERS = 100_000  # about 20 MB and 0.5 s of lorentz4d shears (tracemalloc, 2-core host)
-
-
-class _PairShear:
-    """The shift of one compiled shear, a column shift (see `coupling`):
-    called with y, the state's columns (D, n) or a point (D,) with y[row] =
-    0.0, it returns h * ufn(tau, y) in y's trailing shape. A pinned-zero
-    component gives h * 0.0 (signed like h) without evaluating the field.
-    `recipe` is the FlowRecipe of the flow the shear belongs to, or None."""
-
-    __slots__ = ("ufn", "row", "tau", "h", "in_dim", "recipe")
-    out_dim = 1
-
-    def __init__(self, ufn, row, tau, h, in_dim, recipe):
-        self.ufn, self.row, self.tau, self.h = ufn, row, tau, h
-        self.in_dim, self.recipe = in_dim, recipe
-
-    def __call__(self, y):
-        if self.ufn is _zero_component:
-            return np.full(y.shape[1:], self.h * 0.0)
-        return self.h * self.ufn(self.tau, y)
-
-    def __repr__(self):
-        return f"<pair shear on coordinate {self.row + 1} at tau={self.tau!r}>"
 
 
 @dataclass(eq=False)
@@ -107,9 +86,9 @@ def shear_pair(pair: PairField, tau, h, recipe=None):
         )
     return tuple(
         shear_layer(pair.dim, pair.d + comp,
-                    _PairShear(pair.u2 if comp else pair.u1, pair.d - 1 + comp, tau, h,
-                               pair.dim - 1, recipe))
-        for comp in (0, 1)
+                    PairShear(None if ufn is _zero_component else ufn, pair.d - 1 + comp, tau, h,
+                              pair.dim - 1, recipe))
+        for comp, ufn in enumerate((pair.u1, pair.u2))
     )
 
 

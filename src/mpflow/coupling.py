@@ -23,15 +23,13 @@ copy in place.
 `_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
 (dim,) or a batch (n, dim). `layer_apply_batch` and `net_apply_batch` take
 either shape, and check it once per call; `layer_forward` and `net_forward`
-first check for one point. A shear whose shift is a column shift (`Layer.cols`)
-hands it the state's columns, copied once with the target zeroed, and adds
-the result to the target; every other layer gathers its shift's input
-x[..., read] and adds shift(u) to x[..., written].
-
-A column shift, the compiler's shear shift, has int attributes `row`,
-`in_dim` and `out_dim` (1); called on y, the state's columns (dim,) or
-(dim, n) with y[row] = 0.0, it returns the shift in y[0]'s shape. Only a shear
-on coordinate row + 1 may hold one, and no gradient passes it.
+first check for one point. A layer's shift is an `MlpShift`, a `FixedShift`
+or a `PairShear` (see `shifts`); any other object is a ConfigError naming its
+type. A shear whose shift is a `PairShear` hands it the state's columns,
+copied once with the target zeroed, and adds the result to the target; only a
+shear on the pair shear's coordinate row + 1 may hold one, and no gradient
+passes it. Every other layer gathers its shift's input x[..., read] and adds
+shift(u) to x[..., written].
 
 Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
@@ -55,7 +53,7 @@ import numpy as np
 
 from .errors import ConfigError, UnsupportedError
 from .mlp import _backward, _forward, backward_batch, forward_cached, mlp_params
-from .shifts import FixedShift, MlpShift
+from .shifts import FixedShift, MlpShift, PairShear
 
 UPPER = "upper"
 LOWER = "lower"
@@ -64,9 +62,8 @@ SHEAR = "shear"
 
 @dataclass(frozen=True, slots=True)
 class Layer:
-    """One layer; construction checks its geometry and its shift's widths and
-    stores the columns the shift reads and the columns it writes, and in
-    `cols` the shift itself if it is a column shift, else None."""
+    """One layer; construction checks its geometry, its shift's kind and
+    widths, and stores the columns the shift reads and the columns it writes."""
 
     kind: str
     dim: int
@@ -75,24 +72,23 @@ class Layer:
     shift: object = None
     read: object = field(init=False, compare=False, repr=False)
     written: object = field(init=False, compare=False, repr=False)
-    cols: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_ints(dim=self.dim, s=self.s, i=self.i)
         pos = self.i if self.kind == SHEAR else self.s
         read, written, in_dim, out_dim = _geometry(self.kind, self.dim, pos)
-        got = (getattr(self.shift, "in_dim", None), getattr(self.shift, "out_dim", None))
-        if got != (in_dim, out_dim):
-            raise ConfigError(
-                f"{self.kind} shift must map dim {in_dim} -> {out_dim}, got {got[0]} -> {got[1]}"
-            )
+        shift = self.shift
+        if not isinstance(shift, (MlpShift, FixedShift, PairShear)):
+            raise ConfigError("a layer's shift must be an MlpShift, a FixedShift or a PairShear, "
+                              f"got {type(shift).__name__}")
+        if (shift.in_dim, shift.out_dim) != (in_dim, out_dim):
+            raise ConfigError(f"{self.kind} shift must map dim {in_dim} -> {out_dim}, "
+                              f"got {shift.in_dim} -> {shift.out_dim}")
+        if isinstance(shift, PairShear) and (self.kind != SHEAR or shift.row != self.i - 1):
+            raise ConfigError(f"{shift!r} writes coordinate {shift.row + 1}; it can only "
+                              f"be the shift of a shear on that coordinate, not of this {self.kind} layer")
         object.__setattr__(self, "read", read)
         object.__setattr__(self, "written", written)
-        row = getattr(self.shift, "row", None)
-        if row is not None and (self.kind != SHEAR or row != self.i - 1):
-            raise ConfigError(f"column shift {self.shift!r} writes coordinate {row + 1}; it can only "
-                              f"be the shift of a shear on that coordinate, not of this {self.kind} layer")
-        object.__setattr__(self, "cols", None if row is None else self.shift)
 
 
 _INT_NAMES = {"dim": "layer dim", "s": "split s", "i": "target i"}
@@ -158,34 +154,28 @@ def layer_forward(layer: Layer, x) -> np.ndarray:
 def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None, in_place=False):
     """The one layer kernel: (output shaped like x, shift cache) for a point
     (dim,) or a batch (n, dim). Adds shift(x[..., read]) to x[..., written],
-    or subtracts it for the closed-form inverse; a shear with a column
-    function adds cols(y) to its target, y being x's columns with the target
+    or subtracts it for the closed-form inverse; a shear whose shift is a
+    PairShear adds shift(y) to its target, y being x's columns with the target
     zeroed. The output is a new array; with a workspace, the array it keeps
     for this layer's tag; in place, x itself, a float array of a shape the
     caller has checked."""
     if not in_place:
         x = _check_rows(layer.dim, x)
-    cols = layer.cols
-    if cols is not None:
-        written = cols.row
+    shift = layer.shift
+    if isinstance(shift, PairShear):
+        written = shift.row
         y = x.T.copy()
         y[written] = 0.0
-        shifted, cache = cols(y), None
-        if getattr(shifted, "shape", None) != y.shape[1:]:
-            raise ConfigError(
-                f"column shift {cols!r} returned "
-                f"{getattr(shifted, 'shape', type(shifted).__name__)}, expected an array of "
-                f"shape {y.shape[1:]}, the shape of one coordinate of the state"
-            )
+        shifted, cache = shift(y), None
     else:
         written = layer.written
         u = x[..., layer.read]
-        if not isinstance(layer.shift, MlpShift):
-            shifted, cache = layer.shift.apply_batch(u), None
+        if isinstance(shift, FixedShift):
+            shifted, cache = shift.apply_batch(u), None
         elif ws is None:
-            shifted, cache = forward_cached(layer.shift.mlp, u)
+            shifted, cache = forward_cached(shift.mlp, u)
         else:
-            shifted, cache = _forward(layer.shift.mlp, u, ws, tag)
+            shifted, cache = _forward(shift.mlp, u, ws, tag)
     if in_place:
         out = x  # the read and written columns are disjoint
     elif ws is None:
@@ -254,9 +244,9 @@ def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
     x is the layer's input and cache the shift cache its forward returned.
     Returns (shift parameter grads summed over the batch, gradient wrt x).
     With a workspace, the grads are `ws.grads[tag]` and the gradient wrt x
-    is upstream itself, overwritten. FixedShift layers have no parameters;
-    ones without an analytic Jacobian, and any other shift, cannot propagate
-    gradients and raise UnsupportedError.
+    is upstream itself, overwritten. FixedShift layers have no parameters
+    and pass gradients through their exact Jacobian; a PairShear cannot
+    propagate gradients and raises UnsupportedError.
     """
     g = np.asarray(upstream, float)
     g_out = g[:, layer.written]
@@ -267,11 +257,6 @@ def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
             grads, du = _backward(layer.shift.mlp, cache, g_out, ws, tag)
     elif isinstance(layer.shift, FixedShift):
         jac = layer.shift.jacobian(np.asarray(x, float)[:, layer.read])
-        if jac is None:
-            raise UnsupportedError(
-                f"fixed shift {layer.shift.id!r} has no registered analytic Jacobian; "
-                "gradients through it are not supported"
-            )
         grads = []
         du = np.einsum("no,noi->ni", g_out, jac)
     else:

@@ -172,7 +172,7 @@ def _poly_component(comp_terms):
 
 
 def _linear_build(params, dim):
-    mat = np.asarray(params, float)
+    mat = np.array(params, float)  # a copy: the caller's later edits must not reach the field
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ConfigError(f"linear field needs a square matrix, got shape {mat.shape}")
     # a row of the product, not row j of mat times y: a row product can round differently

@@ -131,6 +131,13 @@ def _antiderivative(integrand, j, nodes, weights):
     return u2
 
 
+def _field_box(field, sample_box):
+    lo, hi = as_box(sample_box)
+    if lo.size != field.dim:
+        raise ConfigError(f"sample box has dim {lo.size}, field has dim {field.dim}")
+    return lo, hi
+
+
 def _subtract(fn_a, fn_b):
     return lambda t, y: fn_a(t, y) - fn_b(t, y)
 
@@ -151,9 +158,7 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, t
     dim = field.dim
     if dim < 2:
         raise ConfigError(f"decomposition needs dim >= 2, got {dim}")
-    lo, hi = as_box(sample_box)
-    if lo.size != dim:
-        raise ConfigError(f"sample box has dim {lo.size}, field has dim {dim}")
+    lo, hi = _field_box(field, sample_box)
     if quad_nodes < 1:
         raise ConfigError(f"quad_nodes must be >= 1, got {quad_nodes}")
     if quad_nodes > MAX_QUAD_NODES:
@@ -213,7 +218,7 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
         raise ConfigError(f"tol must be a positive finite number, got {tol}")
     if n_residual < 1:
         raise ConfigError(f"n_residual must be >= 1, got {n_residual}")
-    lo, hi = as_box(sample_box)
+    lo, hi = _field_box(field, sample_box)
     div_pts = sample_points((lo, hi), _CHECK_SAMPLES, _DETECT_SEED + 1, exclude=field.singular)
     div = np.abs(partial_divergence_fd(field, 0.0, div_pts.T, field.dim))
     worst = int(np.argmax(div))  # the first worst point on ties

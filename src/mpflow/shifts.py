@@ -1,14 +1,15 @@
 """Shift functions used inside coupling and shear layers.
 
-A shift is either a trainable `MlpShift` or a `FixedShift` naming an entry in
-the analytic registry by string id plus a flat parameter vector, which keeps
-nets with analytic shifts serializable. Registry entries may provide an
-analytic Jacobian; shifts without one cannot take part in backpropagation.
+A layer's shift is one of three kinds, and `coupling.Layer` accepts no other:
+a trainable `MlpShift`; a `FixedShift`, an entry of the fixed table of
+analytic shifts named by string id plus a flat parameter vector, which keeps
+nets with analytic shifts serializable; and a `PairShear`, the shift of one
+shear of a compiled flow (see `compiler`), which is not serialized shear by
+shear. Every fixed shift has its exact Jacobian, so gradients pass it.
 
-Fixed shifts, like `mlp.forward_cached` for MLP shifts, take a point (in_dim,)
-or a batch (n, in_dim), so one layer kernel in `coupling` serves both shapes.
-The compiler's shears use a third kind, a column shift (see `coupling`), which
-is not serialized shear by shear.
+MLP and fixed shifts, like `mlp.forward_cached`, take a point (in_dim,) or a
+batch (n, in_dim), so one layer kernel in `coupling` serves both shapes; a
+pair shear takes the state's columns instead.
 """
 
 from __future__ import annotations
@@ -19,18 +20,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .mlp import Mlp, _sigmoid, forward_cached
-
-_REGISTRY = {}
-
-
-def register_fixed_shift(shift_id, factory):
-    """factory(params, in_dim, out_dim) -> (fn, jac_or_None).
-
-    fn(u) maps a point (in_dim,) or a batch (n, in_dim) to the same leading
-    shape plus (out_dim,); jac(u) returns the leading shape plus (out_dim, in_dim).
-    `FixedShift` raises ConfigError on any other result shape.
-    """
-    _REGISTRY[shift_id] = factory
 
 
 @dataclass(frozen=True, eq=False)  # identity ==, hash: the params are arrays
@@ -51,64 +40,87 @@ class MlpShift:
 
 @dataclass(frozen=True, eq=False)  # identity ==, hash: params is an array
 class FixedShift:
-    """A registry shift. Calling it, or `apply_batch` (the same method), maps a
-    point (in_dim,) to (out_dim,) and a batch (n, in_dim) to (n, out_dim) with
-    one call of the registered function."""
+    """An entry of the table of analytic shifts. Calling it, or `apply_batch`
+    (the same method), maps a point (in_dim,) to (out_dim,) and a batch
+    (n, in_dim) to (n, out_dim) with one call of the entry's function.
+    Construction, `dataclasses.replace` included, checks the id and params,
+    keeps a read-only copy of the params and builds the function from them."""
 
     id: str
     params: np.ndarray
     in_dim: int
     out_dim: int
-    _fn: object = field(repr=False)
-    _jac: object = field(repr=False)
+    _fn: object = field(init=False, repr=False)
+    _jac: object = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.id not in _FACTORIES:
+            raise ConfigError(f"unknown fixed-shift id {self.id!r}")
+        params = np.array(self.params, float)
+        params.flags.writeable = False
+        in_dim, out_dim = int(self.in_dim), int(self.out_dim)
+        fn, jac = _FACTORIES[self.id](params, in_dim, out_dim)
+        for name, value in (("params", params), ("in_dim", in_dim), ("out_dim", out_dim),
+                            ("_fn", fn), ("_jac", jac)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, u):
+        return self._fn(self._rows(u))
+
+    apply_batch = __call__
+
+    def jacobian(self, u):
+        """Exact Jacobian, the leading shape of u plus (out_dim, in_dim)."""
+        return self._jac(self._rows(u))
+
+    def _rows(self, u):
         u = np.asarray(u, float)
         if u.ndim not in (1, 2) or u.shape[-1] != self.in_dim:
             raise ConfigError(
                 f"shift {self.id!r} expects ({self.in_dim},) or (n, {self.in_dim}) input, got {u.shape}"
             )
-        return self._checked(self._fn(u), u.shape[:-1] + (self.out_dim,), "fn")
-
-    apply_batch = __call__
-
-    def jacobian(self, u):
-        """Analytic Jacobian, the leading shape of u plus (out_dim, in_dim), or
-        None when not registered."""
-        if self._jac is None:
-            return None
-        u = np.asarray(u, float)
-        return self._checked(self._jac(u), u.shape[:-1] + (self.out_dim, self.in_dim), "jac")
-
-    def _checked(self, value, shape, what):
-        # exact: a point-only function given a batch must not reshape into place
-        value = np.asarray(value, float)
-        if value.shape != shape:
-            raise ConfigError(
-                f"shift {self.id!r}: registered {what} returned shape {value.shape}, "
-                f"expected {shape}; registry functions map a point (in_dim,) or a "
-                "batch (n, in_dim) to the same leading shape"
-            )
-        return value
+        return u
 
 
 def fixed_shift(shift_id, params, in_dim, out_dim) -> FixedShift:
-    if shift_id not in _REGISTRY:
-        raise ConfigError(f"unknown fixed-shift id {shift_id!r}")
-    params = np.asarray(params, float)
-    return FixedShift(shift_id, params, int(in_dim), int(out_dim),
-                      *_REGISTRY[shift_id](params, in_dim, out_dim))
+    return FixedShift(shift_id, params, in_dim, out_dim)
 
 
-# --- built-in registry entries -------------------------------------------
+class PairShear:
+    """The shift of one compiled shear on coordinate row + 1: called with y,
+    the state's columns (D, n) or a point (D,) with y[row] = 0.0, it returns
+    h * ufn(tau, y) in y[0]'s shape. A pinned-zero component, ufn None, gives
+    h * 0.0 (signed like h) without evaluating the field. `recipe` is the
+    FlowRecipe of the flow the shear belongs to, or None. No gradient passes
+    it."""
+
+    __slots__ = ("ufn", "row", "tau", "h", "in_dim", "recipe")
+    out_dim = 1
+
+    def __init__(self, ufn, row, tau, h, in_dim, recipe):
+        self.ufn, self.row, self.tau, self.h = ufn, row, tau, h
+        self.in_dim, self.recipe = in_dim, recipe
+
+    def __call__(self, y):
+        if self.ufn is None:
+            return np.full(y.shape[1:], self.h * 0.0)
+        return self.h * self.ufn(self.tau, y)
+
+    def __repr__(self):
+        return f"<pair shear on coordinate {self.row + 1} at tau={self.tau!r}>"
+
+
+# --- the fixed table ---------------------------------------------------------
+# factory(params, in_dim, out_dim) -> (fn, jac): fn(u) maps a point (in_dim,)
+# or a batch (n, in_dim) to the same leading shape plus (out_dim,), jac(u) to
+# the leading shape plus (out_dim, in_dim); params is the shift's read-only copy
 
 
 def _constant_factory(params, in_dim, out_dim):
     if params.shape != (out_dim,):
         raise ConfigError(f"'constant' needs {out_dim} params, got {params.shape}")
-    value = params.copy()
     return (
-        (lambda u: np.broadcast_to(value, u.shape[:-1] + (out_dim,))),
+        (lambda u: np.broadcast_to(params, u.shape[:-1] + (out_dim,))),
         (lambda u: np.zeros(u.shape[:-1] + (out_dim, in_dim))),
     )
 
@@ -118,7 +130,7 @@ def _linear_factory(params, in_dim, out_dim):
         raise ConfigError(
             f"'linear' needs {out_dim * in_dim} params (row-major matrix), got {params.size}"
         )
-    mat = params.reshape(out_dim, in_dim).copy()
+    mat = params.reshape(out_dim, in_dim)
     return (lambda u: u @ mat.T), (lambda u: np.broadcast_to(mat, u.shape[:-1] + mat.shape))
 
 
@@ -128,8 +140,7 @@ def _scaled_sigmoid_factory(params, in_dim, out_dim):
         raise ConfigError("'scaled_sigmoid' is scalar-valued (out_dim must be 1)")
     if params.size != 2 + in_dim:
         raise ConfigError(f"'scaled_sigmoid' needs {2 + in_dim} params, got {params.size}")
-    a, b = params[0], params[1]
-    w = params[2:].copy()
+    a, b, w = params[0], params[1], params[2:]
 
     def fn(u):
         return (a * _sigmoid(u @ w + b))[..., None]
@@ -141,6 +152,8 @@ def _scaled_sigmoid_factory(params, in_dim, out_dim):
     return fn, jac
 
 
-register_fixed_shift("constant", _constant_factory)
-register_fixed_shift("linear", _linear_factory)
-register_fixed_shift("scaled_sigmoid", _scaled_sigmoid_factory)
+_FACTORIES = {
+    "constant": _constant_factory,
+    "linear": _linear_factory,
+    "scaled_sigmoid": _scaled_sigmoid_factory,
+}

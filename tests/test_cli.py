@@ -597,6 +597,18 @@ def test_quad_nodes_above_bound_exit_2(tmp_path, command, config):
     assert "quad_nodes must be <= 1024, got 1025" in manifest["error"]
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [("compile", COMPILE_CFG), ("decompose", DECOMPOSE_CFG), ("convergence", CONVERGENCE_CFG)],
+)
+def test_a_box_of_another_dim_than_the_field_exits_2_naming_the_box(tmp_path, command, config):
+    code, out = run(tmp_path, command, dict(config, box={"lo": [-1, -1, -1], "hi": [1, 1, 1]}))
+    assert code == 2
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "error"
+    assert manifest["error"] == "sample box has dim 3, field has dim 2"
+
+
 def test_verify_model_number_beyond_float_range_exits_2(tmp_path):
     shift = {"type": "fixed", "id": "constant", "params": [10**400]}
     model_path = tmp_path / "model.json"

@@ -32,9 +32,10 @@ from mpflow.mlp import Mlp
 from mpflow.pair_decomposition import _zero_component, decompose
 from mpflow.rng import Xoshiro256
 from mpflow.serialize import dump_json, load_net, save_net, serialize
-from mpflow.shifts import MlpShift, fixed_shift, register_fixed_shift
+from mpflow.shifts import MlpShift, PairShear, fixed_shift
 from mpflow.verify import fd_jacobian_det, roundtrip_error, sample_points
 
+from test_coupling import install_power_shift
 from test_pair_decomposition import BOX3, BOX4, quadrature_field
 
 BOXH = (np.full(2, -1.0), np.full(2, 1.0))
@@ -180,13 +181,12 @@ def test_pinned_zero_shift_adds_h_times_zero_without_the_field():
     # adds h * 0.0 = -0.0, which the field path computed as h * zeros
     field = make_field("lorentz4d")
     net = compile_flow(field, 0.0, -0.2, 2, BOX4).net
-    pinned = [layer for layer in net.layers if layer.shift.ufn is _zero_component]
+    pinned = [layer for layer in net.layers if layer.shift.ufn is None]
     assert [layer.i for layer in pinned] == [2, 3, 2, 3]  # pairs 1 and 2, second shear
     cols = sample_points(BOX4, 6, 9, exclude=field.singular).T.copy()
     for layer in pinned:
         shift = layer.shift
-        via_field = compiler._PairShear(lambda t, y: _zero_component(t, y), shift.row,
-                                        shift.tau, shift.h, shift.in_dim, None)
+        via_field = PairShear(_zero_component, shift.row, shift.tau, shift.h, shift.in_dim, None)
         y = cols.copy()
         y[shift.row] = 0.0
         for y, shape in ((y[:, 0], ()), (y, (6,))):
@@ -406,7 +406,7 @@ def test_compiled_layers_add_their_column_shift_bit_for_bit(field, T, n_steps, b
     x = _with_signed_zeros(sample_points(box, 9, 23, exclude=field.singular))
     with np.errstate(all="ignore"):  # a lorentz4d row with y1 = 0 may come near its singular line
         for layer in net.layers:
-            assert layer.cols is layer.shift  # the kernel's column path
+            assert isinstance(layer.shift, PairShear)  # the kernel's column path
             for pts in (x, x[0], x[1]):
                 for inverse in (False, True):
                     got = layer_apply_batch(layer, pts, inverse)
@@ -422,26 +422,22 @@ def test_a_pair_shear_on_another_target_is_a_config_error():
 
 
 class _WholeStateCols:
-    # a column shift that wrongly returns the whole state, not one column
+    # a stand-in column shift: widths and a row, but none of the three kinds
     row, in_dim, out_dim = 0, 2, 1
 
     def __call__(self, y):
         return 2.0 * y
 
-    def __repr__(self):
-        return "<whole state>"
 
-
-def test_a_column_result_of_the_wrong_shape_raises_naming_the_shift():
-    layer = shear_layer(3, 1, _WholeStateCols())
-    assert layer.cols is layer.shift
-    for x, shape in ((np.ones(3), r"\(3,\), expected an array of shape \(\)"),
-                     (np.ones((4, 3)), r"\(3, 4\), expected an array of shape \(4,\)")):
-        match = "column shift <whole state> returned " + shape
-        with pytest.raises(ConfigError, match=match):
-            layer_apply_batch(layer, x)
-        with pytest.raises(ConfigError, match=match):
-            net_apply_batch(MPNet(3, (layer,)), x, inverse=True)
+def test_a_shift_of_another_type_is_a_config_error_naming_it():
+    match = "a layer's shift must be an MlpShift, a FixedShift or a PairShear, got _WholeStateCols"
+    with pytest.raises(ConfigError, match=match):
+        shear_layer(3, 1, _WholeStateCols())
+    layer = shear_layer(3, 1, fixed_shift("constant", [0.5], 2, 1))
+    with pytest.raises(ConfigError, match=match):
+        replace(layer, shift=_WholeStateCols())
+    with pytest.raises(ConfigError, match="got NoneType"):
+        replace(layer, shift=None)
 
 
 def test_compiled_lorentz4d_images_are_pinned():
@@ -493,7 +489,7 @@ def test_a_net_holding_part_of_a_compiled_flow_cannot_be_saved():
         with pytest.raises(ParseError, match=rf"^layers\[{first}\] starts only part of a compiled flow"):
             serialize(MPNet(4, layers))
     shears = shear_pair(decompose(make_field("harmonic2d"), BOXH).pairs[0], 0.0, 0.1)
-    with pytest.raises(ParseError, match="cannot serialize shift of type _PairShear"):
+    with pytest.raises(ParseError, match="cannot serialize shift of type PairShear"):
         serialize(MPNet(2, shears))  # built outside compile_flow: no recipe
 
 
@@ -519,8 +515,8 @@ def test_compile_rejects_more_layers_than_the_cap_before_building_any(monkeypatc
         compile_flow(field, 0.0, 0.2, 10**9, BOX4)
 
 
-def test_check_finite_names_first_nonfinite_point():
-    register_fixed_shift("cube", lambda params, i, o: ((lambda u: u[..., :1] ** 3), None))
+def test_check_finite_names_first_nonfinite_point(monkeypatch):
+    install_power_shift(monkeypatch, "cube", 3)
     cube = fixed_shift("cube", [], 1, 1)
     net = MPNet(2, (upper_layer(2, 2, cube), lower_layer(2, 2, cube)) * 4)
     box = (np.full(2, -1.1), np.full(2, 1.1))

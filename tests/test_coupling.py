@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mpflow import shifts
 from mpflow.compiler import compile_flow
 from mpflow.coupling import (
     LOWER,
@@ -25,23 +26,31 @@ from mpflow.coupling import (
     upper_layer,
 )
 from mpflow.dynamics import dataset_from_trajectory, generate_trajectory, make_field
-from mpflow.errors import ConfigError, UnsupportedError
+from mpflow.errors import ConfigError
 from mpflow.mlp import mlp_init
 from mpflow.rng import Xoshiro256
-from mpflow.shifts import MlpShift, fixed_shift, register_fixed_shift
+from mpflow.shifts import MlpShift, fixed_shift
 from mpflow.training import TrainConfig, train
 from mpflow.verify import roundtrip_error, sample_points
 
 
-def _square_factory(params, in_dim, out_dim):
-    # square of the first input, scalar out, for a point or a batch; test-only shift
-    def jac(u):
-        return np.concatenate([2.0 * u[..., :1], np.zeros_like(u[..., 1:])], axis=-1)[..., None, :]
+def install_power_shift(monkeypatch, shift_id, k):
+    """Install, for one test, the fixed shift u -> u[..., :1] ** k (scalar
+    out, for a point or a batch) with its exact Jacobian under shift_id."""
 
-    return (lambda u: u[..., :1] ** 2), jac
+    def factory(params, in_dim, out_dim):
+        def jac(u):
+            first = k * u[..., :1] ** (k - 1)
+            return np.concatenate([first, np.zeros_like(u[..., 1:])], axis=-1)[..., None, :]
+
+        return (lambda u: u[..., :1] ** k), jac
+
+    monkeypatch.setitem(shifts._FACTORIES, shift_id, factory)
 
 
-register_fixed_shift("usquared", _square_factory)
+@pytest.fixture
+def usquared(monkeypatch):
+    install_power_shift(monkeypatch, "usquared", 2)
 
 
 def point_backward(net, x, upstream):
@@ -84,7 +93,7 @@ def test_upper_constant_shift():
     assert np.array_equal(back, np.zeros(4))
 
 
-def test_lower_square_shift_hand_example():
+def test_lower_square_shift_hand_example(usquared):
     # D=2, s=2: lower block is x[2], shifted by f(x[1]) = x[1]^2: (2,3) -> (2,7)
     layer = lower_layer(2, 2, fixed_shift("usquared", [], 1, 1))
     out = layer_forward(layer, np.array([2.0, 3.0]))
@@ -422,7 +431,7 @@ def test_net_backward_matches_fd_composed():
             np.testing.assert_allclose(per_layer[li][pi], fd, rtol=1e-5, atol=1e-8)
 
 
-def test_fixed_shift_with_jacobian_backprops():
+def test_fixed_shift_with_jacobian_backprops(usquared):
     layer = lower_layer(2, 2, fixed_shift("usquared", [], 1, 1))
     net = MPNet(2, (layer,))
     x = np.array([1.5, 0.2])
@@ -432,7 +441,7 @@ def test_fixed_shift_with_jacobian_backprops():
     np.testing.assert_allclose(dx, [2.0 * 1.5, 1.0], rtol=1e-12)
 
 
-def test_fixed_shift_batch_backward_matches_fd():
+def test_fixed_shift_batch_backward_matches_fd(usquared):
     # several rows through analytic Jacobians of shape (n, out, in)
     net = MPNet(
         3,
@@ -449,14 +458,6 @@ def test_fixed_shift_batch_backward_matches_fd():
     assert per_layer == [[], [], []]
     for row, xi, ui in zip(dx, x, up):
         np.testing.assert_allclose(row, _fd_net_input_grad(net, xi, ui), rtol=1e-6, atol=1e-9)
-
-
-def test_fixed_shift_without_jacobian_rejected():
-    register_fixed_shift("nojac", lambda params, i, o: ((lambda u: np.zeros(u.shape[:-1] + (o,))), None))
-    layer = upper_layer(3, 2, fixed_shift("nojac", [], 2, 1))
-    net = MPNet(3, (layer,))
-    with pytest.raises(UnsupportedError):
-        point_backward(net, np.zeros(3), np.ones(3))
 
 
 def test_net_inverse_of_forward_many_dims():

@@ -88,6 +88,16 @@ def test_linear_zero_matrix():
     assert np.array_equal(field_eval(f, 0.0, np.ones(3)), np.zeros(3))
 
 
+def test_a_linear_field_keeps_its_own_copy_of_the_matrix():
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    f = make_field("linear", m)
+    m[0, 1] = 3.0  # the caller's later edit reaches neither the field nor its params
+    y = np.ones(2)
+    rebuilt = make_field(f.fid, f.params, f.dim)
+    assert field_eval(f, 0.0, y).tolist() == field_eval(rebuilt, 0.0, y).tolist() == [1.0, -1.0]
+    assert f.components[0](0.0, y) == 1.0
+
+
 def test_poly_field_eval():
     # f = (y2, y3, y1)
     f = make_field("poly", params=[[(1.0, (0, 1, 0))], [(1.0, (0, 0, 1))], [(1.0, (1, 0, 0))]], dim=3)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mpflow.coupling import MPNet, net_forward
+from mpflow.coupling import MPNet, lower_layer, net_forward
 from mpflow.errors import ParseError
 from mpflow.mlp import Mlp, mlp_init
 from mpflow.rng import Xoshiro256
@@ -28,6 +28,16 @@ def test_serialize_idempotent_bytes():
     data = serialize(net)
     again = serialize(deserialize(data))
     assert data == again
+
+
+def test_a_reloaded_fixed_shift_matches_the_net_after_the_caller_edits_its_params():
+    p = np.array([2.0])
+    net = MPNet(2, (lower_layer(2, 2, fixed_shift("linear", p, 1, 1)),))
+    p[0] = 5.0
+    x = np.array([1.0, 0.0])
+    assert net_forward(net, x).tolist() == net_forward(deserialize(serialize(net)), x).tolist() == [1.0, 2.0]
+    with pytest.raises(ValueError):
+        net.layers[0].shift.params[0] = 5.0  # read-only, so the params and the function cannot part
 
 
 def test_empty_net_document():

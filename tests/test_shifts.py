@@ -1,25 +1,27 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mpflow import shifts
 from mpflow.errors import ConfigError
 from mpflow.rng import Xoshiro256
-from mpflow.shifts import fixed_shift, register_fixed_shift
+from mpflow.shifts import FixedShift, fixed_shift
 
 
-def test_apply_batch_calls_the_registered_function_once():
+def test_apply_batch_calls_the_registered_function_once(monkeypatch):
+    shift = fixed_shift("linear", 2.0 * np.eye(3).reshape(-1), 3, 3)
     calls = []
 
-    def factory(params, in_dim, out_dim):
-        def fn(u):
-            calls.append(u.shape)
-            return 2.0 * u
+    def counted_linear(params, in_dim, out_dim):
+        fn, jac = linear(params, in_dim, out_dim)
+        return (lambda u: calls.append(u.shape) or fn(u)), jac
 
-        return fn, None
-
-    register_fixed_shift("counted_double", factory)
-    shift = fixed_shift("counted_double", [], 3, 3)
+    linear = shifts._FACTORIES["linear"]
+    monkeypatch.setitem(shifts._FACTORIES, "linear", counted_linear)
+    counted = replace(shift)  # rebuilds its function from the table
     u = Xoshiro256(1).uniform_array((37, 3), -1, 1)
-    out = shift.apply_batch(u)
+    out = counted.apply_batch(u)
     assert calls == [(37, 3)]
     assert np.array_equal(out, 2.0 * u)
 
@@ -50,22 +52,23 @@ def test_builtin_shift_batch_rows_match_point_calls(shift_id, n_params, out_dim,
 def test_fixed_shift_rejects_wrong_shapes():
     shift = fixed_shift("constant", [1.0], 2, 1)
     for bad in (np.zeros(3), np.zeros((4, 3)), np.zeros((2, 2, 2)), np.zeros(())):
-        with pytest.raises(ConfigError):
-            shift(bad)
+        for call in (shift, shift.jacobian):
+            with pytest.raises(ConfigError, match=r"shift 'constant' expects \(2,\) or \(n, 2\) input"):
+                call(bad)
 
 
-def test_point_only_function_given_a_batch_raises():
-    # written for a point: given a (2, 2) batch, u[0] is row 0, and (1, 2)
-    # would reshape into the expected (2, 1) without complaint
-    register_fixed_shift(
-        "point_only_square",
-        lambda params, i, o: ((lambda u: np.array([u[0] ** 2])), (lambda u: np.array([[2.0, 0.0]]) * u[0])),
-    )
-    shift = fixed_shift("point_only_square", [], 2, 1)
-    u = np.array([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(shift(u[0]), [9.0])
-    assert np.array_equal(shift.jacobian(u[0]), [[6.0, 0.0]])
-    with pytest.raises(ConfigError, match=r"returned shape \(1, 2\), expected \(2, 1\)"):
-        shift.apply_batch(u)
-    with pytest.raises(ConfigError, match=r"returned shape \(1, 2\), expected \(2, 1, 2\)"):
-        shift.jacobian(u)
+def test_an_unknown_id_is_rejected_by_the_constructor_too():
+    for build in (fixed_shift, FixedShift):
+        with pytest.raises(ConfigError, match="unknown fixed-shift id 'cube'"):
+            build("cube", [], 1, 1)
+
+
+def test_replace_rebuilds_the_shift_function():
+    shift = fixed_shift("linear", [2.0], 1, 1)
+    moved = replace(shift, params=[5.0])
+    assert moved.params.tolist() == [5.0]
+    assert moved([1.0]).tolist() == [5.0] and moved.jacobian([1.0]).tolist() == [[5.0]]
+    assert shift([1.0]).tolist() == [2.0]
+    with pytest.raises(ConfigError, match="'linear' needs 1 params"):
+        replace(shift, params=[1.0, 2.0])
+

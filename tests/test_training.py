@@ -19,6 +19,8 @@ from mpflow.shifts import MlpShift
 from mpflow.training import TrainConfig, build_training_net, mse_loss, rollout, train
 from mpflow.verify import fd_jacobian_det, roundtrip_error, sample_points
 
+from test_coupling import install_power_shift
+
 
 def teacher_student_dataset(seed, n_points=64, width=8):
     """Pairs (x, teacher(x)) for a one-layer upper teacher on [-1,1]^2."""
@@ -380,14 +382,12 @@ def test_rollout_compiled_flow_tracks_reference():
     assert worst < 0.5
 
 
-def test_rollout_truncates_on_blowup():
+def test_rollout_truncates_on_blowup(monkeypatch):
     # alternating cube shifts feed each other, so magnitudes cube every layer
     from mpflow.coupling import lower_layer
-    from mpflow.shifts import register_fixed_shift, fixed_shift
+    from mpflow.shifts import fixed_shift
 
-    register_fixed_shift(
-        "cube", lambda params, i, o: ((lambda u: u[..., :1] ** 3), None)
-    )
+    install_power_shift(monkeypatch, "cube", 3)
     net = MPNet(
         2,
         (
