@@ -16,20 +16,20 @@ widths from `shift_dims(kind, dim, pos)` instead of deriving them.
 
 Layers and nets are immutable after construction. Forward, inverse and
 backward allocate their results, never write their inputs, and are safe for
-concurrent callers, except when given a workspace (below). A net pass
-allocates one result: it copies its input once and each layer adds to that
-copy in place.
+concurrent callers, except when given a workspace (below).
 
-`_layer_apply_cached` is the one layer kernel, forward and inverse, for a point
-(dim,) or a batch (n, dim). `layer_apply_batch` and `net_apply_batch` take
-either shape, and check it once per call; `layer_forward` and `net_forward`
-first check for one point. A layer's shift is an `MlpShift`, a `FixedShift`
-or a `PairShear` (see `shifts`); any other object is a ConfigError naming its
-type. A shear whose shift is a `PairShear` hands it the state's columns,
-copied once with the target zeroed, and adds the result to the target; only a
-shear on the pair shear's coordinate row + 1 may hold one, and no gradient
-passes it. Every other layer gathers its shift's input x[..., read] and adds
-shift(u) to x[..., written].
+`_layer_apply_cached` is the one layer kernel, forward and inverse: it
+updates, in place, a float point (dim,) or batch (n, dim) that its caller
+owns and has checked. The public passes check and copy their input once:
+`layer_apply_batch` and `net_apply_batch` take either shape, `layer_forward`
+and `net_forward` one point, and a net pass runs every layer on that one
+copy. A layer's shift is an `MlpShift`, a `FixedShift` or a `PairShear` (see
+`shifts`); any other object is a ConfigError naming its type. A shear whose
+shift is a `PairShear` zeroes its target column where it stands, hands the
+shift the state's columns as a view, and writes the saved column plus the
+result back; only a shear on the pair shear's coordinate row + 1 may hold
+one, and no gradient passes it. Every other layer gathers its shift's input
+x[..., read] and adds shift(u) to x[..., written].
 
 Training runs each layer's forward once. `net_forward_collect` keeps, per
 layer, the layer's input and the shift's cache: the MLP activations produced
@@ -148,27 +148,26 @@ def shear_layer(dim, i, shift) -> Layer:
 
 
 def layer_forward(layer: Layer, x) -> np.ndarray:
-    return _layer_apply_cached(layer, _check_point(layer.dim, x))[0]
+    out = _check_point(layer.dim, x).copy()
+    _layer_apply_cached(layer, out)
+    return out
 
 
-def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None, in_place=False):
-    """The one layer kernel: (output shaped like x, shift cache) for a point
-    (dim,) or a batch (n, dim). Adds shift(x[..., read]) to x[..., written],
-    or subtracts it for the closed-form inverse; a shear whose shift is a
-    PairShear adds shift(y) to its target, y being x's columns with the target
-    zeroed. The output is a new array; with a workspace, the array it keeps
-    for this layer's tag; in place, x itself, a float array of a shape the
-    caller has checked."""
-    if not in_place:
-        x = _check_rows(layer.dim, x)
+def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None):
+    """The one layer kernel: updates x, a float point (dim,) or batch (n, dim)
+    that the caller owns and has checked, in place, and returns the shift
+    cache. Adds shift(x[..., read]) to x[..., written], or subtracts it for
+    the closed-form inverse. A shear whose shift is a PairShear saves its
+    target column, zeroes it, hands the shift x.T (a view of the state) and
+    writes the saved column plus (or minus) the result back."""
     shift = layer.shift
     if isinstance(shift, PairShear):
-        written = shift.row
-        y = x.T.copy()
-        y[written] = 0.0
-        shifted, cache = shift(y), None
+        target = x[..., shift.row]  # a view, also of a point
+        base = target.copy()
+        target[...] = 0.0
+        shifted, cache = shift(x.T), None
     else:
-        written = layer.written
+        target = base = x[..., layer.written]  # disjoint from the columns read
         u = x[..., layer.read]
         if isinstance(shift, FixedShift):
             shifted, cache = shift.apply_batch(u), None
@@ -176,22 +175,14 @@ def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None, in_pl
             shifted, cache = forward_cached(shift.mlp, u)
         else:
             shifted, cache = _forward(shift.mlp, u, ws, tag)
-    if in_place:
-        out = x  # the read and written columns are disjoint
-    elif ws is None:
-        out = x.copy()
-    else:
-        out = ws.array(("layer output", tag), x.shape)
-        out[...] = x
-    if inverse:
-        out[..., written] -= shifted
-    else:
-        out[..., written] += shifted
-    return out, cache
+    (np.subtract if inverse else np.add)(base, shifted, out=target)
+    return cache
 
 
 def layer_apply_batch(layer: Layer, x, inverse=False) -> np.ndarray:
-    return _layer_apply_cached(layer, x, inverse)[0]
+    out = _check_rows(layer.dim, x).copy()
+    _layer_apply_cached(layer, out, inverse)
+    return out
 
 
 def _check_point(dim, x):
@@ -234,7 +225,7 @@ def net_apply_batch(net: MPNet, x, inverse=False) -> np.ndarray:
     x is checked and copied once, and every layer updates that copy in place."""
     out = _check_rows(net.dim, x).copy()
     for layer in reversed(net.layers) if inverse else net.layers:
-        _layer_apply_cached(layer, out, inverse, in_place=True)
+        _layer_apply_cached(layer, out, inverse)
     return out
 
 
@@ -270,12 +261,18 @@ def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
 def net_forward_collect(net: MPNet, x, ws=None):
     """Batched forward; returns (output, collected) for `net_backward_collected`:
     collected holds the per-layer (input, shift cache) pairs and the workspace,
-    which keeps layer idx's arrays under the tag idx."""
-    x = np.asarray(x, float)
+    which keeps layer idx's arrays under the tag idx. x is checked once; each
+    layer's output starts as a copy of its input, in the workspace's array for
+    that layer when there is one, and the kernel updates it in place."""
+    x = _check_rows(net.dim, x)
     pairs = []
     for idx, layer in enumerate(net.layers):
-        out, cache = _layer_apply_cached(layer, x, ws=ws, tag=idx)
-        pairs.append((x, cache))
+        if ws is None:
+            out = x.copy()
+        else:
+            out = ws.array(("layer output", idx), x.shape)
+            out[...] = x
+        pairs.append((x, _layer_apply_cached(layer, out, ws=ws, tag=idx)))
         x = out
     return x, (pairs, ws)
 

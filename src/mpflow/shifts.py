@@ -58,6 +58,10 @@ class FixedShift:
             raise ConfigError(f"unknown fixed-shift id {self.id!r}")
         params = np.array(self.params, float)
         params.flags.writeable = False
+        for name in ("in_dim", "out_dim"):
+            width = getattr(self, name)
+            if not isinstance(width, (int, np.integer)) or isinstance(width, bool):
+                raise ConfigError(f"fixed shift {name} must be an integer, got {width!r}")
         in_dim, out_dim = int(self.in_dim), int(self.out_dim)
         fn, jac = _FACTORIES[self.id](params, in_dim, out_dim)
         for name, value in (("params", params), ("in_dim", in_dim), ("out_dim", out_dim),
@@ -87,12 +91,12 @@ def fixed_shift(shift_id, params, in_dim, out_dim) -> FixedShift:
 
 
 class PairShear:
-    """The shift of one compiled shear on coordinate row + 1: called with y,
-    the state's columns (D, n) or a point (D,) with y[row] = 0.0, it returns
-    h * ufn(tau, y) in y[0]'s shape. A pinned-zero component, ufn None, gives
-    h * 0.0 (signed like h) without evaluating the field. `recipe` is the
-    FlowRecipe of the flow the shear belongs to, or None. No gradient passes
-    it."""
+    """The shift of one compiled shear on coordinate row + 1: called with y, a
+    view of the caller's state as columns (D, n) or a point (D,) with
+    y[row] = 0.0, which a `ufn` must not write, it returns h * ufn(tau, y) in
+    y[0]'s shape. A pinned-zero component, ufn None, gives h * 0.0 (signed
+    like h) without evaluating the field. `recipe` is the FlowRecipe of the
+    flow the shear belongs to, or None. No gradient passes it."""
 
     __slots__ = ("ufn", "row", "tau", "h", "in_dim", "recipe")
     out_dim = 1

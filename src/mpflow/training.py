@@ -30,7 +30,7 @@ from .errors import ConfigError, NumericError, TrainingError
 from .mlp import Workspace, adam_init, adam_step, mlp_init, mlp_params, mlp_with_params
 from .rng import Xoshiro256
 from .shifts import MlpShift
-from .verify import fd_jacobian_det
+from .verify import max_det_deviation
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ def train(dataset: PairDataset, config: TrainConfig):
             )
         if epoch % config.log_stride == 0:
             metrics.loss_curve.append((epoch, loss))
-            dev = abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), spot) - 1.0)
-            metrics.det_curve.append((epoch, dev))
+            metrics.det_curve.append((epoch, max_det_deviation(net, spot)[0]))
         residual *= 2.0 / n  # the loss gradient wrt out
         net_backward_collected(net, collected, residual)
         before[:] = flat
@@ -180,8 +179,7 @@ def train(dataset: PairDataset, config: TrainConfig):
 
     final = mse_loss(net, dataset)
     metrics.loss_curve.append((config.epochs, final))
-    dev = abs(fd_jacobian_det(lambda rows: net_apply_batch(net, rows), spot) - 1.0)
-    metrics.det_curve.append((config.epochs, dev))
+    metrics.det_curve.append((config.epochs, max_det_deviation(net, spot)[0]))
     metrics.final_loss = final
     return net, metrics
 

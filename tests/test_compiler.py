@@ -35,7 +35,7 @@ from mpflow.serialize import dump_json, load_net, save_net, serialize
 from mpflow.shifts import MlpShift, PairShear, fixed_shift
 from mpflow.verify import fd_jacobian_det, roundtrip_error, sample_points
 
-from test_coupling import install_power_shift
+from test_coupling import install_power_shift, lorenz96
 from test_pair_decomposition import BOX3, BOX4, quadrature_field
 
 BOXH = (np.full(2, -1.0), np.full(2, 1.0))
@@ -411,6 +411,32 @@ def test_compiled_layers_add_their_column_shift_bit_for_bit(field, T, n_steps, b
                 for inverse in (False, True):
                     got = layer_apply_batch(layer, pts, inverse)
                     assert got.tobytes() == _add_column_shift(layer, pts, inverse).tobytes()
+
+
+def test_compiled_lorenz96_matches_the_copied_column_form_bit_for_bit():
+    # D = 16: each shear zeroes its target in the state itself and hands its
+    # shift a view; the reference copies the state's columns for every layer
+    box = (np.full(16, -1.0), np.full(16, 1.0))
+    net = compile_flow(lorenz96(16), 0.0, 0.2, 2, box).net
+    assert net.n_layers == 60
+    x = _with_signed_zeros(sample_points(box, 40, 31))
+    for inverse in (False, True):
+        layers = net.layers[::-1] if inverse else net.layers
+        for pts in (x, x[0], x[17]):
+            want = pts
+            for layer in layers:
+                want = _add_column_shift(layer, want, inverse)
+            assert net_apply_batch(net, pts, inverse).tobytes() == want.tobytes()
+        state = x
+        for layer in layers:
+            # every row holds +0.0 or -0.0 in this layer's target column
+            pts = state.copy()
+            pts[:, layer.i - 1] = np.where(np.arange(len(pts)) % 2, -0.0, 0.0)
+            for rows in (pts, pts[0], pts[1]):
+                want = _add_column_shift(layer, rows, inverse)
+                assert layer_apply_batch(layer, rows, inverse).tobytes() == want.tobytes()
+            state = _add_column_shift(layer, state, inverse)
+    assert net_forward(net, x[5]).tobytes() == net_apply_batch(net, x[5]).tobytes()
 
 
 def test_a_pair_shear_on_another_target_is_a_config_error():

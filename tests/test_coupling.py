@@ -27,9 +27,9 @@ from mpflow.coupling import (
 )
 from mpflow.dynamics import dataset_from_trajectory, generate_trajectory, make_field
 from mpflow.errors import ConfigError
-from mpflow.mlp import mlp_init
+from mpflow.mlp import Workspace, mlp_init
 from mpflow.rng import Xoshiro256
-from mpflow.shifts import MlpShift, fixed_shift
+from mpflow.shifts import MlpShift, PairShear, fixed_shift
 from mpflow.training import TrainConfig, train
 from mpflow.verify import roundtrip_error, sample_points
 
@@ -507,3 +507,80 @@ def test_net_pass_has_the_bits_of_its_chained_layers(make_net):
             assert got.tobytes() == chained_layers(net, x, inverse).tobytes()
             assert np.array_equal(x, before)
     assert net_forward(net, pts[7]).tobytes() == chained_layers(net, pts[7], False).tobytes()
+
+
+def lorenz96(dim):
+    """Inviscid Lorenz-96, f_k = x_{k+1} x_{k-1} - x_{k-2} x_{k-1} with indices
+    mod dim, as a poly field; f_k does not read x_k, so it is divergence-free
+    and every pair is separable."""
+
+    def term(coef, a, b):
+        exps = [0] * dim
+        exps[a % dim] += 1
+        exps[b % dim] += 1
+        return coef, tuple(exps)
+
+    return make_field("poly", [[term(1.0, k + 1, k - 1), term(-1.0, k - 2, k - 1)]
+                               for k in range(dim)], dim)
+
+
+def _raising_ufn(t, y):
+    raise FloatingPointError("ufn failed")
+
+
+def _every_pass(net, x):
+    # each public pass over a net or one of its layers, on x or its first row
+    passes = [
+        lambda: net_apply_batch(net, x),
+        lambda: net_apply_batch(net, x, inverse=True),
+        lambda: net_forward(net, x[0]),
+        lambda: net_forward_collect(net, x),
+        lambda: net_forward_collect(net, x, Workspace({})),
+    ]
+    for layer in net.layers:
+        passes += [functools.partial(layer_apply_batch, layer, x),
+                   functools.partial(layer_apply_batch, layer, x[0], inverse=True),
+                   functools.partial(layer_forward, layer, x[0])]
+    return passes
+
+
+def test_passes_never_write_the_callers_array():
+    box = (np.full(4, -1.0), np.full(4, 1.0))
+    compiled = compile_flow(lorenz96(4), 0.0, 0.2, 1, box).net
+    net = MPNet(4, compiled.layers + random_net(4, 4, seed=9).layers
+                + (shear_layer(4, 2, fixed_shift("linear", [0.5, -0.25, 2.0], 3, 1)),))
+    x = sample_points(box, 7, 4)
+    x[3, 1] = -0.0
+    before = x.copy()
+    for call in _every_pass(net, x):
+        call()
+        assert x.tobytes() == before.tobytes()
+
+
+def test_a_pair_shear_that_raises_mid_pass_leaves_the_callers_array_as_it_was():
+    box = (np.full(4, -1.0), np.full(4, 1.0))
+    layers = list(compile_flow(lorenz96(4), 0.0, 0.2, 2, box).net.layers)
+    mid = len(layers) // 2
+    shift = layers[mid].shift
+    layers[mid] = replace(layers[mid], shift=PairShear(_raising_ufn, shift.row, shift.tau, shift.h,
+                                                       shift.in_dim, None))
+    net = MPNet(4, tuple(layers))
+    x = sample_points(box, 5, 6)
+    before = x.copy()
+    raised = 0
+    for call in _every_pass(net, x):
+        try:
+            call()
+        except FloatingPointError as exc:
+            assert str(exc) == "ufn failed"
+            raised += 1
+        assert x.tobytes() == before.tobytes()
+    assert raised == 5 + 3  # every net pass, and each pass of the raising layer
+
+
+def test_net_forward_collect_rejects_a_batch_of_another_dim():
+    net = random_net(4, 3, seed=2)
+    for bad in (np.zeros((5, 3)), np.zeros(5), np.zeros((2, 2, 4))):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"expected (4,) point or (n, 4) batch, got {bad.shape}")):
+            net_forward_collect(net, bad)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -72,3 +73,17 @@ def test_replace_rebuilds_the_shift_function():
     with pytest.raises(ConfigError, match="'linear' needs 1 params"):
         replace(shift, params=[1.0, 2.0])
 
+
+def test_a_width_that_is_not_an_integer_is_a_config_error_naming_it():
+    for bad in (1.5, 2.0, True, "2", None):
+        for build in (fixed_shift, FixedShift):
+            for name, widths in (("in_dim", (bad, 1)), ("out_dim", (1, bad))):
+                message = f"fixed shift {name} must be an integer, got {bad!r}"
+                with pytest.raises(ConfigError, match=re.escape(message)):
+                    build("constant", [1.0], *widths)
+        with pytest.raises(ConfigError, match="fixed shift in_dim must be an integer"):
+            replace(fixed_shift("constant", [1.0], 1, 1), in_dim=bad)
+    shift = fixed_shift("linear", [2.0, 3.0], np.int64(2), np.int32(1))
+    assert (shift.in_dim, shift.out_dim) == (2, 1)
+    assert type(shift.in_dim) is int and type(shift.out_dim) is int
+    assert shift([1.0, 1.0]).tolist() == [5.0]
