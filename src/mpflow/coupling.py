@@ -31,9 +31,10 @@ result back; only a shear on the pair shear's coordinate row + 1 may hold
 one, and no gradient passes it. Every other layer gathers its shift's input
 x[..., read] and adds shift(u) to x[..., written].
 
-Training runs each layer's forward once. `net_forward_collect` keeps, per
-layer, the layer's input and the shift's cache: the MLP activations produced
-by the forward that computed the output (None for a FixedShift).
+Training runs each layer's forward once. `net_forward_collect` takes a
+batch (n, dim) and keeps, per layer, the layer's input and the shift's
+cache: the MLP activations produced by the forward that computed the output
+(None for a FixedShift).
 `layer_backward_batch` consumes that pair and never recomputes the forward.
 Both take an optional `mlp.Workspace`, which only `training.train` makes and
 which lives for that one call. With it, each layer's output and MLP
@@ -261,10 +262,13 @@ def layer_backward_batch(layer: Layer, x, cache, upstream, ws=None, tag=None):
 def net_forward_collect(net: MPNet, x, ws=None):
     """Batched forward; returns (output, collected) for `net_backward_collected`:
     collected holds the per-layer (input, shift cache) pairs and the workspace,
-    which keeps layer idx's arrays under the tag idx. x is checked once; each
-    layer's output starts as a copy of its input, in the workspace's array for
-    that layer when there is one, and the kernel updates it in place."""
-    x = _check_rows(net.dim, x)
+    which keeps layer idx's arrays under the tag idx. x is checked once, and
+    must be a batch (n, dim), the only input the backward takes; each layer's
+    output starts as a copy of its input, in the workspace's array for that
+    layer when there is one, and the kernel updates it in place."""
+    x = np.asarray(x, float)
+    if x.ndim != 2 or x.shape[1] != net.dim:
+        raise ConfigError(f"expected (n, {net.dim}) batch, got {x.shape}")
     pairs = []
     for idx, layer in enumerate(net.layers):
         if ws is None:

@@ -41,7 +41,8 @@ nan, reruns the hop on the array state with a check after every substep, so
 the NumericError names the substep (and row) where the state first became
 non-finite.
 `partial_divergence_fd` takes a point or columns (dim, ...); each of its terms
-sends one row's two shifted copies through one component call.
+sends one row's two shifted copies through one component call, and
+`partial_divergences_fd` yields its running sums term by term.
 `field_eval`, `divergence_fd` and `generate_trajectory` take single points.
 
 All operations are pure; independent trajectories may be generated
@@ -227,13 +228,26 @@ def partial_divergence_fd(field: VectorField, t, y, k):
     """Central-difference estimate, step FD_STEP, of sum_{d<k} df_d/dy_d at (t, y).
 
     y is a point (dim,), giving a 0-d array, or columns (dim, ...), giving the
-    trailing shape. The columns are copied once, as a +step and a -step copy;
-    term j shifts row j of both in place, sends both through one call of
-    `field.components[j]` as 2-d columns, and restores the row. The k
-    quotients are summed in order from 0, so a column has the bits of the same
-    point on its own, and each term the bits of row j of `field.func` on the
-    shifted copies. Both copies go through one call: a linear component is a
-    row of `mat @ y`, which rounds differently on a single column.
+    trailing shape: the last of `partial_divergences_fd`'s k running sums.
+    """
+    for total in partial_divergences_fd(field, t, y, k):
+        pass
+    return total
+
+
+def partial_divergences_fd(field: VectorField, t, y, k):
+    """Yield the running sums P_1 ... P_k, P_m = sum_{d<m} df_d/dy_d, each a
+    central-difference estimate with step FD_STEP, shaped as in
+    `partial_divergence_fd`; y is checked at the first step.
+
+    The columns are copied once, as a +step and a -step copy; term j shifts
+    row j of both in place, sends both through one call of
+    `field.components[j]` as 2-d columns, and restores the row. The quotients
+    are summed in order from 0, so P_m costs m component calls on its own and
+    one more after P_{m-1}; a column has the bits of the same point on its own,
+    and each term the bits of row j of `field.func` on the shifted copies. Both
+    copies go through one call: a linear component is a row of `mat @ y`, which
+    rounds differently on a single column.
     """
     y = np.asarray(y, float)
     if y.ndim == 0 or y.shape[0] != field.dim:
@@ -248,7 +262,7 @@ def partial_divergence_fd(field: VectorField, t, y, k):
         out = np.asarray(field.components[j](t, flat), float).reshape(2, -1)
         total = total + (out[0] - out[1]) / (2.0 * FD_STEP)
         shifted[j] = cols[j]
-    return total.reshape(y.shape[1:])
+        yield total.reshape(y.shape[1:])
 
 
 def divergence_fd(field: VectorField, t, y) -> float:

@@ -12,7 +12,10 @@ shifted copies of every quadrature node of a block of columns: u2_d at a point
 makes d component calls and no whole-field call. When P_d is detected to
 vanish identically (sampled below tolerance), u2_d is pinned to exact zero,
 which keeps every separable pair, and so every compilable field, fully
-closed-form; Gauss-Legendre nodes are computed only when a pair needs them.
+closed-form. Detection is one running sum of those terms over the sample, so
+P_1 ... P_{D-2} cost D-2 component calls. Gauss-Legendre nodes are computed
+only when a pair needs them, by one `np.linalg.eigvalsh` and numpy's
+`leggauss` arithmetic, step for step, without importing leggauss's package.
 
 Pair components, like field functions, take a point (D,) or columns (D, n).
 Construction is single-threaded; the resulting pair fields are immutable and
@@ -28,12 +31,13 @@ import numpy as np
 
 # field_eval is unused here but stays bound: perfbench's harness self-test
 # wraps it as pair_decomposition.field_eval
-from .dynamics import FD_STEP, VectorField, field_eval, partial_divergence_fd  # noqa: F401
+from .dynamics import FD_STEP, VectorField, field_eval  # noqa: F401
+from .dynamics import partial_divergence_fd, partial_divergences_fd
 from .errors import ConfigError, DecompositionError
 from .verify import as_box, sample_points
 
 DEFAULT_QUAD_NODES = 32
-MAX_QUAD_NODES = 1024  # leggauss took about 50 ms at 1024 nodes and 0.3 s at 2048 (2-core host)
+MAX_QUAD_NODES = 1024  # the nodes took about 0.1 s at 1024 and 0.6 s at 2048 (2-core host)
 DEFAULT_TOL = 1e-6
 _DETECT_SEED = 0x7A1D5EED
 _DETECT_SAMPLES = 32
@@ -142,8 +146,52 @@ def _subtract(fn_a, fn_b):
     return lambda t, y: fn_a(t, y) - fn_b(t, y)
 
 
-def _integrand_vanishes(integrand, detect_pts, tol):
-    return np.max(np.abs(integrand(0.0, detect_pts.T))) < tol
+def _legval(x, c):
+    """Clenshaw sum of the Legendre series c at x, operation for operation as
+    numpy 2.4.6's `legval` (the bits of `_gauss_legendre` rest on this order)."""
+    c0, c1 = (c[0], 0) if len(c) == 1 else (c[-2], c[-1])
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(n):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on [-1, 1].
+
+    numpy's `leggauss` step by step, without importing its package (a cold
+    import that costs milliseconds per process): the nodes are the
+    eigenvalues of the symmetric tridiagonal companion matrix of L_n (Golub &
+    Welsch), improved by one Newton step; the weights are 1 / (L_{n-1} L_n')
+    scaled to sum to 2, and both are symmetrised. The companion matrix's last
+    column loses (c[:-1] / c[-1]) * ... = 0, which moves no bit, so it is left
+    out (at n = 1 that matrix is [[-0.0]], and the symmetrised node is +0.0
+    either way); L_n' has the exact coefficients 2k + 1 at k = n - 1, n - 3,
+    ... that `legder` computes.
+    """
+    c = np.zeros(n + 1)
+    c[n] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    mat = np.zeros((n, n))
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    mat.reshape(-1)[1::n + 1] = off  # the super- and the subdiagonal
+    mat.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(mat)
+    der = np.zeros(n)
+    der[n - 1::-2] = 2 * np.arange(n - 1, -1, -2) + 1
+    df = _legval(x, der)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
 
 
 def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, tol=DEFAULT_TOL):
@@ -167,19 +215,20 @@ def build_pairs(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES, t
     config = DecompositionConfig(field, tuple(lo.tolist()), tuple(hi.tolist()), int(quad_nodes), float(tol))
 
     comp = field.components
+    # P_1 ... P_{D-2} at the detection points: one running sum, D - 2 component calls
+    detected = partial_divergences_fd(field, 0.0, detect_pts.T, dim - 2)
     pairs, u2, quad = [], _zero_component, None
     for d0 in range(dim - 1):  # 0-based first active coordinate
         u1 = comp[d0] if u2 is _zero_component else _subtract(comp[d0], u2)
         if d0 == dim - 2:
             u2 = comp[dim - 1]
+        elif np.max(np.abs(next(detected))) < tol:
+            u2 = _zero_component
         else:
+            if quad is None:  # (nodes, weights), first needed here
+                quad = _gauss_legendre(int(quad_nodes))
             integrand = functools.partial(partial_divergence_fd, field, k=d0 + 1)
-            if _integrand_vanishes(integrand, detect_pts, tol):
-                u2 = _zero_component
-            else:
-                if quad is None:  # (nodes, weights), first needed here
-                    quad = np.polynomial.legendre.leggauss(int(quad_nodes))
-                u2 = _antiderivative(integrand, d0 + 1, *quad)
+            u2 = _antiderivative(integrand, d0 + 1, *quad)
         pairs.append(PairField(dim, d0 + 1, u1, u2, provenance=config))
     return pairs
 

@@ -462,6 +462,44 @@ def _lorentz_recipe(tmp_path):
     return doc
 
 
+def test_decompose_compile_and_verify_never_import_numpy_polynomial(tmp_path):
+    # the Gauss-Legendre nodes come without numpy.polynomial, whose cold import
+    # costs milliseconds per process: decompose a D = 4 chain (every pair takes
+    # the quadrature branch) and compile and verify lorentz4d in a fresh process
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    a = [0.75, 1.25, 1.0]
+    chain = [[] for _ in range(4)]
+    for k in range(3):
+        chain[k].append([a[k], [int(j in (k, k + 1)) for j in range(4)]])
+        chain[k + 1].append([-a[k] / 2.0, [2 * int(j == k + 1) for j in range(4)]])
+    configs = {
+        "decompose": {"field": {"id": "poly", "dim": 4, "components": chain},
+                      "box": {"lo": [-1.0] * 4, "hi": [1.0] * 4}, "n_samples": 20},
+        "compile": LORENTZ_COMPILE_CFG,
+        "verify": {"model": "compile/model.json", "box": LORENTZ_COMPILE_CFG["box"], "n_points": 4},
+    }
+    for command, config in configs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps(config))
+    script = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from mpflow.cli import main
+for command in ("decompose", "compile", "verify"):
+    assert main([command, "--config", command + ".json", "--out", command]) == 0, command
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", script, src], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    manifest = json.loads((tmp_path / "decompose" / "manifest.json").read_text())
+    assert manifest["pair_separability"] == ["no"] * 3
+
+
 DROP = object()
 
 

@@ -581,6 +581,19 @@ def test_a_pair_shear_that_raises_mid_pass_leaves_the_callers_array_as_it_was():
 def test_net_forward_collect_rejects_a_batch_of_another_dim():
     net = random_net(4, 3, seed=2)
     for bad in (np.zeros((5, 3)), np.zeros(5), np.zeros((2, 2, 4))):
-        with pytest.raises(ConfigError, match=re.escape(
-                f"expected (4,) point or (n, 4) batch, got {bad.shape}")):
+        with pytest.raises(ConfigError, match=re.escape(f"expected (n, 4) batch, got {bad.shape}")):
             net_forward_collect(net, bad)
+
+
+def test_net_forward_collect_rejects_a_single_point():
+    # the backward indexes a batch's columns, so a point must fail here, by shape,
+    # and not inside net_backward_collected
+    from mpflow.training import build_training_net
+
+    net = build_training_net(3, TrainConfig(n_layers=1, width=4))
+    x = sample_points((np.full(3, -1.0), np.full(3, 1.0)), 1, 3)
+    with pytest.raises(ConfigError, match=re.escape("expected (n, 3) batch, got (3,)")):
+        net_forward_collect(net, x[0])
+    out, collected = net_forward_collect(net, x)  # the same point as a batch of one
+    _, dx = net_backward_collected(net, collected, np.ones_like(out))
+    assert dx.shape == (1, 3)

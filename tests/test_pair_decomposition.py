@@ -4,12 +4,23 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mpflow.dynamics import divergence_fd, field_eval, make_field
+from mpflow.dynamics import (
+    divergence_fd,
+    field_eval,
+    make_field,
+    partial_divergence_fd,
+    partial_divergences_fd,
+)
 from mpflow.errors import ConfigError, DecompositionError
 from mpflow.pair_decomposition import (
+    _DETECT_SAMPLES,
     _DETECT_SEED,
+    DEFAULT_TOL,
     PairField,
     _fd_partial,
+    _gauss_legendre,
+    _legval,
+    _zero_component,
     build_pairs,
     decompose,
     pair_eval,
@@ -17,6 +28,7 @@ from mpflow.pair_decomposition import (
 )
 from mpflow.verify import sample_points
 
+from test_coupling import lorenz96
 from test_dynamics import LORENTZ_F3, LORENTZ_F4, LORENTZ_TEST_POINT
 
 
@@ -243,6 +255,55 @@ def test_one_u2_evaluation_makes_one_component_call_per_term(dim):
         pair.u2(0.0, p)
         assert parts.calls == pair.d
     assert whole.calls == 0
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (lambda: chain_field([0.5 + 0.125 * k for k in range(7)]), [False] * 6),  # D = 8
+    (lambda: lorenz96(16), [True] * 14),
+    (lambda: make_field("lorentz4d"), [True, True]),
+    (quadrature_field, [False]),
+], ids=["chain8", "lorenz96_16", "lorentz4d", "quadrature"])
+def test_detection_is_one_running_sum_with_the_bits_of_each_partial_divergence(make, pinned):
+    field = make()
+    dim = field.dim
+    box = BOX4 if field.fid == "lorentz4d" else (np.full(dim, -1.0), np.full(dim, 1.0))
+    pts = sample_points(box, _DETECT_SAMPLES, _DETECT_SEED, exclude=field.singular)
+    sums = list(partial_divergences_fd(field, 0.0, pts.T, dim - 2))
+    assert len(sums) == dim - 2
+    for k, got in enumerate(sums, 1):
+        assert got.tobytes() == partial_divergence_fd(field, 0.0, pts.T, k).tobytes()
+    counted_field, whole, parts = counted(field, budget=1000)
+    pairs = build_pairs(counted_field, box)
+    assert (whole.calls, parts.calls) == (0, dim - 2)  # one component call per P_d
+    # each pin is the decision of P_d on its own
+    assert [pair.u2 is _zero_component for pair in pairs[:-1]] == pinned == [
+        bool(np.max(np.abs(partial_divergence_fd(field, 0.0, pts.T, d))) < DEFAULT_TOL)
+        for d in range(1, dim - 1)]
+
+
+def test_gauss_legendre_has_the_bits_of_leggauss():
+    # the rule repeats leggauss's arithmetic without importing numpy.polynomial;
+    # a numpy whose legval rounds (c1 * (nd - 1)) / nd instead may differ in the
+    # last bits, by at most the old-versus-new differences seen up to n = 1024
+    import inspect
+
+    from numpy.polynomial import legendre
+
+    same_rounding = "c1 * ((nd - 1) / nd)" in inspect.getsource(legendre.legval)
+    x = np.linspace(-1.0, 1.0, 101)
+    for n in [*range(1, 65), 100, 256, 512, 1024]:
+        nodes, weights = _gauss_legendre(n)
+        want_nodes, want_weights = legendre.leggauss(n)
+        assert nodes.shape == weights.shape == (n,)
+        if same_rounding:
+            assert nodes.tobytes() == want_nodes.tobytes(), n
+            assert weights.tobytes() == want_weights.tobytes(), n
+            c = np.zeros(n + 1)
+            c[n] = 1.0
+            assert _legval(x, c).tobytes() == legendre.legval(x, c).tobytes(), n
+        else:
+            assert np.max(np.abs(nodes - want_nodes)) <= 2.3e-16, n
+            assert np.max(np.abs(weights - want_weights) / want_weights) <= 1e-9, n
 
 
 @pytest.mark.parametrize("dim", [5, 8])
