@@ -27,6 +27,7 @@ from . import __version__
 from .compiler import compile_flow, convergence_study
 from .coupling import net_apply_batch
 from .dynamics import (
+    csv_text,
     dataset_from_csv,
     dataset_from_trajectory,
     dataset_to_csv,
@@ -146,8 +147,7 @@ def cmd_train(config, out_dir, seed):
         "config": {k: v for k, v in asdict(tc).items() if k != "seed"},
     }
     _write(out_dir / "metrics.json", dump_json(metrics_doc))
-    lines = ["epoch,mse"] + [f"{e},{dump_json(v)}" for e, v in metrics.loss_curve]
-    _write(out_dir / "loss_curve.csv", "\n".join(lines) + "\n")
+    _write(out_dir / "loss_curve.csv", csv_text(["epoch", "mse"], metrics.loss_curve))
     print(f"train: epochs={tc.epochs} final_loss={metrics.final_loss:.6e}")
     return {"final_loss": metrics.final_loss, "epochs": tc.epochs,
             "outputs": ["model.json", "metrics.json", "loss_curve.csv"]}

@@ -44,6 +44,7 @@ non-finite.
 sends one row's two shifted copies through one component call, and
 `partial_divergences_fd` yields its running sums term by term.
 `field_eval`, `divergence_fd` and `generate_trajectory` take single points.
+Every CSV file (trajectory, dataset, `cli`'s loss curve) is written by `csv_text`.
 
 All operations are pure; independent trajectories may be generated
 concurrently.
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -228,17 +230,17 @@ def partial_divergence_fd(field: VectorField, t, y, k):
     """Central-difference estimate, step FD_STEP, of sum_{d<k} df_d/dy_d at (t, y).
 
     y is a point (dim,), giving a 0-d array, or columns (dim, ...), giving the
-    trailing shape: the last of `partial_divergences_fd`'s k running sums.
+    trailing shape: the last of `partial_divergences_fd`'s k running sums, or
+    zeros, the empty sum, at k = 0.
     """
-    for total in partial_divergences_fd(field, t, y, k):
-        pass
-    return total
+    last = deque(partial_divergences_fd(field, t, y, k), maxlen=1)
+    return last.pop() if last else np.zeros(np.shape(y)[1:])
 
 
 def partial_divergences_fd(field: VectorField, t, y, k):
     """Yield the running sums P_1 ... P_k, P_m = sum_{d<m} df_d/dy_d, each a
     central-difference estimate with step FD_STEP, shaped as in
-    `partial_divergence_fd`; y is checked at the first step.
+    `partial_divergence_fd`; y and k, an integer in 0..dim, are checked first.
 
     The columns are copied once, as a +step and a -step copy; term j shifts
     row j of both in place, sends both through one call of
@@ -252,6 +254,8 @@ def partial_divergences_fd(field: VectorField, t, y, k):
     y = np.asarray(y, float)
     if y.ndim == 0 or y.shape[0] != field.dim:
         raise ConfigError(f"field {field.fid!r} expects points of dim {field.dim}, got {y.shape}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k <= field.dim:
+        raise ConfigError(f"k must be an integer in 0..{field.dim}, the field's dim, got {k!r}")
     cols = y.reshape(field.dim, 1, -1)
     shifted = np.repeat(cols, 2, axis=1)  # (dim, 2, N): the +step and the -step copy
     flat = shifted.reshape(field.dim, -1)  # a view: both copies as 2N columns
@@ -430,7 +434,7 @@ def dataset_from_trajectory(traj: Trajectory) -> PairDataset:
 
 def fmt17(x: float) -> str:
     """Decimal text for a float with 17 significant digits, which round-trips
-    IEEE doubles exactly; -0.0 keeps its sign. The model writer uses it too."""
+    IEEE doubles exactly; -0.0 keeps its sign; csv_text and dump_json use it."""
     v = float(x)
     if not math.isfinite(v):
         raise ParseError(f"cannot serialize non-finite number {x!r}")
@@ -438,21 +442,21 @@ def fmt17(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
-    dim = traj.dim
-    lines = ["t," + ",".join(f"y{d + 1}" for d in range(dim))]
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join([fmt17(t)] + [fmt17(v) for v in row]))
+def csv_text(header, rows) -> str:
+    """CSV text: the header's names, then one line per row of numbers, each
+    written by `fmt17` (an integer below 2**53 prints as its digits)."""
+    lines = [",".join(header)] + [",".join(map(fmt17, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def trajectory_to_csv(traj: Trajectory) -> str:
+    header = ["t"] + [f"y{d + 1}" for d in range(traj.dim)]
+    return csv_text(header, np.column_stack([traj.times, traj.states]).tolist())
 
 
 def dataset_to_csv(ds: PairDataset) -> str:
-    dim = ds.dim
-    header = ",".join([f"x{d + 1}" for d in range(dim)] + [f"xp{d + 1}" for d in range(dim)])
-    lines = [header]
-    for a, b in zip(ds.x, ds.y):
-        lines.append(",".join([fmt17(v) for v in a] + [fmt17(v) for v in b]))
-    return "\n".join(lines) + "\n"
+    header = [f"x{d + 1}" for d in range(ds.dim)] + [f"xp{d + 1}" for d in range(ds.dim)]
+    return csv_text(header, np.hstack([ds.x, ds.y]).tolist())
 
 
 def dataset_from_csv(text: str) -> PairDataset:

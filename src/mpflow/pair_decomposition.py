@@ -98,17 +98,6 @@ def pair_eval(pair: PairField, t, y) -> np.ndarray:
     return out
 
 
-def _fd_partial(fn, j):
-    def dfn(t, y):
-        yp = y.copy()
-        yp[j] += FD_STEP
-        ym = y.copy()
-        ym[j] -= FD_STEP
-        return (fn(t, yp) - fn(t, ym)) / (2.0 * FD_STEP)
-
-    return dfn
-
-
 def _antiderivative(integrand, j, nodes, weights):
     """-int_0^{y[j]} integrand(t, y with coord j replaced by s) ds.
 
@@ -240,18 +229,27 @@ def separability_check(pair: PairField, sample_box, tol=DEFAULT_TOL) -> str:
     this is exactly the separability criterion.
     """
     exclude = pair.provenance.field.singular if pair.provenance is not None else None
-    return _separable(pair, _separability_cols(sample_box, exclude), tol)
+    return _separable([pair], _separability_cols(sample_box, exclude), tol)[0]
 
 
 def _separability_cols(sample_box, exclude):
     return sample_points(sample_box, _CHECK_SAMPLES, _DETECT_SEED, exclude=exclude).T
 
 
-def _separable(pair: PairField, cols, tol) -> str:
-    d0 = pair.d - 1
-    du1 = _fd_partial(pair.u1, d0)(0.0, cols)
-    du2 = _fd_partial(pair.u2, d0 + 1)(0.0, cols)
-    return "yes" if max(np.max(np.abs(du1)), np.max(np.abs(du2))) < tol else "no"
+def _separable(pairs, cols, tol) -> list:
+    """'yes' per pair whose u1 in y_d and u2 in y_{d+1} have central differences
+    below tol at the columns; row j of one copy of them is shifted in place."""
+    shifted = cols.copy()
+
+    def partial(fn, j):
+        shifted[j] = cols[j] + FD_STEP
+        plus = np.array(fn(0.0, shifted))  # a copy: fn may return a view of shifted
+        shifted[j] = cols[j] - FD_STEP
+        minus = fn(0.0, shifted)
+        shifted[j] = cols[j]
+        return np.max(np.abs((plus - minus) / (2.0 * FD_STEP)))
+
+    return ["yes" if max(partial(p.u1, p.d - 1), partial(p.u2, p.d)) < tol else "no" for p in pairs]
 
 
 def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
@@ -299,5 +297,5 @@ def decompose(field: VectorField, sample_box, quad_nodes=DEFAULT_QUAD_NODES,
         )
 
     sep_cols = _separability_cols((lo, hi), field.singular)  # one sample checks every pair
-    pairs = tuple(replace(pair, separable=_separable(pair, sep_cols, tol)) for pair in pairs)
+    pairs = tuple(replace(pair, separable=sep) for pair, sep in zip(pairs, _separable(pairs, sep_cols, tol)))
     return Decomposition(pairs, residual_max, pairs[0].provenance)

@@ -24,10 +24,10 @@ doubles exactly, so serialize(deserialize(serialize(net))) is byte-identical.
 A negative zero is written as -0.0: the shortest form, -0, would read back as
 the integer 0 and lose its sign.
 
-`dump_json` dispatches on the exact type of each value through one table
-(float, int, str, bool, None, dict, list, tuple); numpy scalars and
-subclasses of those types take an isinstance fallback, and anything else is
-a ParseError.
+`dump_json` is one chain of isinstance checks (floats and numpy floats via
+`fmt17`, lists and tuples, dicts with str keys, bool and None before ints and
+numpy ints, str), so a subclass writes as its base type; anything else,
+np.bool_ included, is a ParseError.
 
 The reader checks each JSON object against a key table, {key: (JSON type,
 default or REQUIRED, optional value check)}: a fault is a ParseError naming
@@ -53,52 +53,25 @@ from .verify import as_box
 
 def dump_json(obj) -> str:
     """JSON text with floats at 17 significant digits and stable key order."""
-    dump = _DUMP.get(type(obj))
-    return dump(obj) if dump is not None else _dump_subtype(obj)
-
-
-def _dump_dict(obj) -> str:
-    items = ", ".join([f"{_dump_key(k)}: {dump_json(v)}" for k, v in obj.items()])
-    return "{" + items + "}"
+    if isinstance(obj, (float, np.floating)):
+        return fmt17(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(dump_json, obj)) + "]"
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{_dump_key(k)}: {dump_json(v)}" for k, v in obj.items()]) + "}"
+    if obj is None or isinstance(obj, bool):  # before int: a bool is an int; np.bool_ is neither
+        return "null" if obj is None else ("true" if obj else "false")
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # what json.dumps runs for a str
+    raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
 
 
 def _dump_key(key) -> str:
     if not isinstance(key, str):
         raise ParseError(f"cannot serialize object key of type {type(key).__name__}")
     return encode_basestring_ascii(key)
-
-
-def _dump_seq(obj) -> str:
-    return "[" + ", ".join(map(dump_json, obj)) + "]"
-
-
-def _dump_subtype(obj) -> str:
-    # numpy scalars and subclasses of the table's types; bool and None cannot
-    # be subclassed, and np.bool_ is not an int
-    if isinstance(obj, dict):
-        return _dump_dict(obj)
-    if isinstance(obj, (list, tuple)):
-        return _dump_seq(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt17(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    raise ParseError(f"cannot serialize object of type {type(obj).__name__}")
-
-
-# str -> encode_basestring_ascii is what json.dumps runs for a str
-_DUMP = {
-    float: fmt17,
-    int: str,
-    str: encode_basestring_ascii,
-    bool: json.dumps,
-    type(None): json.dumps,
-    dict: _dump_dict,
-    list: _dump_seq,
-    tuple: _dump_seq,
-}
 
 
 def _shift_doc(shift):

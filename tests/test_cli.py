@@ -174,6 +174,20 @@ def test_train_and_predict_roundtrip(tmp_path):
     assert len(lines) == 5
 
 
+def test_loss_curve_csv_is_the_metrics_loss_curve_at_17_digits(tmp_path):
+    # one line per logged epoch: the epoch's digits, then the loss as in metrics.json
+    _, data_dir = run(tmp_path, "gen-data", GEN_CFG, out=tmp_path / "data")
+    cfg = {"dataset": str(data_dir / "dataset.csv"), "epochs": 30, "n_layers": 2, "width": 4,
+           "log_stride": 10, "seed": 5}
+    code, model_dir = run(tmp_path, "train", cfg, out=tmp_path / "model")
+    assert code == 0
+    curve = json.loads((model_dir / "metrics.json").read_text())["loss_curve"]
+    assert [e for e, _ in curve] == [0, 10, 20, 30]
+    text = (model_dir / "loss_curve.csv").read_text()
+    assert text == "epoch,mse\n" + "".join(f"{e},{v:.17g}\n" for e, v in curve)
+    assert text.splitlines()[1].startswith("0,") and text.splitlines()[-1].startswith("30,")
+
+
 def test_train_deterministic_bytes(tmp_path):
     _, data_dir = run(tmp_path, "gen-data", GEN_CFG, out=tmp_path / "data")
     cfg = {

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -10,6 +11,7 @@ from mpflow.dynamics import (
     FIELDS,
     Trajectory,
     _lorentz4d_body,
+    csv_text,
     dataset_from_csv,
     dataset_from_trajectory,
     dataset_to_csv,
@@ -18,6 +20,7 @@ from mpflow.dynamics import (
     generate_trajectory,
     make_field,
     partial_divergence_fd,
+    partial_divergences_fd,
     rk4_flow,
     trajectory_to_csv,
 )
@@ -253,6 +256,37 @@ def test_partial_divergence_has_the_bits_of_the_whole_field_formula(fid, kwargs)
                 want = _whole_field_partial_divergence(f, 0.3, y, k)
                 assert got.shape == want.shape == y.shape[1:]
                 assert got.tobytes() == want.tobytes()
+
+
+def test_partial_divergence_at_k_0_is_zeros_of_the_trailing_shape():
+    # the empty sum: a 0-d array for a point, the columns' trailing shape else
+    f = make_field("lorentz4d")
+    for y in (np.ones(4), np.ones((4, 3)), np.ones((4, 2, 5))):
+        got = partial_divergence_fd(f, 0.0, y, 0)
+        assert got.shape == y.shape[1:]
+        assert got.tobytes() == np.zeros(y.shape[1:]).tobytes()
+    assert list(partial_divergences_fd(f, 0.0, np.ones((4, 3)), 0)) == []
+    with pytest.raises(ConfigError, match="expects points of dim 4"):
+        partial_divergence_fd(f, 0.0, np.ones((3, 3)), 0)
+
+
+@pytest.mark.parametrize("k", [-1, 5, 2.0, True, False, "1", None],
+                         ids=["minus-1", "dim-plus-1", "float", "true", "false", "str", "none"])
+def test_partial_divergence_k_outside_0_to_dim_is_a_config_error_naming_k_and_the_dim(k):
+    f = make_field("lorentz4d")
+    y = np.ones((4, 3))
+    message = f"k must be an integer in 0..4, the field's dim, got {re.escape(repr(k))}"
+    with pytest.raises(ConfigError, match=message):
+        partial_divergence_fd(f, 0.0, y, k)
+    with pytest.raises(ConfigError, match=message):
+        next(partial_divergences_fd(f, 0.0, y, k))
+
+
+def test_partial_divergence_takes_numpy_integer_k():
+    f = make_field("lorentz4d")
+    y = np.full((4, 3), 0.5)
+    assert partial_divergence_fd(f, 0.0, y, np.int64(4)).tobytes() == (
+        partial_divergence_fd(f, 0.0, y, 4).tobytes())
 
 
 def test_identity_field_divergence_is_dim():
@@ -522,6 +556,25 @@ def test_dataset_csv_roundtrip():
     assert np.array_equal(back.x, ds.x)
     assert np.array_equal(back.y, ds.y)
     assert dataset_to_csv(back) == text
+
+
+def test_csv_writers_keep_their_bytes():
+    # sha256 of both writers on a short harmonic2d trajectory (elementwise
+    # arithmetic, so no BLAS build moves them), taken before they shared csv_text
+    traj = generate_trajectory(make_field("harmonic2d"), [1.0, 0.5], 0.1, 6)
+    text = trajectory_to_csv(traj)
+    assert text.startswith("t,y1,y2\n0,1,0.5\n0.10000000000000001,0.9450874569546116,")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4aa606aea1d7bd0724bda34fad7dad796e887d7c94f9a6242d89fc29aebf6c83")
+    assert hashlib.sha256(dataset_to_csv(dataset_from_trajectory(traj)).encode()).hexdigest() == (
+        "2816853c4e41f87fe025429841770a21a0858e534a142c41cd07137e197d83ae")
+
+
+def test_csv_text_writes_each_number_with_fmt17():
+    rows = [(0, 1.0 / 3.0), (10, -0.0), (2**53, np.float64(2.5e-300))]
+    assert csv_text(["epoch", "mse"], rows) == (
+        "epoch,mse\n0,0.33333333333333331\n10,-0.0\n9007199254740992,2.5e-300\n")
+    assert csv_text(["a", "b"], []) == "a,b\n"
 
 
 def test_dataset_from_trajectory_chaining():

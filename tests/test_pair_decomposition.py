@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mpflow.dynamics import (
+    FD_STEP,
     divergence_fd,
     field_eval,
     make_field,
@@ -17,9 +18,10 @@ from mpflow.pair_decomposition import (
     _DETECT_SEED,
     DEFAULT_TOL,
     PairField,
-    _fd_partial,
     _gauss_legendre,
     _legval,
+    _separability_cols,
+    _separable,
     _zero_component,
     build_pairs,
     decompose,
@@ -32,10 +34,24 @@ from test_coupling import lorenz96
 from test_dynamics import LORENTZ_F3, LORENTZ_F4, LORENTZ_TEST_POINT
 
 
+def fd_partial(fn, j):
+    """Central difference of fn in y_j on two whole copies of y, the form the
+    separability check computes in place."""
+
+    def dfn(t, y):
+        yp = y.copy()
+        yp[j] += FD_STEP
+        ym = y.copy()
+        ym[j] -= FD_STEP
+        return (fn(t, yp) - fn(t, ym)) / (2.0 * FD_STEP)
+
+    return dfn
+
+
 def fd_pair_divergence(pair, t, y):
     """Central-difference d(u1)/dy_d + d(u2)/dy_{d+1} at one point; zero for exact pairs."""
     d0 = pair.d - 1
-    return float(_fd_partial(pair.u1, d0)(t, y) + _fd_partial(pair.u2, d0 + 1)(t, y))
+    return float(fd_partial(pair.u1, d0)(t, y) + fd_partial(pair.u2, d0 + 1)(t, y))
 
 
 BOX4 = (np.array([-1.5, -1.5, -1.3, -1.3]), np.array([1.5, 1.5, 1.3, 1.3]))
@@ -378,3 +394,58 @@ def test_separability_zero_pair():
 def test_separability_lorentz_pair3():
     deco = decompose(make_field("lorentz4d"), BOX4, tol=1e-9)
     assert separability_check(deco.pairs[2], BOX4, tol=1e-6) == "yes"
+
+
+class Recorded:
+    """A pair component that keeps a copy of every input and output."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, []
+
+    def __call__(self, t, y):
+        out = self.fn(t, y)
+        self.calls.append((y.copy(), np.array(out)))
+        return out
+
+
+@pytest.mark.parametrize("make", [
+    lambda: lorenz96(64),
+    lambda: chain_field([0.5 + 0.125 * k for k in range(7)]),
+    lambda: make_field("lorentz4d"),
+    lambda: make_field("linear", [[1.0, 2.0, 0.0], [0.0, -3.0, 1.0], [4.0, 0.0, 2.0]]),
+    lambda: make_field("harmonic2d"),
+], ids=["lorenz96_64", "chain8", "lorentz4d", "linear", "harmonic2d"])
+def test_separability_differences_in_place_with_the_bits_of_whole_copies(make):
+    # each partial sees exactly the +step and -step copies the whole-copy form
+    # builds, so its quotients have the same bytes, and every decision is the same
+    field = make()
+    box = BOX4 if field.fid == "lorentz4d" else (np.full(field.dim, -1.0), np.full(field.dim, 1.0))
+    pairs = build_pairs(field, box)
+    cols = _separability_cols(box, field.singular)
+    before = cols.copy()
+    recorded = [replace(pair, u1=Recorded(pair.u1), u2=Recorded(pair.u2)) for pair in pairs]
+    got = _separable(recorded, cols, DEFAULT_TOL)
+    assert cols.tobytes() == before.tobytes()  # the caller's columns are not written
+    want = []
+    for pair, rec in zip(pairs, recorded):
+        worst = []
+        for fn, seen, j in ((pair.u1, rec.u1, pair.d - 1), (pair.u2, rec.u2, pair.d)):
+            yp, ym = cols.copy(), cols.copy()
+            yp[j] += FD_STEP
+            ym[j] -= FD_STEP
+            assert [y.tobytes() for y, _ in seen.calls] == [yp.tobytes(), ym.tobytes()]
+            quotient = fd_partial(fn, j)(0.0, cols)
+            (_, plus), (_, minus) = seen.calls
+            assert ((plus - minus) / (2.0 * FD_STEP)).tobytes() == quotient.tobytes()
+            worst.append(np.max(np.abs(quotient)))
+        want.append("yes" if max(worst) < DEFAULT_TOL else "no")
+    assert got == want
+    assert [separability_check(pair, box) for pair in pairs] == want
+
+
+def test_separability_of_a_component_that_returns_a_view_of_its_input():
+    # u2 = y_2 depends on its own coordinate; returned as a view of the
+    # differenced copy, its + value must not follow the row to its - value
+    pair = PairField(3, 1, lambda t, y: y[2], lambda t, y: y[1])
+    assert separability_check(pair, BOX3) == "no"
+    assert separability_check(replace(pair, u2=lambda t, y: y[2]), BOX3) == "yes"

@@ -1,6 +1,9 @@
+import enum
+import hashlib
 import json
 import re
 import sys
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from mpflow.mlp import Mlp, mlp_init
 from mpflow.rng import Xoshiro256
 from mpflow.serialize import _float_list, deserialize, dump_json, fmt17, net_to_doc, serialize
 from mpflow.shifts import MlpShift, fixed_shift
+from mpflow.training import TrainConfig, build_training_net
 
 from test_coupling import random_net
 
@@ -185,6 +189,19 @@ def test_dump_json_17_digits():
     assert text == '{"v": 0.33333333333333331}'
 
 
+class _Color(enum.IntEnum):
+    RED = 3
+
+
+class _Tag(str):
+    pass
+
+
+_Point = namedtuple("_Point", "x y")
+
+
+# numpy scalars and subclasses write as their base type; texts taken before
+# the writer became one isinstance chain
 @pytest.mark.parametrize(
     "obj, text",
     [
@@ -203,10 +220,21 @@ def test_dump_json_17_digits():
         ((), "[]"),
         ({"b": {"c": [None]}, "a": (0.5,)}, '{"b": {"c": [null]}, "a": [0.5]}'),
         ({}, "{}"),
+        (np.float32(0.1), "0.10000000149011612"),
+        (np.float16(0.1), "0.0999755859375"),
+        (np.longdouble(0.1), "0.10000000000000001"),
+        (np.int32(-7), "-7"),
+        (np.uint8(200), "200"),
+        (_Color.RED, "3"),
+        (OrderedDict([("b", 1.5), ("a", [_Color.RED])]), '{"b": 1.5, "a": [3]}'),
+        (_Point(1, 2.5), "[1, 2.5]"),
+        (_Tag('q"x'), '"q\\"x"'),
+        ({_Tag("k"): 1}, '{"k": 1}'),
     ],
     ids=["float-int-valued", "float-17", "float-tiny", "int", "int-neg", "np-float64",
          "np-int64", "true", "false", "none", "str", "list", "empty-tuple", "dict",
-         "empty-dict"],
+         "empty-dict", "np-float32", "np-float16", "np-longdouble", "np-int32", "np-uint8",
+         "int-enum", "ordered-dict", "namedtuple", "str-subclass", "str-subclass-key"],
 )
 def test_dump_json_text_per_kind(obj, text):
     assert dump_json(obj) == text
@@ -219,9 +247,12 @@ def test_dump_json_rejects_non_finite_naming_the_value(value):
         dump_json({"x": [1.0, value]})
 
 
-@pytest.mark.parametrize("obj", [{1, 2}, np.bool_(True), {"x": object()}], ids=["set", "np-bool", "object"])
-def test_dump_json_rejects_unsupported_types(obj):
-    with pytest.raises(ParseError, match="cannot serialize object of type"):
+@pytest.mark.parametrize("obj, name", [
+    ({1, 2}, "set"), (np.bool_(True), "bool"), ({"x": object()}, "object"), (b"x", "bytes"),
+    ([1.0, 1j], "complex"),
+], ids=["set", "np-bool", "object", "bytes", "complex"])
+def test_dump_json_rejects_unsupported_types(obj, name):
+    with pytest.raises(ParseError, match=f"^cannot serialize object of type {name}$"):
         dump_json(obj)
 
 
@@ -229,6 +260,21 @@ def test_dump_json_rejects_a_key_that_is_not_a_string():
     # json.loads could not read {1: 2} back
     with pytest.raises(ParseError, match="key of type int"):
         dump_json({1: 2.0})
+
+
+@pytest.mark.parametrize("key, name", [(True, "bool"), (None, "NoneType"), (1.5, "float")])
+def test_dump_json_names_the_type_of_a_key_that_is_not_a_string(key, name):
+    with pytest.raises(ParseError, match=f"^cannot serialize object key of type {name}$"):
+        dump_json({key: 2.0})
+
+
+def test_a_training_net_keeps_its_bytes():
+    # sha256 taken before the writer became one isinstance chain
+    net = build_training_net(3, TrainConfig(n_layers=2, width=4, seed=11))
+    data = serialize(net)
+    assert hashlib.sha256(data).hexdigest() == (
+        "c93e2dd3002ce30cc20f3e82bfd8160efcd67f2d965b2f8dbb89816d99b868f5")
+    assert serialize(deserialize(data)) == data
 
 
 def test_negative_zero_survives_a_round_trip():
