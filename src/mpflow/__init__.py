@@ -47,7 +47,7 @@ from .errors import (
 from .mlp import AdamState, Mlp, adam_init, adam_step, mlp_init
 from .pair_decomposition import Decomposition, PairField, decompose, pair_eval, separability_check
 from .rng import Xoshiro256
-from .serialize import deserialize, load_net, save_net, serialize
+from .serialize import deserialize, load_net, save_net
 from .shifts import FixedShift, MlpShift, fixed_shift
 from .training import TrainConfig, TrainMetrics, mse_loss, rollout, train
 from .verify import fd_jacobian_det, lp_error, roundtrip_error, sample_points
@@ -102,7 +102,6 @@ __all__ = [
     "sample_points",
     "save_net",
     "separability_check",
-    "serialize",
     "shear_layer",
     "shear_pair",
     "shear_rewrite_bound",

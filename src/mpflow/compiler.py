@@ -10,15 +10,17 @@ A compiled step for one separable pair (d, d+1) is the two-shear update
 applied for every pair in ascending d, then repeated n_steps times with
 tau' advancing by h. Each shear reads only coordinates it does not write,
 so the stack preserves volume exactly at any step count, even when it is a
-poor approximation of the flow.
+poor approximation of the flow. An autonomous field (see `dynamics.FIELDS`)
+ignores tau', so its steps are the same shears: `compile_flow` builds one
+step's 2(D-1) layer objects and repeats them n_steps times in the tuple.
 
 Each shear's shift is a `shifts.PairShear`, which `coupling` hands the
 state's columns; a pair component pinned to zero becomes a shear whose `ufn`
-is None and which adds h * 0.0 without evaluating the field. The shears of
-one `compile_flow` call share one `FlowRecipe`, the call's arguments and the
-layers built from them; a model file stores the recipe, its field as the
-field's config, and a load calls `compile_flow` on it again (see
-`serialize`).
+is None, which `coupling` applies as one add of h * 0.0 to its target column
+without evaluating the field. The shears of one `compile_flow` call share one
+`FlowRecipe`, the call's arguments and the layers built from them; a model
+file stores the recipe, its field as the field's config, and a load calls
+`compile_flow` on it again (see `serialize`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .coupling import (
     shift_dims,
     upper_layer,
 )
-from .dynamics import VectorField, make_field, rk4_flow
+from .dynamics import FIELDS, VectorField, make_field, rk4_flow
 from .errors import ConfigError, NumericError, UnsupportedError
 from .mlp import ACTIVATION_LIPSCHITZ, Mlp
 from .pair_decomposition import (
@@ -55,7 +57,11 @@ from .pair_decomposition import (
 from .shifts import MlpShift, PairShear, fixed_shift
 from .verify import as_box, sample_points
 
-MAX_LAYERS = 100_000  # about 20 MB and 0.5 s of lorentz4d shears (tracemalloc, 2-core host)
+# At the cap, lorentz4d shears built step by step, as a non-autonomous field's
+# are, take about 19 MB and 0.4-0.5 s; shared autonomous steps take 0.8 MB and
+# 5 ms, and the 8-point finiteness pass over them about 0.3 s (tracemalloc,
+# 2-core host)
+MAX_LAYERS = 100_000
 
 
 @dataclass(eq=False)
@@ -105,12 +111,13 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
 
     Per step k the layers advance coordinates pair by pair in ascending d at
     frozen time tau + k*h, h = T/n_steps; the resulting net has
-    n_steps * 2 * (D-1) layers, at most MAX_LAYERS. The field is rebuilt by
-    `make_field` from its id, params and dim, as a load rebuilds it, so a
-    field whose id `dynamics` cannot rebuild is a ConfigError. The stack's
-    output must be finite at
-    n_check sampled points; a non-finite one raises NumericError naming the
-    point.
+    n_steps * 2 * (D-1) layers, at most MAX_LAYERS. For an autonomous field
+    every step is the same 2 * (D-1) layer objects, built once at tau; any
+    other field builds each step's own. The field is rebuilt by `make_field`
+    from its id, params and dim, as a load rebuilds it, so a field whose id
+    `dynamics` cannot rebuild is a ConfigError. The stack's output must be
+    finite at n_check sampled points; a non-finite one raises NumericError
+    naming the point.
     """
     if n_steps < 1:
         raise ConfigError(f"n_steps must be >= 1, got {n_steps}")
@@ -129,12 +136,11 @@ def compile_flow(field: VectorField, tau, T, n_steps, sample_box,
         )
     recipe = FlowRecipe(decomposition.config, float(tau), float(T), int(n_steps))
     h = recipe.T / recipe.n_steps
-    layers = []
-    for k in range(recipe.n_steps):
-        tau_k = recipe.tau + k * h
-        for pair in decomposition.pairs:
-            layers.extend(shear_pair(pair, tau_k, h, recipe))
-    recipe.layers = tuple(layers)
+    # an autonomous field's steps are the same shears: build one step and repeat it
+    n_built = 1 if FIELDS[field.fid].autonomous else recipe.n_steps
+    built = tuple(layer for k in range(n_built) for pair in decomposition.pairs
+                  for layer in shear_pair(pair, recipe.tau + k * h, h, recipe))
+    recipe.layers = built * (recipe.n_steps // n_built)
     net = MPNet(field.dim, recipe.layers)
     _check_finite(net, sample_box, field, n_check)
     return CompiledFlow(net, decomposition)

@@ -28,8 +28,10 @@ copy. A layer's shift is an `MlpShift`, a `FixedShift` or a `PairShear` (see
 shift is a `PairShear` zeroes its target column where it stands, hands the
 shift the state's columns as a view, and writes the saved column plus the
 result back; only a shear on the pair shear's coordinate row + 1 may hold
-one, and no gradient passes it. Every other layer gathers its shift's input
-x[..., read] and adds shift(u) to x[..., written].
+one, and no gradient passes it. A pinned-zero pair shear (ufn None) is one
+in-place add of h * 0.0 to its target column, with no copy and no call.
+Every other layer gathers its shift's input x[..., read] and adds shift(u)
+to x[..., written].
 
 Training runs each layer's forward once. `net_forward_collect` takes a
 batch (n, dim) and keeps, per layer, the layer's input and the shift's
@@ -160,13 +162,19 @@ def _layer_apply_cached(layer: Layer, x, inverse=False, ws=None, tag=None):
     cache. Adds shift(x[..., read]) to x[..., written], or subtracts it for
     the closed-form inverse. A shear whose shift is a PairShear saves its
     target column, zeroes it, hands the shift x.T (a view of the state) and
-    writes the saved column plus (or minus) the result back."""
+    writes the saved column plus (or minus) the result back; a pinned-zero
+    one (ufn None) adds (or subtracts) the scalar h * 0.0 to its target in
+    place, the same IEEE operation per element as adding a column of it."""
     shift = layer.shift
     if isinstance(shift, PairShear):
         target = x[..., shift.row]  # a view, also of a point
-        base = target.copy()
-        target[...] = 0.0
-        shifted, cache = shift(x.T), None
+        cache = None
+        if shift.ufn is None:  # pinned to zero: one add of h * 0.0, signed like h
+            base, shifted = target, shift.h * 0.0
+        else:
+            base = target.copy()
+            target[...] = 0.0
+            shifted = shift(x.T)
     else:
         target = base = x[..., layer.written]  # disjoint from the columns read
         u = x[..., layer.read]

@@ -13,6 +13,9 @@ Registered fields, one `FIELDS` entry per id, with the config keys each reads
 matrix or the poly terms, as nested tuples), so {"id": fid} plus each key the
 field reads, "dim" holding the dim and the other key the params, is the
 field's config again: a model file stores a compiled flow's field that way.
+An entry's `autonomous` is True when func(t, y) and every component ignore t,
+as for all four registered fields; `compiler.compile_flow` then builds one
+step's shears and repeats them instead of building each step at its own time.
 
 Field functions take y of shape (dim,) or (dim, n): they index y[0], y[1], ...
 and compute elementwise, so a (dim, n) array evaluates n points as columns.
@@ -21,7 +24,9 @@ with the bytes and shape of `func(t, y)[j]` and never a view of y; a pair
 shear evaluates one of them where the whole field would compute and stack
 every row. harmonic2d and poly compute only row j (poly sums the same terms
 in the same order), linear takes row j of the product `mat @ y`, lorentz4d
-copies y3 or y4 for its first two rows.
+copies y3 or y4 for its first two rows. A poly term keeps only its non-zero
+(j, e) pairs, in order of j, so it costs the coordinates it reads, not D, and
+multiplies the same factors in the same order as its multi-index.
 lorentz4d writes its arithmetic once, as a body over the coordinates that
 takes `sqrt`: `_lorentz4d` calls it with `np.sqrt`, `_rk4_point` with
 `math.sqrt` on Python floats, so the two agree bit for bit, and components 3
@@ -142,15 +147,20 @@ def _poly_terms(components, dim):
     return tuple(parsed)
 
 
+def _poly_sparse(terms):
+    """Each term as (coef, its non-zero (j, e) pairs in order of j)."""
+    return tuple(tuple((coef, tuple((j, e) for j, e in enumerate(exps) if e))
+                       for coef, exps in comp) for comp in terms)
+
+
 def _poly_sum(comp_terms, y):
-    # one component's terms summed in order from 0.0: a float while every term
-    # is constant, else a new array (no term is a view of y)
+    # one component's sparse terms summed in order from 0.0: a float while every
+    # term is constant, else a new array (no term is a view of y)
     acc = 0.0
-    for coef, exps in comp_terms:
+    for coef, factors in comp_terms:
         val = coef
-        for j, e in enumerate(exps):
-            if e:
-                val *= y[j] ** e
+        for j, e in factors:
+            val *= y[j] ** e
         acc += val
     return acc
 
@@ -187,7 +197,8 @@ def _poly_build(params, dim):
     if dim is None:
         raise ConfigError("poly field needs an explicit dim")
     terms = _poly_terms(params, dim)
-    return dim, _poly_eval(terms), tuple(map(_poly_component, terms)), terms
+    sparse = _poly_sparse(terms)
+    return dim, _poly_eval(sparse), tuple(map(_poly_component, sparse)), terms
 
 
 class FieldSpec(NamedTuple):
@@ -195,15 +206,18 @@ class FieldSpec(NamedTuple):
 
     build: object  # (params, dim or None) -> (dim, func, components, params); raises on bad params
     config: dict  # config key -> type it is read as; "dim" is the dim, any other key the params
+    autonomous: bool  # func(t, y) and every component ignore t
     singular: object = None  # (y) -> bool, or None
 
 
 FIELDS = {
     "lorentz4d": FieldSpec(lambda params, dim: (4, _lorentz4d, _LORENTZ4D_COMPONENTS, None), {},
-                           lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS),
-    "harmonic2d": FieldSpec(lambda params, dim: (2, _harmonic2d, _HARMONIC2D_COMPONENTS, None), {}),
-    "linear": FieldSpec(_linear_build, {"matrix": np.ndarray}),
-    "poly": FieldSpec(_poly_build, {"dim": int, "components": list}),
+                           autonomous=True,
+                           singular=lambda y: float(np.hypot(y[0], y[1])) < SINGULAR_RADIUS),
+    "harmonic2d": FieldSpec(lambda params, dim: (2, _harmonic2d, _HARMONIC2D_COMPONENTS, None), {},
+                            autonomous=True),
+    "linear": FieldSpec(_linear_build, {"matrix": np.ndarray}, autonomous=True),
+    "poly": FieldSpec(_poly_build, {"dim": int, "components": list}, autonomous=True),
 }
 
 

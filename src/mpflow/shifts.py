@@ -94,8 +94,9 @@ class PairShear:
     """The shift of one compiled shear on coordinate row + 1: called with y, a
     view of the caller's state as columns (D, n) or a point (D,) with
     y[row] = 0.0, which a `ufn` must not write, it returns h * ufn(tau, y) in
-    y[0]'s shape. A pinned-zero component, ufn None, gives h * 0.0 (signed
-    like h) without evaluating the field. `recipe` is the FlowRecipe of the
+    y[0]'s shape. A pinned-zero component has ufn None and is never called:
+    `coupling`'s layer kernel adds h * 0.0 (signed like h) to its target
+    column without evaluating the field. `recipe` is the FlowRecipe of the
     flow the shear belongs to, or None. No gradient passes it."""
 
     __slots__ = ("ufn", "row", "tau", "h", "in_dim", "recipe")
@@ -106,8 +107,6 @@ class PairShear:
         self.in_dim, self.recipe = in_dim, recipe
 
     def __call__(self, y):
-        if self.ufn is None:
-            return np.full(y.shape[1:], self.h * 0.0)
         return self.h * self.ufn(self.tau, y)
 
     def __repr__(self):

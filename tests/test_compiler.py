@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import re
 from dataclasses import replace
 
@@ -26,14 +27,14 @@ from mpflow.coupling import (
     shear_layer,
     upper_layer,
 )
-from mpflow.dynamics import FIELDS, make_field, rk4_flow
+from mpflow.dynamics import FIELDS, FieldSpec, make_field, rk4_flow
 from mpflow.errors import ConfigError, NumericError, ParseError, UnsupportedError
 from mpflow.mlp import Mlp
 from mpflow.pair_decomposition import _zero_component, decompose
 from mpflow.rng import Xoshiro256
 from mpflow.serialize import dump_json, load_net, save_net, serialize
 from mpflow.shifts import MlpShift, PairShear, fixed_shift
-from mpflow.verify import fd_jacobian_det, roundtrip_error, sample_points
+from mpflow.verify import fd_jacobian_det, max_det_deviation, roundtrip_error, sample_points
 
 from test_coupling import install_power_shift, lorenz96
 from test_pair_decomposition import BOX3, BOX4, quadrature_field
@@ -178,22 +179,30 @@ def test_compiled_net_serialization_reproduces_bitwise(tmp_path, field, T, n_ste
 
 def test_pinned_zero_shift_adds_h_times_zero_without_the_field():
     # lorentz4d pins u2 of pairs 1 and 2 to zero; with T < 0 each such shear
-    # adds h * 0.0 = -0.0, which the field path computed as h * zeros
+    # adds h * 0.0 = -0.0, which the field path computed as h * zeros. On a
+    # target of -0.0 the forward keeps the sign only if it added -0.0, and the
+    # inverse clears it only if it subtracted -0.0
     field = make_field("lorentz4d")
     net = compile_flow(field, 0.0, -0.2, 2, BOX4).net
     pinned = [layer for layer in net.layers if layer.shift.ufn is None]
     assert [layer.i for layer in pinned] == [2, 3, 2, 3]  # pairs 1 and 2, second shear
-    cols = sample_points(BOX4, 6, 9, exclude=field.singular).T.copy()
+    pts = sample_points(BOX4, 6, 9, exclude=field.singular)
     for layer in pinned:
         shift = layer.shift
-        via_field = PairShear(_zero_component, shift.row, shift.tau, shift.h, shift.in_dim, None)
-        y = cols.copy()
-        y[shift.row] = 0.0
-        for y, shape in ((y[:, 0], ()), (y, (6,))):
-            got = shift(y)
-            assert got.shape == shape and got.dtype == np.float64
-            assert np.all(got == 0.0) and np.all(np.signbit(got))
-            assert got.tobytes() == via_field(y).tobytes()
+        via_field = replace(layer, shift=PairShear(_zero_component, shift.row, shift.tau, shift.h,
+                                                   shift.in_dim, None))
+        x = pts.copy()
+        x[:, shift.row] = -0.0
+        others = np.arange(4) != shift.row
+        for x, shape in ((x[0], (4,)), (x, (6, 4))):
+            for inverse in (False, True):
+                got = layer_apply_batch(layer, x, inverse)
+                assert got.shape == shape and got.dtype == np.float64
+                target = got[..., shift.row]
+                assert np.all(target == 0.0) and np.all(np.signbit(target) != inverse)
+                assert got[..., others].tobytes() == x[..., others].tobytes()
+                assert got.tobytes() == layer_apply_batch(via_field, x, inverse).tobytes()
+        assert layer_apply_batch(layer, pts).tobytes() == pts.tobytes()  # x + -0.0 is x
 
 
 def test_compile_rejects_a_field_id_the_registry_cannot_rebuild():
@@ -389,14 +398,18 @@ def _with_signed_zeros(x):
 
 def _add_column_shift(layer, x, inverse):
     # the layer as its column shift defines it: x with column i - 1 plus (or
-    # minus) the shift of x's columns with that column zeroed
+    # minus) the shift of x's columns with that column zeroed; a pinned-zero
+    # shift, which is never called, through the field path of its zero component
+    shift = layer.shift
+    if shift.ufn is None:
+        shift = PairShear(_zero_component, shift.row, shift.tau, shift.h, shift.in_dim, None)
     y = x.T.copy()
     y[layer.i - 1] = 0.0
     out = x.copy()
     if inverse:
-        out[..., layer.i - 1] -= layer.shift(y)
+        out[..., layer.i - 1] -= shift(y)
     else:
-        out[..., layer.i - 1] += layer.shift(y)
+        out[..., layer.i - 1] += shift(y)
     return out
 
 
@@ -477,6 +490,116 @@ def test_compiled_lorentz4d_images_are_pinned():
         "a264b43089d1a498bd53cb2bbfae72defdbfd831cc6c4893b57b0f8917043eff")
     assert hashlib.sha256(images[True]).hexdigest() == (
         "9d9c83381b98b7c8b5ee12e1df6a65345f3b30cd0e54888e833c53448adc5a71")
+
+
+README_BOX = ([-0.4, 0.5, 0.6, 0.0], [0.6, 1.5, 1.6, 1.0])
+
+
+def _sha(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, float).tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("T, forward, inverse, stencil, det_dev, worst", [
+    (0.2, "431edd778affe7bbfc311a412b278692c61946293b54f8cfbb57079366d23cb5",
+     "91cbee89c48ef3745a44e41de304b939d9745241eb97616629f92825f1809d69",
+     "31365b3451fdc2176b73b5db22e9950f6dadd01649ea1c551d38d6759f8f01c8", 2.8296812004668936e-08, 5),
+    (-0.2, "880d4fef3a8826c6a1a0e79ef48a12f58eb951fcc34138d41630808c6aa85fea",
+     "48a5d120a0f2aef215dec2f41e667ee82ae041994fe6195961db07fac2b3c239",
+     "e746abcc13e663ab4671e14597b17a251b2e6d6bd1d35f7914cf2f6b02ea7f20", 7.844904725828883e-10, 9),
+], ids=["T+0.2", "T-0.2"])
+def test_compiled_lorentz4d_200_step_outputs_are_pinned(T, forward, inverse, stencil, det_dev, worst):
+    # compile-lorentz's net, pinned before its steps shared their shears and its
+    # pinned-zero shears became one add. Each image sha covers the batch, whose
+    # rows hold signed zeros, then its second row as a point; the stencil sha
+    # covers the rows the determinant check maps. Only +, -, *, / and sqrt reach
+    # those bytes; the determinant itself is a LAPACK LU, whose last bits may
+    # depend on the BLAS build
+    net = compile_flow(make_field("lorentz4d"), 0.0, T, 200, README_BOX).net
+    assert net.n_layers == 1200
+    pts = _with_signed_zeros(sample_points(README_BOX, 16, 7))
+    for inv, want in ((False, forward), (True, inverse)):
+        assert _sha(net_apply_batch(net, pts, inv), net_apply_batch(net, pts[1], inv)) == want
+    images = []
+    fd_jacobian_det(lambda rows: images.append(net_apply_batch(net, rows)) or images[0], pts)
+    assert _sha(images[0]) == stencil
+    dev, at = max_det_deviation(net, pts)
+    assert dev == pytest.approx(det_dev, rel=0, abs=1e-14)
+    assert at.tobytes() == pts[worst].tobytes()
+
+
+def test_compiled_lorenz96_d16_outputs_are_pinned():
+    box = (np.full(16, -1.0), np.full(16, 1.0))
+    net = compile_flow(lorenz96(16), 0.0, 0.2, 20, box).net
+    assert net.n_layers == 600
+    pts = _with_signed_zeros(sample_points(box, 40, 31))
+    images = {inv: _sha(net_apply_batch(net, pts, inv), net_apply_batch(net, pts[1], inv))
+              for inv in (False, True)}
+    assert images[False] == "f58b72fe503afb503f49a959ec3aa951b4825114bd73183f35be193a6e7e0d30"
+    assert images[True] == "74d3b1ce3116731173b73bf202e3239fb8f3d74b2609dbec8d1af87ff39ebbc7"
+
+
+def test_every_registered_field_is_autonomous():
+    assert {fid: spec.autonomous for fid, spec in FIELDS.items()} == dict.fromkeys(FIELDS, True)
+
+
+@pytest.mark.parametrize("field, box, n_steps", [
+    (make_field("lorentz4d"), README_BOX, 200),
+    (lorenz96(16), (np.full(16, -1.0), np.full(16, 1.0)), 5),
+], ids=["lorentz4d", "lorenz96-16"])
+def test_an_autonomous_flow_repeats_one_steps_shears(field, box, n_steps):
+    layers = compile_flow(field, 0.3, 0.2, n_steps, box).net.layers
+    per_step = 2 * (field.dim - 1)
+    assert len(layers) == n_steps * per_step
+    assert len({id(layer) for layer in layers}) == per_step
+    step = layers[:per_step]
+    assert all(map(operator.is_, layers, step * n_steps))
+    assert {layer.shift.tau for layer in step} == {0.3}
+
+
+# a time-dependent ABC field on [-1, 1]^3, f_k free of y_k, so divergence-free
+# and both pairs separable: f = (a(t) sin z + C cos y, B sin x + a(t) cos z,
+# C sin y + B cos x), a(t) = 1 + 0.3 sin 2t (Dombre et al., J. Fluid Mech. 167, 1986)
+ABC_B, ABC_C = 0.7, 0.43
+
+
+def _abc_components():
+    def a(t):
+        return 1.0 + 0.3 * np.sin(2.0 * t)
+
+    return (lambda t, y: a(t) * np.sin(y[2]) + ABC_C * np.cos(y[1]),
+            lambda t, y: ABC_B * np.sin(y[0]) + a(t) * np.cos(y[2]),
+            lambda t, y: ABC_C * np.sin(y[1]) + ABC_B * np.cos(y[0]))
+
+
+@pytest.fixture
+def abc_field(monkeypatch):
+    components = _abc_components()
+
+    def build(params, dim):
+        return 3, lambda t, y: np.array([c(t, y) for c in components]), components, None
+
+    monkeypatch.setitem(FIELDS, "abc_t", FieldSpec(build, {}, autonomous=False))
+    return make_field("abc_t")
+
+
+def test_a_non_autonomous_flow_is_built_step_by_step_from_its_own_tau(abc_field, tmp_path):
+    T, n_steps = 1.0, 40
+    h = T / n_steps
+    nets = {tau: compile_flow(abc_field, tau, T, n_steps, BOX_UNIT3).net for tau in (0.0, 0.7)}
+    for tau, net in nets.items():
+        assert net.n_layers == n_steps * 4
+        assert len({id(layer) for layer in net.layers}) == n_steps * 4
+        assert [layer.shift.tau for layer in net.layers[::4]] == [tau + k * h for k in range(n_steps)]
+        save_net(net, tmp_path / "model.json")
+        assert serialize(load_net(tmp_path / "model.json")) == (tmp_path / "model.json").read_bytes()
+    pts = sample_points(BOX_UNIT3, 20, 5)
+    out = {tau: net_apply_batch(net, pts) for tau, net in nets.items()}
+    refs = {tau: rk4_flow(abc_field, tau, T, 1e-3, pts) for tau in nets}
+    err = {(net_tau, ref_tau): np.max(np.abs(out[net_tau] - refs[ref_tau]))
+           for net_tau in nets for ref_tau in nets}
+    # each net follows the flow from its own tau at first order, and misses the other's
+    assert err[0.0, 0.0] < 0.03 and err[0.7, 0.7] < 0.03
+    assert err[0.0, 0.7] > 0.05 and err[0.7, 0.0] > 0.05
 
 
 @pytest.mark.parametrize("field, T, n_steps, box, maxulp", COMPILED_FIELDS, ids=COMPILED_IDS)

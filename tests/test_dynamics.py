@@ -108,6 +108,36 @@ def test_poly_field_eval():
     assert np.array_equal(field_eval(f, 0.0, y), np.array([-2.0, 3.0, 0.5]))
 
 
+def _dense_poly_row(comp_terms, y):
+    # a component as the dense multi-index reads it: every exponent scanned,
+    # each non-zero one a factor, in order of j
+    acc = 0.0
+    for coef, exps in comp_terms:
+        val = coef
+        for j, e in enumerate(exps):
+            if e:
+                val *= y[j] ** e
+        acc += val
+    out = np.zeros(y.shape[1:])
+    out[...] = acc
+    return out
+
+
+def test_poly_terms_multiply_only_their_nonzero_factors_bit_for_bit():
+    from test_coupling import lorenz96
+
+    mixed = make_field("poly", params=[[(0.5, (0, 0, 0)), (-1.5, (2, 0, 3)), (0.25, (0, 1, 1))],
+                                       [], [(3.0, (1, 0, 0)), (-0.75, (0, 5, 0))]], dim=3)
+    for f in (lorenz96(64), mixed):
+        cols = Xoshiro256(4).uniform_array((f.dim, 9), -1.5, 1.5)
+        cols[1, ::2] = -0.0
+        for y in (cols, cols[:, 3]):
+            want = np.array([_dense_poly_row(t, y) for t in f.params])
+            assert f.func(0.0, y).tobytes() == want.tobytes()
+            for c, comp in enumerate(f.components):
+                assert comp(0.0, y).tobytes() == want[c].tobytes()
+
+
 def test_unknown_field_id():
     with pytest.raises(ConfigError):
         make_field("vortex9000")
